@@ -8,6 +8,7 @@
 #include "coord/snapshot_transport.hpp"
 #include "coord/window_driver.hpp"
 #include "core/flow.hpp"
+#include "experiments/scenario_assembly.hpp"
 #include "nodes/client.hpp"
 #include "nodes/l4_redirector.hpp"
 #include "nodes/server.hpp"
@@ -22,17 +23,6 @@
 #include "util/worker_pool.hpp"
 
 namespace sharegrid::experiments {
-namespace {
-
-/// Resolves a principal name, failing loudly on typos in scenario specs.
-core::PrincipalId resolve(const core::AgreementGraph& graph,
-                          const std::string& name) {
-  const core::PrincipalId id = graph.find(name);
-  SHAREGRID_EXPECTS(id != core::kNoPrincipal);
-  return id;
-}
-
-}  // namespace
 
 double ScenarioResult::phase_served(std::size_t phase,
                                     std::size_t principal) const {
@@ -222,41 +212,12 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   driver.start(config.window);
 
   // --- Clients and phase schedule ------------------------------------------
-  // One shared WebBench-style size model; per-client RNG streams keep runs
+  // One shared WebBench-style size model; per-machine RNG streams keep runs
   // deterministic regardless of event interleaving.
   const workload::ReplySizeDistribution reply_sizes;
-  SHAREGRID_EXPECTS(config.client_scale >= 1);
-  std::vector<std::unique_ptr<nodes::ClientMachine>> clients;
-  // client_scale replicates every declared machine; at the default of 1 the
-  // loop degenerates to the historical one-machine-per-spec build (same
-  // indices, same names, same RNG split order — byte-identical runs).
-  for (std::size_t c = 0; c < config.clients.size(); ++c) {
-    const ClientSpec& spec = config.clients[c];
-    SHAREGRID_EXPECTS(spec.redirector < redirectors.size());
-    for (std::size_t rep = 0; rep < config.client_scale; ++rep) {
-      nodes::ClientMachine::Config cc;
-      cc.name = config.client_scale == 1
-                    ? spec.name
-                    : spec.name + "#" + std::to_string(rep);
-      cc.principal = resolve(graph, spec.principal);
-      cc.index = clients.size();
-      cc.rate = spec.rate;
-      cc.retry_delay_sec = config.retry_delay_sec;
-      cc.max_outstanding = config.max_outstanding;
-      cc.exponential_arrivals = config.exponential_arrivals;
-      cc.net_delay = config.net_delay;
-      cc.weighted_requests = config.weighted_admission;
-      clients.push_back(std::make_unique<nodes::ClientMachine>(
-          &sim, &metrics, redirectors[spec.redirector], cc, master.split(),
-          &reply_sizes));
-      nodes::ClientMachine* machine = clients.back().get();
-      for (const auto& [start, end] : spec.active_sec) {
-        SHAREGRID_EXPECTS(end > start);
-        sim.schedule_at(seconds(start), [machine] { machine->set_active(true); });
-        sim.schedule_at(seconds(end), [machine] { machine->set_active(false); });
-      }
-    }
-  }
+  const std::vector<std::unique_ptr<nodes::ClientFleet>> clients =
+      build_client_fleets(config, graph, &sim, &metrics, redirectors, master,
+                          &reply_sizes);
 
   // --- Capacity events -------------------------------------------------------
   for (const CapacityEvent& event : config.capacity_events) {

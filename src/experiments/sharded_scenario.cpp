@@ -26,6 +26,7 @@
 #include "coord/sharded_transport.hpp"
 #include "coord/window_driver.hpp"
 #include "experiments/scenario.hpp"
+#include "experiments/scenario_assembly.hpp"
 #include "nodes/client.hpp"
 #include "nodes/l4_redirector.hpp"
 #include "nodes/server.hpp"
@@ -40,13 +41,6 @@
 namespace sharegrid::experiments {
 namespace {
 
-core::PrincipalId resolve(const core::AgreementGraph& graph,
-                          const std::string& name) {
-  const core::PrincipalId id = graph.find(name);
-  SHAREGRID_EXPECTS(id != core::kNoPrincipal);
-  return id;
-}
-
 /// One cluster's full vertical slice. Everything here is touched only by
 /// events of the cluster's own domain, so lanes never share mutable state.
 struct Cluster {
@@ -60,7 +54,7 @@ struct Cluster {
   nodes::WindowTrace trace;
   std::unique_ptr<nodes::L4Redirector> redirector;
   std::unique_ptr<coord::SimWindowDriver> driver;
-  std::vector<std::unique_ptr<nodes::ClientMachine>> clients;
+  std::vector<std::unique_ptr<nodes::ClientFleet>> clients;
   RunningStats backlog;
   std::unique_ptr<sim::PeriodicTask> backlog_probe;
 };
@@ -218,35 +212,9 @@ ScenarioResult run_clustered_scenario(const ScenarioConfig& config) {
     sim::Simulator& sim = sharded.domain(c);
     Cluster& cluster = *clusters[c];
     Rng cluster_rng = master.split();
-    for (std::size_t i = 0; i < config.clients.size(); ++i) {
-      const ClientSpec& spec = config.clients[i];
-      SHAREGRID_EXPECTS(spec.redirector == 0);
-      for (std::size_t rep = 0; rep < config.client_scale; ++rep) {
-        nodes::ClientMachine::Config cc;
-        cc.name = "c" + std::to_string(c) + "-" + spec.name +
-                  (config.client_scale == 1 ? ""
-                                            : "#" + std::to_string(rep));
-        cc.principal = resolve(graph, spec.principal);
-        cc.index = cluster.clients.size();
-        cc.rate = spec.rate;
-        cc.retry_delay_sec = config.retry_delay_sec;
-        cc.max_outstanding = config.max_outstanding;
-        cc.exponential_arrivals = config.exponential_arrivals;
-        cc.net_delay = config.net_delay;
-        cc.weighted_requests = config.weighted_admission;
-        cluster.clients.push_back(std::make_unique<nodes::ClientMachine>(
-            &sim, &cluster.metrics, cluster.redirector.get(), cc,
-            cluster_rng.split(), &reply_sizes));
-        nodes::ClientMachine* machine = cluster.clients.back().get();
-        for (const auto& [start, end] : spec.active_sec) {
-          SHAREGRID_EXPECTS(end > start);
-          sim.schedule_at(seconds(start),
-                          [machine] { machine->set_active(true); });
-          sim.schedule_at(seconds(end),
-                          [machine] { machine->set_active(false); });
-        }
-      }
-    }
+    cluster.clients = build_client_fleets(
+        config, graph, &sim, &cluster.metrics, {cluster.redirector.get()},
+        cluster_rng, &reply_sizes);
     cluster.backlog_probe = std::make_unique<sim::PeriodicTask>(
         &sim, 500 * kMillisecond, 500 * kMillisecond, [&cluster] {
           double worst = 0.0;

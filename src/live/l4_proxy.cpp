@@ -1,6 +1,5 @@
 #include "live/l4_proxy.hpp"
 
-
 #include <algorithm>
 #include <utility>
 
@@ -47,8 +46,8 @@ void L4Proxy::stop() {
   acceptors_.clear();
   {
     const util::MutexLock lock(relays_mutex_);
-    for (std::thread& t : relays_)
-      if (t.joinable()) t.join();
+    for (Relay& r : relays_)
+      if (r.thread.joinable()) r.thread.join();
     relays_.clear();
   }
   listeners_.clear();
@@ -75,15 +74,38 @@ void L4Proxy::accept_loop(std::size_t service_index) {
       net::Socket backend = net::Socket::connect_loopback(service.backend_port);
       // Pin the connection to its backend for its whole lifetime
       // (affinity) and relay bytes until either side closes.
-      const util::MutexLock lock(relays_mutex_);
-      relays_.emplace_back(
-          [client = std::move(client), backend = std::move(backend)]() mutable {
-            relay(std::move(client), std::move(backend));
-          });
+      start_relay(std::move(client), std::move(backend));
     } catch (const ContractViolation&) {
       // per-connection failure (backend down, timeout); keep serving
     }
   }
+}
+
+std::size_t L4Proxy::live_relays() const {
+  const util::MutexLock lock(relays_mutex_);
+  return relays_.size();
+}
+
+void L4Proxy::start_relay(net::Socket client, net::Socket backend) {
+  const util::MutexLock lock(relays_mutex_);
+  for (auto it = relays_.begin(); it != relays_.end();) {
+    if (!it->done.load(std::memory_order_acquire)) {
+      ++it;
+      continue;
+    }
+    it->thread.join();  // already past its last statement
+    it = relays_.erase(it);
+  }
+  Relay& slot = relays_.emplace_back();
+  slot.thread = std::thread([&done = slot.done, client = std::move(client),
+                             backend = std::move(backend)]() mutable {
+    try {
+      relay(std::move(client), std::move(backend));
+    } catch (const ContractViolation&) {
+      // the peer reset mid-write; this connection is over
+    }
+    done.store(true, std::memory_order_release);
+  });
 }
 
 void L4Proxy::relay(net::Socket client, net::Socket backend) {

@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <thread>
 #include <vector>
 
@@ -57,9 +58,22 @@ class L4Proxy {
 
   std::uint64_t admitted() const { return admitted_; }
   std::uint64_t refused() const { return refused_; }
+  /// Relay threads the proxy still holds: the running ones plus finished
+  /// ones not yet reaped. Finished relays are joined whenever a new one
+  /// starts, so this tracks concurrent connections, not connections served.
+  std::size_t live_relays() const SHAREGRID_EXCLUDES(relays_mutex_);
 
  private:
+  /// One relay thread and the flag it raises as its last act.
+  struct Relay {
+    std::atomic<bool> done{false};
+    std::thread thread;
+  };
+
   void accept_loop(std::size_t service_index) SHAREGRID_EXCLUDES(relays_mutex_);
+  /// Joins finished relays, then starts one for an admitted connection.
+  void start_relay(net::Socket client, net::Socket backend)
+      SHAREGRID_EXCLUDES(relays_mutex_);
   /// Blocking bidirectional byte relay until either side closes.
   static void relay(net::Socket client, net::Socket backend);
 
@@ -69,9 +83,11 @@ class L4Proxy {
 
   std::vector<net::Socket> listeners_;
   std::vector<std::thread> acceptors_;
-  /// Relay threads are spawned by concurrent acceptors and joined by stop().
-  std::vector<std::thread> relays_ SHAREGRID_GUARDED_BY(relays_mutex_);
-  util::Mutex relays_mutex_;
+  /// Relay threads are spawned by concurrent acceptors, reaped by the next
+  /// start_relay() once done, and joined by stop(). A list keeps each
+  /// Relay's address stable for the thread that flags it.
+  std::list<Relay> relays_ SHAREGRID_GUARDED_BY(relays_mutex_);
+  mutable util::Mutex relays_mutex_;
   std::atomic<bool> running_{false};
 
   std::atomic<std::uint64_t> admitted_{0};

@@ -1,21 +1,24 @@
 #include "nodes/client.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "util/assert.hpp"
 
 namespace sharegrid::nodes {
 
-ClientMachine::ClientMachine(sim::Simulator* sim, Metrics* metrics,
-                             RedirectorBase* redirector, Config config,
-                             Rng rng,
-                             const workload::ReplySizeDistribution* sizes)
+// Per-machine memory is what scales to a million clients; keep it within
+// one cache line.
+static_assert(sizeof(ClientFleet::Machine) <= 64,
+              "a client machine's closed-loop state must fit in 64 bytes");
+
+ClientFleet::ClientFleet(sim::Simulator* sim, Metrics* metrics,
+                         RedirectorBase* redirector, Config config,
+                         const std::vector<Rng>& streams,
+                         const workload::ReplySizeDistribution* sizes)
     : sim_(sim),
       metrics_(metrics),
       redirector_(redirector),
-      config_(std::move(config)),
-      rng_(rng),
+      config_(config),
       sizes_(sizes) {
   SHAREGRID_EXPECTS(sim != nullptr);
   SHAREGRID_EXPECTS(metrics != nullptr);
@@ -23,62 +26,84 @@ ClientMachine::ClientMachine(sim::Simulator* sim, Metrics* metrics,
   SHAREGRID_EXPECTS(config_.rate > 0.0);
   SHAREGRID_EXPECTS(config_.principal != core::kNoPrincipal);
   SHAREGRID_EXPECTS(config_.max_outstanding >= 1);
+  SHAREGRID_EXPECTS(!streams.empty());
+  machines_.reserve(streams.size());
+  for (const Rng& stream : streams) machines_.push_back({stream});
 }
 
-void ClientMachine::set_active(bool active) {
+const ClientFleet::Machine& ClientFleet::machine(std::size_t m) const {
+  SHAREGRID_EXPECTS(m < machines_.size());
+  return machines_[m];
+}
+
+ClientFleet::Machine& ClientFleet::machine_of(const Request& request) {
+  // A client below first_index wraps around and fails the bound too.
+  const std::size_t m = request.client - config_.first_index;
+  SHAREGRID_EXPECTS(m < machines_.size());
+  return machines_[m];
+}
+
+void ClientFleet::set_active(bool active) {
   active_ = active;
-  if (active_ && !loop_armed_) {
-    loop_armed_ = true;
-    schedule_next_arrival();
+  if (!active_) return;
+  // Machines re-arm in index order: the same scheduling order the per-
+  // machine toggles of one timestamp produced, so runs stay bit-identical.
+  for (std::size_t m = 0; m < machines_.size(); ++m) {
+    if (machines_[m].loop_armed) continue;
+    machines_[m].loop_armed = true;
+    schedule_next_arrival(m);
   }
 }
 
-void ClientMachine::schedule_next_arrival() {
+void ClientFleet::schedule_next_arrival(std::size_t m) {
   const double mean_gap = 1.0 / config_.rate;
   const double gap_sec = config_.exponential_arrivals
-                             ? rng_.exponential(mean_gap)
+                             ? machines_[m].rng.exponential(mean_gap)
                              : mean_gap;
   const auto gap = std::max<SimDuration>(1, seconds(gap_sec));
-  sim_->schedule_after(gap, [this, alive = alive_] {
+  sim_->schedule_after(gap, [this, alive = alive_, m] {
     if (!*alive) return;
     if (!active_) {
-      loop_armed_ = false;  // generation stops; reactivation re-arms
+      // Generation stops; reactivation re-arms.
+      machines_[m].loop_armed = false;
       return;
     }
-    if (outstanding_ < config_.max_outstanding) emit();
-    schedule_next_arrival();
+    if (machines_[m].outstanding < config_.max_outstanding) emit(m);
+    schedule_next_arrival(m);
   });
 }
 
-void ClientMachine::emit() {
+void ClientFleet::emit(std::size_t m) {
+  Machine& machine = machines_[m];
+  const std::size_t index = config_.first_index + m;
   Request req;
-  req.id = (static_cast<std::uint64_t>(config_.index) << 32) |
-           next_request_id_++;
+  req.id = (static_cast<std::uint64_t>(index) << 32) |
+           machine.next_request_id++;
   req.principal = config_.principal;
   req.created = sim_->now();
-  req.client = config_.index;
+  req.client = index;
   if (sizes_ != nullptr) {
-    const workload::SampledRequest sample = sizes_->sample(rng_);
+    const workload::SampledRequest sample = sizes_->sample(machine.rng);
     req.reply_bytes = sample.reply_bytes;
     // By default the scheduling weight stays 1 (capacities are calibrated
     // in requests of the standard mix); weighted mode treats large requests
     // as multiple small ones (§4).
     if (config_.weighted_requests) req.weight = sample.weight;
   }
-  ++outstanding_;
+  ++machine.outstanding;
   metrics_->on_offered(req.principal, sim_->now());
   send_to_redirector(req);
 }
 
-void ClientMachine::send_to_redirector(const Request& request) {
+void ClientFleet::send_to_redirector(const Request& request) {
   sim_->schedule_after(config_.net_delay, [this, alive = alive_, request] {
     if (!*alive) return;
     redirector_->on_client_request(request, this);
   });
 }
 
-void ClientMachine::on_redirect_to_server(const Request& request,
-                                          Server* server) {
+void ClientFleet::on_redirect_to_server(const Request& request,
+                                        Server* server) {
   SHAREGRID_EXPECTS(server != nullptr);
   // One hop to reach the assigned server, then service, then the reply hop.
   sim_->schedule_after(config_.net_delay, [this, alive = alive_, request,
@@ -93,14 +118,16 @@ void ClientMachine::on_redirect_to_server(const Request& request,
   });
 }
 
-void ClientMachine::on_self_redirect(const Request& request) {
+void ClientFleet::on_self_redirect(const Request& request) {
+  Machine& machine = machine_of(request);
   metrics_->on_rejected(request.principal, sim_->now());
   // The WebBench-side proxy retries the same URL after a short pause; the
   // outstanding slot stays occupied, which is what throttles generation.
   // Jitter spreads retries across scheduling windows — without it, every
   // request rejected in one window comes back in the same later window,
   // alternately overflowing and starving the quota.
-  const double delay_sec = config_.retry_delay_sec * rng_.uniform(0.6, 1.4);
+  const double delay_sec =
+      config_.retry_delay_sec * machine.rng.uniform(0.6, 1.4);
   sim_->schedule_after(seconds(delay_sec),
                        [this, alive = alive_, request] {
                          if (!*alive) return;
@@ -108,9 +135,10 @@ void ClientMachine::on_self_redirect(const Request& request) {
                        });
 }
 
-void ClientMachine::on_response(const Request& request) {
-  SHAREGRID_ASSERT(outstanding_ > 0);
-  --outstanding_;
+void ClientFleet::on_response(const Request& request) {
+  Machine& machine = machine_of(request);
+  SHAREGRID_ASSERT(machine.outstanding > 0);
+  --machine.outstanding;
   metrics_->on_latency(request.principal,
                        to_seconds(sim_->now() - request.created));
 }

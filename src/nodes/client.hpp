@@ -1,4 +1,4 @@
-// Simulated client machine: the WebBench load generator (§5).
+// Simulated client machines: the WebBench load generator (§5).
 //
 // While active, a machine issues requests at its configured maximum rate —
 // the per-machine caps in the paper's figures (135 req/s with the L7 retry
@@ -14,7 +14,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <vector>
 
 #include "nodes/metrics.hpp"
 #include "nodes/request.hpp"
@@ -26,8 +26,8 @@
 namespace sharegrid::nodes {
 
 /// What a client looks like to a redirector: the callbacks that complete a
-/// request's life cycle. Implemented by the closed-loop ClientMachine and
-/// the open-loop TraceClient.
+/// request's life cycle. Implemented by the closed-loop ClientFleet and the
+/// open-loop TraceClient.
 class RequestSource {
  public:
   virtual ~RequestSource() = default;
@@ -53,16 +53,21 @@ class RedirectorBase {
                                  RequestSource* from) = 0;
 };
 
-/// One load-generating machine tied to one organization and one redirector.
-class ClientMachine final : public RequestSource {
+/// All the load-generating machines of one client spec: `client_scale`
+/// identical WebBench machines tied to one organization and one redirector,
+/// simulated as an array. The spec's configuration, node pointers, liveness
+/// flag and active flag are held once per fleet; each machine keeps only its
+/// closed-loop state. Machine m carries client index `first_index + m` in
+/// its requests, and the RequestSource callbacks find their machine from
+/// Request::client. A fleet of one is a single machine.
+class ClientFleet final : public RequestSource {
  public:
   struct Config {
-    std::string name;
     core::PrincipalId principal = core::kNoPrincipal;
-    std::size_t index = 0;       ///< this machine's id within the experiment
-    double rate = 400.0;         ///< max request generation rate (req/s)
+    std::size_t first_index = 0;  ///< client index of machine 0
+    double rate = 400.0;          ///< per-machine max generation rate (req/s)
     double retry_delay_sec = 0.2;  ///< L7 self-redirect retry backoff
-    std::size_t max_outstanding = 64;  ///< closed-loop worker bound
+    std::size_t max_outstanding = 64;  ///< per-machine closed-loop bound
     bool exponential_arrivals = true;  ///< Poisson vs evenly spaced issue
     SimDuration net_delay = 500;       ///< one-way hop delay (usec)
     /// When a reply-size distribution is attached, also use the sampled
@@ -71,46 +76,51 @@ class ClientMachine final : public RequestSource {
     bool weighted_requests = false;
   };
 
-  ClientMachine(sim::Simulator* sim, Metrics* metrics,
-                RedirectorBase* redirector, Config config, Rng rng,
-                const workload::ReplySizeDistribution* sizes = nullptr);
+  /// One machine's closed-loop state: the only per-machine memory.
+  struct Machine {
+    Rng rng;
+    std::uint64_t next_request_id = 0;  ///< requests issued (not retries)
+    std::size_t outstanding = 0;
+    bool loop_armed = false;
+  };
 
-  ClientMachine(const ClientMachine&) = delete;
-  ClientMachine& operator=(const ClientMachine&) = delete;
-  ~ClientMachine() override { *alive_ = false; }
+  /// @param streams one RNG stream per machine; the fleet has
+  ///                `streams.size()` machines.
+  ClientFleet(sim::Simulator* sim, Metrics* metrics,
+              RedirectorBase* redirector, Config config,
+              const std::vector<Rng>& streams,
+              const workload::ReplySizeDistribution* sizes = nullptr);
 
-  /// Turns generation on/off (phase schedule). Outstanding requests keep
-  /// draining after deactivation.
+  ClientFleet(const ClientFleet&) = delete;
+  ClientFleet& operator=(const ClientFleet&) = delete;
+  ~ClientFleet() override { *alive_ = false; }
+
+  /// Turns generation on/off for every machine (phase schedule).
+  /// Outstanding requests keep draining after deactivation.
   void set_active(bool active);
-  bool active() const { return active_; }
 
   // RequestSource:
   void on_redirect_to_server(const Request& request, Server* server) override;
   void on_self_redirect(const Request& request) override;
   void on_response(const Request& request) override;
 
-  std::size_t outstanding() const { return outstanding_; }
-  const Config& config() const { return config_; }
-
-  /// Requests issued (new, not retries) so far.
-  std::uint64_t issued() const { return next_request_id_; }
+  std::size_t size() const { return machines_.size(); }
+  const Machine& machine(std::size_t m) const;
 
  private:
-  void schedule_next_arrival();
-  void emit();
+  Machine& machine_of(const Request& request);
+  void schedule_next_arrival(std::size_t m);
+  void emit(std::size_t m);
   void send_to_redirector(const Request& request);
 
   sim::Simulator* sim_;
   Metrics* metrics_;
   RedirectorBase* redirector_;
   Config config_;
-  Rng rng_;
   const workload::ReplySizeDistribution* sizes_;
+  std::vector<Machine> machines_;
 
   bool active_ = false;
-  bool loop_armed_ = false;
-  std::size_t outstanding_ = 0;
-  std::uint64_t next_request_id_ = 0;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

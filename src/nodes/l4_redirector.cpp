@@ -178,8 +178,9 @@ void L4Redirector::flush_metrics() {
 void L4Redirector::on_window_begun(SimTime now) {
   flush_metrics();
   const std::size_t n = queues_.size();
+  const sched::WindowScheduler& window = member_->window_scheduler();
+  if (window.last_plan().lp_fallback) metrics_->on_plan_fallback();
   if (config_.trace != nullptr) {
-    const sched::WindowScheduler& window = member_->window_scheduler();
     WindowTrace::Row row;
     row.window_start = now;
     row.redirector = config_.name;

@@ -5,7 +5,7 @@
 // reaction to service rates. This decouples the workload from the scheduler
 // under test: two scheduler configurations driven by the same trace see
 // byte-identical input, making their admission decisions directly
-// comparable (closed-loop ClientMachines would adapt their offered load to
+// comparable (closed-loop ClientFleets would adapt their offered load to
 // whatever each scheduler serves).
 //
 // L7 self-redirects are retried after the configured delay (with jitter),

@@ -1,13 +1,14 @@
-// Allocation-free callback type for the event engine.
+// Small-buffer callback type for the event engine.
 //
 // std::function pays a heap allocation for any capture larger than its tiny
 // internal buffer, and the old simulator paid that price once per scheduled
 // event. sim::Callback is a move-only callable wrapper with 48 bytes of
-// inline storage — enough for every closure the node models schedule (a few
-// pointers plus a SimTime) — that only falls back to the heap for oversized
-// or throwing-move captures. Together with the freelist-recycled event nodes
-// in timing_wheel.hpp this makes the steady-state event loop allocation-free
-// (docs/sim-performance.md, DESIGN.md D8).
+// inline storage — enough for closures of a few pointers plus a SimTime,
+// such as periodic tasks and client arrival loops — that falls back to the
+// heap for oversized or throwing-move captures. Closures that carry a whole
+// nodes::Request (72-128 bytes) do not fit: an admitted L4 request still
+// costs about five operator new calls (docs/sim-performance.md, DESIGN.md
+// D8).
 #pragma once
 
 #include <cstddef>
@@ -24,8 +25,8 @@ namespace sharegrid::sim {
 /// Move-only `void()` callable with small-buffer optimization.
 class Callback {
  public:
-  /// Inline capture budget. Sized so the common closures — `this` plus a
-  /// shared_ptr liveness flag plus a timestamp, or a std::function copy —
+  /// Inline capture budget. Sized so closures of `this` plus a shared_ptr
+  /// liveness flag plus a timestamp or an index, or a std::function copy,
   /// stay allocation-free, while an EventNode still packs into one cache
   /// line pair.
   static constexpr std::size_t kInlineBytes = 48;

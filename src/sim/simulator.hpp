@@ -7,10 +7,10 @@
 // (DESIGN.md D4).
 //
 // The store is a hierarchical timing wheel (timing_wheel.hpp) rather than a
-// binary heap: O(1) schedule and pop instead of O(log n), and — together
-// with the small-buffer Callback (callback.hpp) and a freelist of recycled
-// event nodes — zero allocations per event in the steady state. Design
-// notes and measurements: docs/sim-performance.md, DESIGN.md D8.
+// binary heap: O(1) schedule and pop instead of O(log n). Event nodes come
+// from a freelist, and the small-buffer Callback (callback.hpp) stores
+// closures of up to 48 bytes inline, so only larger closures allocate.
+// Design notes and measurements: docs/sim-performance.md, DESIGN.md D8.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
 // Request traces: precomputed open-loop arrival sequences.
 //
-// The WebBench-style ClientMachine is closed-loop: its offered rate reacts
+// The WebBench-style ClientFleet is closed-loop: its offered rate reacts
 // to service (slots, retries). That realism couples measurements to the
 // scheduler under test. A RequestTrace fixes the workload instead — every
 // arrival's time, principal, and size is determined up front — so two

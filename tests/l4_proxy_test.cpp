@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 
 #include "live/l4_proxy.hpp"
@@ -120,6 +121,29 @@ TEST(L4Proxy, MultipleServicesMapPortsToPrincipals) {
   proxy.stop();
   EXPECT_EQ(proxy.admitted(), 1u);
   EXPECT_EQ(proxy.refused(), 1u);
+}
+
+TEST(L4Proxy, ReapsFinishedRelays) {
+  EchoBackend backend;
+  test::FixedRateScheduler scheduler({100000.0});
+  L4Proxy::Config config;
+  config.services = {{0, backend.port(), 0}};
+  L4Proxy proxy(&scheduler, config);
+  proxy.start();
+
+  for (int i = 0; i < 50; ++i) {
+    net::Socket client = net::Socket::connect_loopback(proxy.service_port(0));
+    const std::string message = "ping " + std::to_string(i);
+    client.write_all(message);
+    EXPECT_EQ(client.read_some().data, "echo:" + message);
+    client.close();
+  }
+  // Each relay ends when its client closes and is joined when a later one
+  // starts, so only the last few connections can still hold a thread.
+  EXPECT_EQ(proxy.admitted(), 50u);
+  EXPECT_LE(proxy.live_relays(), 4u);
+  proxy.stop();
+  EXPECT_EQ(proxy.live_relays(), 0u);
 }
 
 TEST(L4Proxy, ValidatesConfig) {

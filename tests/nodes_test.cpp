@@ -1,7 +1,9 @@
-// Unit tests for the node layer: server machines, pools, client machines,
+// Unit tests for the node layer: server machines, pools, client fleets,
 // and both redirector implementations.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "coord/control_plane.hpp"
@@ -104,7 +106,7 @@ TEST(ServerPool, PicksLeastBackloggedMachineOfOwner) {
   EXPECT_EQ(pool.find({9, 9}), nullptr);
 }
 
-// --- ClientMachine -------------------------------------------------------------
+// --- ClientFleet ---------------------------------------------------------------
 
 /// Records everything a redirector would see.
 class RecordingRedirector final : public RedirectorBase {
@@ -117,12 +119,11 @@ class RecordingRedirector final : public RedirectorBase {
   std::vector<RequestSource*> froms;
 };
 
-ClientMachine::Config client_config(double rate, std::size_t max_outstanding,
-                                    bool exponential = false) {
-  ClientMachine::Config c;
-  c.name = "c";
+ClientFleet::Config client_config(double rate, std::size_t max_outstanding,
+                                  bool exponential = false) {
+  ClientFleet::Config c;
   c.principal = 0;
-  c.index = 0;
+  c.first_index = 0;
   c.rate = rate;
   c.max_outstanding = max_outstanding;
   c.exponential_arrivals = exponential;
@@ -130,12 +131,21 @@ ClientMachine::Config client_config(double rate, std::size_t max_outstanding,
   return c;
 }
 
+/// The next value a machine's RNG would draw, without advancing it.
+std::uint64_t peek(const ClientFleet& fleet, std::size_t m) {
+  Rng copy = fleet.machine(m).rng;
+  return copy();
+}
+
+// The ClientMachine tests pin one WebBench machine's closed-loop behaviour,
+// run as a fleet of one.
+
 TEST(ClientMachine, GeneratesAtConfiguredRate) {
   sim::Simulator sim;
   Metrics metrics(1);
   RecordingRedirector redirector;
-  ClientMachine client(&sim, &metrics, &redirector, client_config(100.0, 1000),
-                       Rng(1));
+  ClientFleet client(&sim, &metrics, &redirector, client_config(100.0, 1000),
+                     {Rng(1)});
   client.set_active(true);
   sim.run_until(seconds(10.0));
   EXPECT_NEAR(static_cast<double>(redirector.requests.size()), 1000.0, 5.0);
@@ -145,8 +155,8 @@ TEST(ClientMachine, DeactivationStopsGeneration) {
   sim::Simulator sim;
   Metrics metrics(1);
   RecordingRedirector redirector;
-  ClientMachine client(&sim, &metrics, &redirector, client_config(100.0, 1000),
-                       Rng(2));
+  ClientFleet client(&sim, &metrics, &redirector, client_config(100.0, 1000),
+                     {Rng(2)});
   client.set_active(true);
   sim.run_until(seconds(1.0));
   client.set_active(false);
@@ -159,12 +169,12 @@ TEST(ClientMachine, OutstandingCapThrottlesGeneration) {
   sim::Simulator sim;
   Metrics metrics(1);
   RecordingRedirector redirector;  // never responds => slots never free
-  ClientMachine client(&sim, &metrics, &redirector, client_config(100.0, 7),
-                       Rng(3));
+  ClientFleet client(&sim, &metrics, &redirector, client_config(100.0, 7),
+                     {Rng(3)});
   client.set_active(true);
   sim.run_until(seconds(5.0));
   EXPECT_EQ(redirector.requests.size(), 7u);
-  EXPECT_EQ(client.outstanding(), 7u);
+  EXPECT_EQ(client.machine(0).outstanding, 7u);
 }
 
 TEST(ClientMachine, SelfRedirectRetriesSameRequest) {
@@ -173,7 +183,7 @@ TEST(ClientMachine, SelfRedirectRetriesSameRequest) {
   RecordingRedirector redirector;
   auto config = client_config(100.0, 10);
   config.retry_delay_sec = 0.5;
-  ClientMachine client(&sim, &metrics, &redirector, config, Rng(4));
+  ClientFleet client(&sim, &metrics, &redirector, config, {Rng(4)});
   client.set_active(true);
   sim.run_until(seconds(0.02));  // one request out
   ASSERT_GE(redirector.requests.size(), 1u);
@@ -193,19 +203,98 @@ TEST(ClientMachine, ResponseFreesSlotAndRecordsLatency) {
   sim::Simulator sim;
   Metrics metrics(1);
   RecordingRedirector redirector;
-  ClientMachine client(&sim, &metrics, &redirector, client_config(100.0, 5),
-                       Rng(5));
+  ClientFleet client(&sim, &metrics, &redirector, client_config(100.0, 5),
+                     {Rng(5)});
   client.set_active(true);
   sim.run_until(seconds(0.05));
-  ASSERT_GE(client.outstanding(), 1u);
-  const std::size_t before = client.outstanding();
+  ASSERT_GE(client.machine(0).outstanding, 1u);
+  const std::size_t before = client.machine(0).outstanding;
 
   Request done = redirector.requests[0];
   sim.run_until(seconds(1.0) + 1);  // move time forward for latency
   client.on_response(done);
-  EXPECT_EQ(client.outstanding(), before - 1);
+  EXPECT_EQ(client.machine(0).outstanding, before - 1);
   EXPECT_EQ(metrics.latency(0).count(), 1u);
   EXPECT_GT(metrics.latency(0).mean(), 0.9);
+}
+
+TEST(ClientFleet, MachinesCarryTheirOwnIndicesAndRequestIds) {
+  sim::Simulator sim;
+  Metrics metrics(1);
+  RecordingRedirector redirector;
+  auto config = client_config(100.0, 1000);
+  config.first_index = 10;
+  ClientFleet fleet(&sim, &metrics, &redirector, config,
+                    {Rng(1), Rng(2), Rng(3)});
+  fleet.set_active(true);
+  sim.run_until(seconds(1.0));
+  fleet.set_active(false);
+  sim.run_until(seconds(1.1));  // the last requests finish their hop
+  std::vector<std::uint64_t> issued(3, 0);
+  for (const Request& r : redirector.requests) {
+    ASSERT_GE(r.client, 10u);
+    ASSERT_LT(r.client, 13u);
+    const std::size_t m = r.client - 10;
+    EXPECT_EQ(r.id, (std::uint64_t{r.client} << 32) | issued[m]);
+    ++issued[m];
+  }
+  for (std::size_t m = 0; m < 3; ++m) {
+    EXPECT_NEAR(static_cast<double>(issued[m]), 100.0, 2.0);
+    EXPECT_EQ(fleet.machine(m).next_request_id, issued[m]);
+  }
+}
+
+TEST(ClientFleet, CallbacksTouchOnlyTheAddressedMachine) {
+  sim::Simulator sim;
+  Metrics metrics(1);
+  RecordingRedirector redirector;
+  auto config = client_config(100.0, 1000, /*exponential=*/true);
+  config.first_index = 10;
+  ClientFleet fleet(&sim, &metrics, &redirector, config,
+                    {Rng(1), Rng(2), Rng(3)});
+  fleet.set_active(true);
+  sim.run_until(seconds(0.2));
+  fleet.set_active(false);
+  ASSERT_FALSE(redirector.requests.empty());
+  auto request_of = [&](std::size_t client) {
+    for (const Request& r : redirector.requests)
+      if (r.client == client) return r;
+    ADD_FAILURE() << "no request from client " << client;
+    return Request{};
+  };
+  auto snapshot = [&] {
+    std::vector<std::pair<std::size_t, std::uint64_t>> state;
+    for (std::size_t m = 0; m < fleet.size(); ++m)
+      state.emplace_back(fleet.machine(m).outstanding, peek(fleet, m));
+    return state;
+  };
+
+  // A response frees a slot on its own machine and draws nothing.
+  auto before = snapshot();
+  fleet.on_response(request_of(11));
+  auto after = snapshot();
+  EXPECT_EQ(after[0], before[0]);
+  EXPECT_EQ(after[1].first, before[1].first - 1);
+  EXPECT_EQ(after[1].second, before[1].second);
+  EXPECT_EQ(after[2], before[2]);
+
+  // A self-redirect draws its retry jitter from its own machine's stream
+  // and keeps the slot occupied.
+  before = after;
+  fleet.on_self_redirect(request_of(12));
+  after = snapshot();
+  EXPECT_EQ(after[0], before[0]);
+  EXPECT_EQ(after[1], before[1]);
+  EXPECT_EQ(after[2].first, before[2].first);
+  EXPECT_NE(after[2].second, before[2].second);
+
+  // Requests from outside the fleet are refused, not misrouted.
+  Request stranger = request_of(10);
+  stranger.client = 9;
+  EXPECT_THROW(fleet.on_response(stranger), ContractViolation);
+  stranger.client = 13;
+  EXPECT_THROW(fleet.on_self_redirect(stranger), ContractViolation);
+  EXPECT_EQ(snapshot(), after);
 }
 
 // --- L7Redirector ---------------------------------------------------------------
@@ -220,7 +309,7 @@ struct L7Fixture {
   std::unique_ptr<Server> server1;
   ServerPool pool;
   std::unique_ptr<L7Redirector> redirector;
-  std::unique_ptr<ClientMachine> client;
+  std::unique_ptr<ClientFleet> client;
 
   explicit L7Fixture(std::vector<double> rates,
                      L7Redirector::Mode mode = L7Redirector::Mode::kCreditBased)
@@ -238,14 +327,13 @@ struct L7Fixture {
     rc.mode = mode;
     redirector = std::make_unique<L7Redirector>(&sim, &metrics, &pool,
                                                 plane->add_member(), rc);
-    ClientMachine::Config cc;
-    cc.name = "c";
+    ClientFleet::Config cc;
     cc.principal = 0;
     cc.rate = 100.0;
     cc.max_outstanding = 1000;
     cc.exponential_arrivals = false;
-    client = std::make_unique<ClientMachine>(&sim, &metrics, redirector.get(),
-                                             cc, Rng(6));
+    client = std::make_unique<ClientFleet>(&sim, &metrics, redirector.get(),
+                                           cc, std::vector<Rng>{Rng(6)});
     driver = std::make_unique<coord::SimWindowDriver>(&sim, plane.get());
     driver->start(100 * kMillisecond);
   }
@@ -305,7 +393,7 @@ struct L4Fixture {
   std::unique_ptr<Server> server1;
   ServerPool pool;
   std::unique_ptr<L4Redirector> redirector;
-  std::unique_ptr<ClientMachine> client;
+  std::unique_ptr<ClientFleet> client;
 
   explicit L4Fixture(std::vector<double> rates, std::size_t max_queue = 1 << 16)
       : scheduler(std::move(rates)) {
@@ -322,14 +410,13 @@ struct L4Fixture {
     rc.max_queue = max_queue;
     redirector = std::make_unique<L4Redirector>(&sim, &metrics, &pool,
                                                 plane->add_member(), rc);
-    ClientMachine::Config cc;
-    cc.name = "c";
+    ClientFleet::Config cc;
     cc.principal = 0;
     cc.rate = 100.0;
     cc.max_outstanding = 1000;
     cc.exponential_arrivals = false;
-    client = std::make_unique<ClientMachine>(&sim, &metrics, redirector.get(),
-                                             cc, Rng(7));
+    client = std::make_unique<ClientFleet>(&sim, &metrics, redirector.get(),
+                                           cc, std::vector<Rng>{Rng(7)});
     driver = std::make_unique<coord::SimWindowDriver>(&sim, plane.get());
     driver->start(100 * kMillisecond);
   }
@@ -374,6 +461,44 @@ TEST(L4Redirector, ConnectionsDrainAfterService) {
   f.sim.run_until(seconds(4.0));
   // All connections released once replies went back.
   EXPECT_EQ(f.redirector->connections().active_connections(), 0u);
+}
+
+/// Plans like FixedRateScheduler but flags every plan as an LP fallback, as
+/// a scheduler whose solver hit its iteration budget does.
+class FallbackScheduler final : public sched::Scheduler {
+ public:
+  explicit FallbackScheduler(std::vector<double> rates)
+      : inner_(std::move(rates)) {}
+
+  sched::Plan plan(const std::vector<double>& demand) const override {
+    sched::Plan p = inner_.plan(demand);
+    p.lp_fallback = true;
+    return p;
+  }
+  std::size_t size() const override { return inner_.size(); }
+
+ private:
+  FixedRateScheduler inner_;
+};
+
+TEST(L4Redirector, CountsWindowsBegunOnFallbackPlans) {
+  sim::Simulator sim;
+  Metrics metrics(2);
+  FallbackScheduler scheduler({200.0, 0.0});
+  coord::ControlPlane plane(&scheduler, coord::ControlPlaneConfig{});
+  Server server(&sim, &metrics, {"s0", 0, 1000.0, {1, 80}});
+  ServerPool pool;
+  pool.add(&server);
+  L4Redirector redirector(&sim, &metrics, &pool, plane.add_member(),
+                          L4Redirector::Config{});
+  coord::SimWindowDriver driver(&sim, &plane);
+  driver.start(100 * kMillisecond);
+  sim.run_until(seconds(1.0));
+  driver.stop();
+  // Every window's plan was a fallback, and each one is counted once.
+  EXPECT_GT(redirector.window_scheduler().plan_fallbacks(), 5u);
+  EXPECT_EQ(metrics.plan_fallbacks(),
+            redirector.window_scheduler().plan_fallbacks());
 }
 
 TEST(L4Redirector, VipMapsPrincipals) {

@@ -78,7 +78,7 @@ TEST(RequestTrace, AppendValidatesOrder) {
 TEST(TraceClient, ReplaysOpenLoopThroughL4) {
   // Offered load is fixed by the trace: even though only 40/s are admitted,
   // the client keeps issuing at the full trace rate (open loop), unlike the
-  // closed-loop ClientMachine.
+  // closed-loop ClientFleet.
   sim::Simulator sim;
   nodes::Metrics metrics(1);
   nodes::Server server(&sim, &metrics, {"s", 0, 1000.0, {1, 80}});

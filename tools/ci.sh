@@ -7,6 +7,7 @@
 #   SHAREGRID_CI_SKIP_TSAN=1 tools/ci.sh   # skip the (slow) TSan stage
 #   SHAREGRID_CI_SKIP_CLANG=1 tools/ci.sh  # skip the Clang -Wthread-safety stage
 #   SHAREGRID_CI_QUICK_BENCH=1 tools/ci.sh # also refresh BENCH_lp.json
+#   SHAREGRID_CI_SKIP_PERFBENCH=1 tools/ci.sh  # skip the perfbench smoke runs
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -42,6 +43,24 @@ echo
 echo "=== [multi-process] 3-process loopback fleet (coord::SocketTransport) ==="
 ./build-relwithdebinfo/examples/multi_process_demo \
   examples/scenarios/multi_process.ini
+
+# Repository benchmark smoke: one short run of every BENCHMARK.json workload
+# through the same command the benchmark uses. perfbench/run.py exits
+# nonzero when the build fails or is refused, the program crashes, or an
+# output check prints correct=false, so a broken benchmark shows here
+# before a change lands rather than in the benchmark run after it.
+if [[ "${SHAREGRID_CI_SKIP_PERFBENCH:-0}" == "1" ]]; then
+  echo "=== [perfbench] skipped (SHAREGRID_CI_SKIP_PERFBENCH=1) ==="
+else
+  echo
+  echo "=== [perfbench] smoke run of every BENCHMARK.json workload ==="
+  WORKLOADS="$(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
+  for workload in ${WORKLOADS}; do
+    python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 1 \
+      --trace 0
+  done
+fi
 
 run_stage debug-asan       # ASan+UBSan, SHAREGRID_AUDIT=ON
 
