@@ -1,8 +1,14 @@
-// client_scale replication: a spec replicated k times runs as one
-// nodes::ClientFleet of k machines, and must reproduce — bit for bit — the
-// run in which the spec is declared k times at scale 1 (k fleets of one).
-// Covers the classic L7 and L4 paths and the cluster-partitioned path, with
-// back-to-back active intervals so fleet-level toggles meet at one instant.
+// Whole scenario results, bit for bit.
+//
+// ClientScale: a spec replicated k times runs as one nodes::ClientFleet of k
+// machines, and must reproduce the run in which the spec is declared k times
+// at scale 1 (k fleets of one). Covers the classic L7 and L4 paths and the
+// cluster-partitioned path, with back-to-back active intervals so
+// fleet-level toggles meet at one instant.
+//
+// ScenarioDigest: one FNV-1a-64 hash of the full digest per configuration,
+// pinned as a constant. Figure-bench stdout rounds to one decimal; these
+// catch any change to any metric, phase, backlog or trace value.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,6 +16,7 @@
 #include <sstream>
 #include <string>
 
+#include "experiments/paper_figures.hpp"
 #include "experiments/scenario.hpp"
 
 namespace sharegrid::experiments {
@@ -122,6 +129,88 @@ void expect_scale_matches_copies(ScenarioConfig scaled) {
   const ScenarioResult copies = run_scenario(declared_copies(scaled));
   ASSERT_GT(fleet.total_admitted, 0u);
   EXPECT_EQ(digest(fleet), digest(copies));
+}
+
+/// 64-bit FNV-1a of @p text.
+std::uint64_t fnv1a64(const std::string& text) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+std::uint64_t result_hash(const ScenarioConfig& config) {
+  return fnv1a64(digest(run_scenario(config)));
+}
+
+/// Two providers own every server and sell to two customers; the
+/// per-provider income LPs solve on a two-thread pool.
+ScenarioConfig two_provider_config() {
+  ScenarioConfig c;
+  c.graph.add_principal("S1", 0.0);
+  c.graph.add_principal("S2", 0.0);
+  c.graph.add_principal("A", 0.0);
+  c.graph.add_principal("B", 0.0);
+  c.graph.set_agreement(0, 2, 0.3, 0.7);
+  c.graph.set_agreement(0, 3, 0.2, 0.6);
+  c.graph.set_agreement(1, 3, 0.4, 0.8);
+  c.layer = Layer::kL7;
+  c.scheduler = SchedulerKind::kIncome;
+  c.providers = {"S1", "S2"};
+  c.prices = {0.0, 0.0, 2.0, 1.0};
+  c.plan_solver_threads = 2;
+  c.redirector_count = 2;
+  c.servers = {{"S1", 150.0}, {"S2", 120.0}};
+  ClientSpec a;
+  a.name = "load-a";
+  a.principal = "A";
+  a.redirector = 0;
+  a.rate = 120.0;
+  a.active_sec = {{0.0, 4.0}};
+  ClientSpec b;
+  b.name = "load-b";
+  b.principal = "B";
+  b.redirector = 1;
+  b.rate = 100.0;
+  b.active_sec = {{1.0, 6.0}};
+  c.clients = {a, b};
+  c.phases = {{"all", 1.0, 6.0}};
+  c.duration_sec = 6.0;
+  c.tree_link_delay = 50 * kMillisecond;
+  c.trace_windows = true;
+  c.seed = 2024;
+  return c;
+}
+
+TEST(ScenarioDigest, ClassicL7) {
+  EXPECT_EQ(result_hash(base_config(Layer::kL7)), 0x95bdafc20407acf3ull);
+}
+
+/// Five L4 redirectors under a binary combining tree, and a capacity event
+/// at 0.5 s, the backlog probe's first tick.
+TEST(ScenarioDigest, ClassicL4TreeWithCapacityEvent) {
+  ScenarioConfig c = base_config(Layer::kL4);
+  c.redirector_count = 5;
+  c.tree_fanout = 2;
+  c.capacity_events = {{0.5, 0, 90.0}};
+  EXPECT_EQ(result_hash(c), 0x816461cf5c4c8821ull);
+}
+
+TEST(ScenarioDigest, Figure10Income) {
+  ScenarioConfig c = figure10().config;
+  c.duration_sec = 6.0;
+  c.phases = {{"cut", 1.0, 6.0}};
+  EXPECT_EQ(result_hash(c), 0x9dd053952fd2addeull);
+}
+
+TEST(ScenarioDigest, TwoProviderIncomeOnAPool) {
+  EXPECT_EQ(result_hash(two_provider_config()), 0x52556748d76db263ull);
+}
+
+TEST(ScenarioDigest, Clustered) {
+  EXPECT_EQ(result_hash(clustered_config()), 0x2605228d594f7affull);
 }
 
 TEST(ClientScale, ClassicL7MatchesDeclaredCopies) {
