@@ -99,7 +99,6 @@ sharegrid::coord::ControlPlaneConfig plane_config(const ScenarioConfig& config) 
   cp.window = config.window;
   cp.redirector_count = config.redirector_count;
   cp.stale_policy = config.stale_policy;
-  cp.spike_replan_limit = config.spike_replan_limit;
   return cp;
 }
 

@@ -126,14 +126,11 @@ std::optional<core::PrincipalId> ControlPlane::Member::try_admit(
 bool ControlPlane::Member::spike_replan() {
   if (replans_used_ >= replans_allowed_) {
     ++replans_suppressed_;
-    if (plane_->config_.on_replan_suppressed)
-      plane_->config_.on_replan_suppressed();
     return false;
   }
   ++replans_used_;
   ++spike_replans_;
   replans_counter().add();
-  if (plane_->config_.on_spike_replan) plane_->config_.on_spike_replan();
 
   // The window's quota came from the previous window's estimates, which
   // starve a principal whose load just appeared; re-plan against demand

@@ -49,9 +49,6 @@ struct ControlPlaneConfig {
   /// are error-carried across windows (QuotaCarry), so 0.5 means one re-plan
   /// every other window; 0 disables the fast path entirely.
   double spike_replan_limit = 1.0;
-  /// Observability hooks (optional; e.g. nodes::Metrics counters).
-  std::function<void()> on_spike_replan;
-  std::function<void()> on_replan_suppressed;
 };
 
 /// Shared window loop; holds one Member per redirector / service instance.

@@ -89,10 +89,6 @@ class SimTreeTransport final : public SnapshotTransport {
     return tree_.messages_sent();
   }
 
-  /// The underlying tree, for failure injection and round statistics.
-  CombiningTree& tree() { return tree_; }
-  const CombiningTree& tree() const { return tree_; }
-
  private:
   std::size_t member_count_;
   Options options_;

@@ -148,10 +148,6 @@ struct ScenarioConfig {
   nodes::L7Redirector::Mode l7_mode = nodes::L7Redirector::Mode::kCreditBased;
   bool weighted_admission = false;
   sched::StalePolicy stale_policy = sched::StalePolicy::kConservative;
-  /// Mid-window spike re-plans allowed per redirector per window
-  /// (ControlPlaneConfig::spike_replan_limit); fractional rates are
-  /// error-carried across windows, 0 disables the fast path.
-  double spike_replan_limit = 1.0;
   /// Record one WindowTrace row per redirector per window (see
   /// ScenarioResult::window_trace).
   bool trace_windows = false;

@@ -1,6 +1,14 @@
 #include "experiments/scenario_assembly.hpp"
 
+#include <algorithm>
+#include <utility>
+
+#include "core/flow.hpp"
+#include "sched/income_scheduler.hpp"
+#include "sched/multi_provider_scheduler.hpp"
+#include "sched/response_time_scheduler.hpp"
 #include "util/assert.hpp"
+#include "util/worker_pool.hpp"
 
 namespace sharegrid::experiments {
 
@@ -11,14 +19,118 @@ core::PrincipalId resolve(const core::AgreementGraph& graph,
   return id;
 }
 
-std::vector<std::unique_ptr<nodes::ClientFleet>> build_client_fleets(
-    const ScenarioConfig& config, const core::AgreementGraph& graph,
-    sim::Simulator* sim, nodes::Metrics* metrics,
-    const std::vector<nodes::RedirectorBase*>& redirectors, Rng& streams,
-    const workload::ReplySizeDistribution* sizes) {
+core::AgreementGraph planning_graph(const ScenarioConfig& config,
+                                    std::size_t replicas) {
+  core::AgreementGraph graph = config.graph;
+  for (core::PrincipalId p = 0; p < graph.size(); ++p)
+    graph.set_capacity(p, 0.0);
+  for (const auto& spec : config.servers) {
+    const core::PrincipalId owner = resolve(graph, spec.owner);
+    graph.set_capacity(owner, graph.capacity(owner) +
+                                  spec.capacity *
+                                      static_cast<double>(replicas));
+  }
+  return graph;
+}
+
+SchedulerFactory scheduler_factory(const ScenarioConfig& config) {
+  std::shared_ptr<WorkerPool> plan_pool;
+  if (!config.providers.empty() && config.plan_solver_threads > 0)
+    plan_pool = std::make_shared<WorkerPool>(config.plan_solver_threads);
+  return [&config, plan_pool](const core::AgreementGraph& graph)
+             -> std::unique_ptr<sched::Scheduler> {
+    const std::size_t n = graph.size();
+    const core::AccessLevels levels = core::compute_access_levels(graph);
+    if (config.scheduler == SchedulerKind::kResponseTime) {
+      sched::ResponseTimeOptions options;
+      if (!config.locality_caps.empty()) {
+        SHAREGRID_EXPECTS(config.locality_caps.size() == n);
+        options.locality_caps = config.locality_caps;
+      }
+      return std::make_unique<sched::ResponseTimeScheduler>(graph, levels,
+                                                            options);
+    }
+    SHAREGRID_EXPECTS(config.prices.size() == n);
+    if (!config.providers.empty()) {
+      std::vector<core::PrincipalId> providers;
+      providers.reserve(config.providers.size());
+      for (const std::string& name : config.providers)
+        providers.push_back(resolve(graph, name));
+      return std::make_unique<sched::MultiProviderScheduler>(
+          graph, levels, std::move(providers), config.prices, plan_pool);
+    }
+    return std::make_unique<sched::IncomeScheduler>(
+        graph, levels, resolve(graph, config.provider), config.prices);
+  };
+}
+
+Domain::Domain(const ScenarioConfig& config,
+               const core::AgreementGraph& graph, sim::Simulator* sim,
+               std::unique_ptr<sched::Scheduler> planner,
+               std::optional<std::size_t> cluster)
+    : simulator(sim), scheduler(std::move(planner)), metrics(graph.size()) {
+  const std::string site =
+      cluster ? "c" + std::to_string(*cluster) : std::string();
+  const auto offset =
+      static_cast<std::uint32_t>(cluster.value_or(0)) << 12;
+  for (std::size_t s = 0; s < config.servers.size(); ++s) {
+    nodes::Server::Config sc;
+    sc.name = (cluster ? site + "-" : "") + "server-" + std::to_string(s);
+    sc.owner = resolve(graph, config.servers[s].owner);
+    sc.capacity = config.servers[s].capacity;
+    sc.endpoint = {0x14000000u + offset + static_cast<std::uint32_t>(s), 80};
+    servers.push_back(std::make_unique<nodes::Server>(sim, &metrics, sc));
+    pool.add(servers.back().get());
+  }
+
+  // One ControlPlane owns the window loop (DESIGN.md D10); each redirector
+  // is a thin packet/HTTP shell around one of its members. Every member
+  // slices the GLOBAL plan, so the conservative no-snapshot share is one
+  // over the whole fleet.
+  coord::ControlPlaneConfig cp_config;
+  cp_config.window = config.window;
+  cp_config.redirector_count =
+      config.redirector_count * (cluster ? config.clusters : 1);
+  cp_config.stale_policy = config.stale_policy;
+  plane = std::make_unique<coord::ControlPlane>(scheduler.get(), cp_config);
+
+  nodes::WindowTrace* trace_ptr = config.trace_windows ? &trace : nullptr;
+  for (std::size_t r = 0; r < config.redirector_count; ++r) {
+    coord::ControlPlane::Member* member = plane->add_member();
+    const std::string suffix = cluster ? site : std::to_string(r);
+    if (config.layer == Layer::kL7) {
+      nodes::L7Redirector::Config rc;
+      rc.name = "l7-" + suffix;
+      rc.mode = config.l7_mode;
+      rc.net_delay = config.net_delay;
+      rc.weighted_admission = config.weighted_admission;
+      rc.trace = trace_ptr;
+      l7s.push_back(std::make_unique<nodes::L7Redirector>(sim, &metrics,
+                                                          &pool, member, rc));
+      redirectors.push_back(l7s.back().get());
+    } else {
+      nodes::L4Redirector::Config rc;
+      rc.name = "l4-" + suffix;
+      rc.net_delay = config.net_delay;
+      rc.weighted_admission = config.weighted_admission;
+      rc.trace = trace_ptr;
+      l4s.push_back(std::make_unique<nodes::L4Redirector>(sim, &metrics,
+                                                          &pool, member, rc));
+      redirectors.push_back(l4s.back().get());
+    }
+  }
+}
+
+void Domain::start_windows() {
+  driver = std::make_unique<coord::SimWindowDriver>(simulator, plane.get());
+  driver->start(plane->config().window);
+}
+
+void Domain::add_clients(const ScenarioConfig& config,
+                         const core::AgreementGraph& graph, Rng& streams,
+                         const workload::ReplySizeDistribution* sizes) {
   SHAREGRID_EXPECTS(config.client_scale >= 1);
-  std::vector<std::unique_ptr<nodes::ClientFleet>> fleets;
-  fleets.reserve(config.clients.size());
+  clients.reserve(config.clients.size());
   std::size_t next_index = 0;
   std::vector<Rng> machine_streams;
   for (const ClientSpec& spec : config.clients) {
@@ -35,22 +147,88 @@ std::vector<std::unique_ptr<nodes::ClientFleet>> build_client_fleets(
     machine_streams.clear();
     for (std::size_t m = 0; m < config.client_scale; ++m)
       machine_streams.push_back(streams.split());
-    fleets.push_back(std::make_unique<nodes::ClientFleet>(
-        sim, metrics, redirectors[spec.redirector], fc,
-        machine_streams, sizes));
+    clients.push_back(std::make_unique<nodes::ClientFleet>(
+        simulator, &metrics, redirectors[spec.redirector], fc, machine_streams,
+        sizes));
     next_index += config.client_scale;
 
     // One toggle per fleet per interval boundary. The per-machine toggles
     // they replace were contiguous in scheduling order at each timestamp,
     // so flipping the whole fleet at once fires in the same order.
-    nodes::ClientFleet* fleet = fleets.back().get();
+    nodes::ClientFleet* fleet = clients.back().get();
     for (const auto& [start, end] : spec.active_sec) {
       SHAREGRID_EXPECTS(end > start);
-      sim->schedule_at(seconds(start), [fleet] { fleet->set_active(true); });
-      sim->schedule_at(seconds(end), [fleet] { fleet->set_active(false); });
+      simulator->schedule_at(seconds(start),
+                             [fleet] { fleet->set_active(true); });
+      simulator->schedule_at(seconds(end),
+                             [fleet] { fleet->set_active(false); });
     }
   }
-  return fleets;
+}
+
+void Domain::start_backlog_probe() {
+  backlog_probe = std::make_unique<sim::PeriodicTask>(
+      simulator, 500 * kMillisecond, 500 * kMillisecond, [this] {
+        double worst = 0.0;
+        for (const auto& s : servers)
+          worst = std::max(worst, s->backlog_seconds());
+        backlog.add(worst);
+      });
+}
+
+void Domain::stop() {
+  driver->stop();
+  backlog_probe->cancel();
+}
+
+ScenarioResult collect_result(const ScenarioConfig& config,
+                              const core::AgreementGraph& graph,
+                              const std::vector<const Domain*>& domains,
+                              std::uint64_t coordination_messages) {
+  const std::size_t n = graph.size();
+  ScenarioResult result{.principal_names = {},
+                        .metrics = nodes::Metrics(n),
+                        .phase_reports = {},
+                        .total_admitted = 0,
+                        .total_rejected_or_queued = 0,
+                        .coordination_messages = coordination_messages,
+                        .server_backlog_sec = {},
+                        .window_trace = nodes::WindowTrace()};
+  for (const Domain* domain : domains) {
+    result.metrics.merge_from(domain->metrics);
+    result.server_backlog_sec.merge_from(domain->backlog);
+    result.window_trace.merge_from(domain->trace);
+    for (const auto& l7 : domain->l7s) {
+      result.total_admitted += l7->admitted();
+      result.total_rejected_or_queued += l7->self_redirects();
+    }
+    for (const auto& l4 : domain->l4s) {
+      result.total_admitted += l4->admitted();
+      for (core::PrincipalId p = 0; p < n; ++p)
+        result.total_rejected_or_queued += l4->queue_length(p);
+    }
+    for (std::size_t m = 0; m < domain->plane->member_count(); ++m) {
+      const coord::ControlPlane::Member* member = domain->plane->member(m);
+      result.metrics.add_replans(member->spike_replans(),
+                                 member->replans_suppressed());
+    }
+  }
+  for (core::PrincipalId p = 0; p < n; ++p)
+    result.principal_names.push_back(graph.name(p));
+  for (const auto& phase : config.phases) {
+    PhaseReport report;
+    report.name = phase.name;
+    report.start_sec = phase.start_sec;
+    report.end_sec = phase.end_sec;
+    for (core::PrincipalId p = 0; p < n; ++p) {
+      report.served_rate.push_back(result.metrics.served(p).average_rate(
+          seconds(phase.start_sec), seconds(phase.end_sec)));
+      report.offered_rate.push_back(result.metrics.offered(p).average_rate(
+          seconds(phase.start_sec), seconds(phase.end_sec)));
+    }
+    result.phase_reports.push_back(std::move(report));
+  }
+  return result;
 }
 
 }  // namespace sharegrid::experiments

@@ -1,6 +1,7 @@
 #include "experiments/scenario_ini.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "util/assert.hpp"
@@ -12,8 +13,48 @@ namespace {
   throw ContractViolation("scenario: " + message);
 }
 
+/// How errors name a key: "seed", "control_plane.tree_fanout (line 7)".
+std::string named(const IniSection& section, const std::string& key) {
+  if (section.name.empty()) return key;
+  return section.name + "." + key + " (line " + std::to_string(section.line) +
+         ")";
+}
+
+/// The one check every INI number that feeds an integer passes. Casting a
+/// NaN, negative or out-of-range double to an integer is undefined, and a
+/// fractional count would be truncated silently, so this fails, naming the
+/// key, unless @p value is finite, in [min, limit) and, when @p whole, a
+/// whole number.
+double checked(double value, const std::string& key, double min, double limit,
+               bool whole) {
+  if (std::isfinite(value) && value >= min && value < limit &&
+      (!whole || value == std::trunc(value)))
+    return value;
+  std::ostringstream message;
+  message << key << " must be a finite " << (whole ? "whole " : "")
+          << "number in [" << min << ", " << limit << "), got " << value;
+  fail(message.str());
+}
+
+/// A count, index or seed: a whole number in [min, 2^64).
+std::uint64_t whole_number(double value, const std::string& key,
+                           double min = 0.0) {
+  return static_cast<std::uint64_t>(checked(value, key, min, 0x1p64, true));
+}
+
+/// A duration or time given in units of @p unit microseconds: >= 0 (> 0
+/// when @p positive) and below 2^62 us, so seconds() and milliseconds()
+/// convert it without overflow.
+double duration(double value, const std::string& key, SimDuration unit,
+                bool positive = false) {
+  checked(value, key, 0.0, 0x1p62 / static_cast<double>(unit), false);
+  if (positive && value == 0.0) fail(key + " must be > 0");
+  return value;
+}
+
 /// Parses "0-125, 250-375" into second-ranges.
-std::vector<std::pair<double, double>> parse_ranges(const std::string& text) {
+std::vector<std::pair<double, double>> parse_ranges(const std::string& text,
+                                                    const std::string& key) {
   std::vector<std::pair<double, double>> out;
   std::stringstream ss(text);
   std::string token;
@@ -29,6 +70,8 @@ std::vector<std::pair<double, double>> parse_ranges(const std::string& text) {
     } catch (const std::exception&) {
       fail("active range '" + token + "' has non-numeric bounds");
     }
+    duration(start, key, kSecond);
+    duration(end, key, kSecond);
     if (end <= start) fail("active range '" + token + "' is empty");
     out.emplace_back(start, end);
   }
@@ -75,29 +118,26 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
     if (config.providers.empty()) fail("providers list is empty");
   }
   if (const auto threads = g.get_double("plan_solver_threads"))
-    config.plan_solver_threads = static_cast<std::size_t>(*threads);
-  config.duration_sec = g.get_double("duration").value_or(100.0);
+    config.plan_solver_threads = whole_number(*threads, "plan_solver_threads");
+  if (const auto length = g.get_double("duration"))
+    config.duration_sec = duration(*length, "duration", kSecond);
   if (const auto window_ms = g.get_double("window_ms"))
-    config.window = milliseconds(*window_ms);
+    config.window =
+        milliseconds(duration(*window_ms, "window_ms", kMillisecond, true));
   if (const auto redirectors = g.get_double("redirectors"))
-    config.redirector_count = static_cast<std::size_t>(*redirectors);
+    config.redirector_count = whole_number(*redirectors, "redirectors", 1.0);
   if (const auto delay = g.get_double("tree_link_delay"))
-    config.tree_link_delay = seconds(*delay);
+    config.tree_link_delay =
+        seconds(duration(*delay, "tree_link_delay", kSecond));
   // Cluster-partitioned mode: replicate the declared site `clusters` times,
   // one simulation domain each, run on `sim_shards` worker lanes;
   // `client_scale` multiplies every declared client machine (both modes).
-  if (const auto clusters = g.get_double("clusters")) {
-    if (*clusters < 0.0) fail("clusters must be >= 0");
-    config.clusters = static_cast<std::size_t>(*clusters);
-  }
-  if (const auto shards = g.get_double("sim_shards")) {
-    if (*shards < 1.0) fail("sim_shards must be >= 1");
-    config.sim_shards = static_cast<std::size_t>(*shards);
-  }
-  if (const auto scale = g.get_double("client_scale")) {
-    if (*scale < 1.0) fail("client_scale must be >= 1");
-    config.client_scale = static_cast<std::size_t>(*scale);
-  }
+  if (const auto clusters = g.get_double("clusters"))
+    config.clusters = whole_number(*clusters, "clusters");
+  if (const auto shards = g.get_double("sim_shards"))
+    config.sim_shards = whole_number(*shards, "sim_shards", 1.0);
+  if (const auto scale = g.get_double("client_scale"))
+    config.client_scale = whole_number(*scale, "client_scale", 1.0);
   if (const auto policy = g.get_string("stale_policy")) {
     if (*policy == "conservative")
       config.stale_policy = sched::StalePolicy::kConservative;
@@ -115,9 +155,9 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
       fail("l7_mode must be 'credit' or 'explicit'");
   }
   if (const auto seed = g.get_double("seed"))
-    config.seed = static_cast<std::uint64_t>(*seed);
+    config.seed = whole_number(*seed, "seed");
   if (const auto cap = g.get_double("max_outstanding"))
-    config.max_outstanding = static_cast<std::size_t>(*cap);
+    config.max_outstanding = whole_number(*cap, "max_outstanding", 1.0);
   if (const auto weighted = g.get_bool("weighted_admission"))
     config.weighted_admission = *weighted;
 
@@ -130,24 +170,13 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
   if (!cp_sections.empty()) {
     const IniSection& cp = *cp_sections.front();
     if (const auto fanout = cp.get_double("tree_fanout")) {
-      if (*fanout != 0.0 && *fanout < 2.0)
-        fail("control_plane.tree_fanout must be 0 (star) or >= 2, got " +
-             std::to_string(*fanout));
-      config.tree_fanout = static_cast<std::size_t>(*fanout);
+      config.tree_fanout = whole_number(*fanout, named(cp, "tree_fanout"));
+      if (config.tree_fanout == 1)
+        fail("control_plane.tree_fanout must be 0 (star) or >= 2, got 1");
     }
-    if (const auto period_ms = cp.get_double("snapshot_period_ms")) {
-      if (!(*period_ms > 0.0))
-        fail("control_plane.snapshot_period_ms must be > 0, got " +
-             std::to_string(*period_ms));
-      config.tree_period = milliseconds(*period_ms);
-    }
-    if (const auto limit = cp.get_double("spike_replan_limit")) {
-      if (!std::isfinite(*limit) || *limit < 0.0)
-        fail("control_plane.spike_replan_limit must be finite and >= 0, "
-             "got " +
-             std::to_string(*limit));
-      config.spike_replan_limit = *limit;
-    }
+    if (const auto period_ms = cp.get_double("snapshot_period_ms"))
+      config.tree_period = milliseconds(duration(
+          *period_ms, named(cp, "snapshot_period_ms"), kMillisecond, true));
     if (const auto transport = cp.get_string("transport")) {
       if (*transport == "sim_tree")
         config.transport = ScenarioConfig::TransportKind::kSimTree;
@@ -174,30 +203,19 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
       }
       if (config.socket_peers.empty()) fail("control_plane.peers is empty");
     }
-    if (const auto ttl = cp.get_double("lease_ttl_ms")) {
-      if (!std::isfinite(*ttl) || *ttl <= 0.0)
-        fail("control_plane.lease_ttl_ms must be finite and > 0, got " +
-             std::to_string(*ttl));
-      config.lease_ttl_ms = *ttl;
-    }
-    if (const auto beat = cp.get_double("heartbeat_ms")) {
-      if (!std::isfinite(*beat) || *beat < 0.0)
-        fail("control_plane.heartbeat_ms must be finite and >= 0, got " +
-             std::to_string(*beat));
-      config.heartbeat_ms = *beat;
-    }
-    if (const auto base = cp.get_double("reconnect_base_ms")) {
-      if (!std::isfinite(*base) || *base <= 0.0)
-        fail("control_plane.reconnect_base_ms must be finite and > 0, got " +
-             std::to_string(*base));
-      config.reconnect_base_ms = *base;
-    }
-    if (const auto cap = cp.get_double("reconnect_max_ms")) {
-      if (!std::isfinite(*cap) || *cap <= 0.0)
-        fail("control_plane.reconnect_max_ms must be finite and > 0, got " +
-             std::to_string(*cap));
-      config.reconnect_max_ms = *cap;
-    }
+    // Membership timings become integer microseconds in the socket fleet.
+    if (const auto ttl = cp.get_double("lease_ttl_ms"))
+      config.lease_ttl_ms =
+          duration(*ttl, named(cp, "lease_ttl_ms"), kMillisecond, true);
+    if (const auto beat = cp.get_double("heartbeat_ms"))
+      config.heartbeat_ms =
+          duration(*beat, named(cp, "heartbeat_ms"), kMillisecond);
+    if (const auto base = cp.get_double("reconnect_base_ms"))
+      config.reconnect_base_ms =
+          duration(*base, named(cp, "reconnect_base_ms"), kMillisecond, true);
+    if (const auto cap = cp.get_double("reconnect_max_ms"))
+      config.reconnect_max_ms =
+          duration(*cap, named(cp, "reconnect_max_ms"), kMillisecond, true);
     if (const auto elect = cp.get_bool("election_enabled"))
       config.election_enabled = *elect;
     if (const auto nonlocal = cp.get_bool("allow_nonlocal"))
@@ -267,26 +285,30 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
     spec.name = c->require_string("name");
     spec.principal = c->require_string("principal");
     principal_id(spec.principal, *c);
-    spec.redirector =
-        static_cast<std::size_t>(c->get_double("redirector").value_or(0.0));
+    if (const auto redirector = c->get_double("redirector"))
+      spec.redirector = whole_number(*redirector, named(*c, "redirector"));
     spec.rate = c->require_double("rate");
-    spec.active_sec = parse_ranges(c->require_string("active"));
+    spec.active_sec =
+        parse_ranges(c->require_string("active"), named(*c, "active"));
     config.clients.push_back(std::move(spec));
   }
   if (config.clients.empty()) fail("at least one [client] is required");
 
   // --- Phases ------------------------------------------------------------------
   for (const IniSection* p : doc.all("phase")) {
-    config.phases.push_back({p->require_string("name"),
-                             p->require_double("start"),
-                             p->require_double("end")});
+    config.phases.push_back(
+        {p->require_string("name"),
+         duration(p->require_double("start"), named(*p, "start"), kSecond),
+         duration(p->require_double("end"), named(*p, "end"), kSecond)});
   }
 
   // --- Capacity events -----------------------------------------------------
   for (const IniSection* e : doc.all("capacity_event")) {
     CapacityEvent event;
-    event.time_sec = e->require_double("time");
-    event.server = static_cast<std::size_t>(e->require_double("server"));
+    event.time_sec =
+        duration(e->require_double("time"), named(*e, "time"), kSecond);
+    event.server =
+        whole_number(e->require_double("server"), named(*e, "server"));
     event.capacity = e->require_double("capacity");
     if (event.server >= config.servers.size())
       fail("capacity_event (line " + std::to_string(e->line) +

@@ -50,7 +50,10 @@
 namespace sharegrid::experiments {
 
 /// Builds a ScenarioConfig from a parsed INI document. Throws
-/// ContractViolation with a descriptive message on any schema violation.
+/// ContractViolation with a descriptive message on any schema violation,
+/// including a number that cannot become the integer it sets: counts,
+/// indices and the seed must be whole, and every such number, durations
+/// and times included, finite and in range.
 ScenarioConfig scenario_from_ini(const IniDocument& document);
 
 /// Convenience: parse + build from a file path.

@@ -42,9 +42,6 @@ class WallClockAdmission {
     std::int64_t snapshot_period_windows = 1;
     /// Idle-gap bound: at most this many windows advance per poll.
     std::int64_t max_catchup = 16;
-    /// Observability hooks (optional), forwarded to the control plane.
-    std::function<void()> on_spike_replan;
-    std::function<void()> on_replan_suppressed;
   };
 
   /// @param scheduler planning logic (not owned).
@@ -121,8 +118,6 @@ class WallClockAdmission {
     plane.window = config.window_usec;  // SimTime ticks are microseconds
     plane.redirector_count = config.redirector_count;
     plane.spike_replan_limit = config.spike_replan_limit;
-    plane.on_spike_replan = config.on_spike_replan;
-    plane.on_replan_suppressed = config.on_replan_suppressed;
     return plane;
   }
 

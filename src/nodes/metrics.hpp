@@ -35,13 +35,13 @@ class Metrics {
   /// steady experiment means the solver budget is undersized for the
   /// principal count.
   void on_plan_fallback() { ++plan_fallbacks_; }
-  /// A demand spike triggered a mid-window re-plan on some control-plane
-  /// member (ControlPlane::Member::spike_replan).
-  void on_spike_replan() { ++spike_replans_; }
-  /// A spike re-plan was requested but the per-window budget
-  /// (ControlPlaneConfig::spike_replan_limit) was already spent; the request
-  /// bounced on the existing quota instead of re-solving the LP.
-  void on_replan_suppressed() { ++replans_suppressed_; }
+  /// Adds one control-plane member's spike re-plan counts
+  /// (ControlPlane::Member::spike_replans / replans_suppressed); a scenario
+  /// copies them in once, when it reports.
+  void add_replans(std::uint64_t taken, std::uint64_t suppressed) {
+    spike_replans_ += taken;
+    replans_suppressed_ += suppressed;
+  }
 
   /// Folds another Metrics (same principal count and bin width) into this
   /// one — used by the cluster-partitioned scenarios to combine per-cluster

@@ -41,6 +41,13 @@ class WindowTrace {
     rows_.push_back(std::move(row));
   }
 
+  /// Appends @p other's rows (this trace's cap applies) and adds its
+  /// dropped count.
+  void merge_from(const WindowTrace& other) {
+    for (const Row& row : other.rows_) record(row);
+    dropped_ += other.dropped_;
+  }
+
   const std::vector<Row>& rows() const { return rows_; }
   std::uint64_t dropped() const { return dropped_; }
 

@@ -1,100 +1,14 @@
-// Tests for the related-work baseline schedulers: virtual-time fair queuing
-// and weighted-fair sharing (§6), and the properties that distinguish them
-// from agreement enforcement.
+// Tests for the related-work baseline scheduler, weighted-fair sharing (§6),
+// and the properties that distinguish it from agreement enforcement.
 #include <gtest/gtest.h>
 
 #include "core/agreement_graph.hpp"
 #include "core/flow.hpp"
 #include "sched/response_time_scheduler.hpp"
-#include "sched/virtual_clock.hpp"
 #include "sched/weighted_fair_scheduler.hpp"
 
 namespace sharegrid::sched {
 namespace {
-
-// --- VirtualClockQueue ------------------------------------------------------
-
-TEST(VirtualClock, ServesProportionallyToWeights) {
-  // Flows with weights 1 and 3, both continuously backlogged: over any
-  // prefix, flow 1 should receive ~3x flow 0's service.
-  VirtualClockQueue q({1.0, 3.0});
-  for (int i = 0; i < 40; ++i) {
-    q.enqueue(0, 1.0, 0);
-    q.enqueue(1, 1.0, 0);
-  }
-  int served[2] = {0, 0};
-  for (int i = 0; i < 40; ++i) ++served[q.dequeue().flow];
-  EXPECT_NEAR(served[1], 30, 1);
-  EXPECT_NEAR(served[0], 10, 1);
-}
-
-TEST(VirtualClock, EqualWeightsInterleave) {
-  VirtualClockQueue q({1.0, 1.0});
-  for (int i = 0; i < 10; ++i) {
-    q.enqueue(0, 1.0, 0);
-    q.enqueue(1, 1.0, 0);
-  }
-  int consecutive = 0;
-  int max_consecutive = 0;
-  std::size_t last = 2;
-  while (!q.empty()) {
-    const auto item = q.dequeue();
-    consecutive = item.flow == last ? consecutive + 1 : 1;
-    max_consecutive = std::max(max_consecutive, consecutive);
-    last = item.flow;
-  }
-  EXPECT_LE(max_consecutive, 2);
-}
-
-TEST(VirtualClock, IdleFlowCannotBankCredit) {
-  // Flow 0 stays backlogged while flow 1 idles; when flow 1 wakes up it
-  // competes from the current virtual time instead of draining a backlog of
-  // "saved" service (the SFQ start rule).
-  VirtualClockQueue q({1.0, 1.0});
-  for (int i = 0; i < 20; ++i) q.enqueue(0, 1.0, 0);
-  for (int i = 0; i < 10; ++i) (void)q.dequeue();  // flow 1 idle throughout
-
-  for (int i = 0; i < 10; ++i) q.enqueue(1, 1.0, 0);
-  int flow1_in_next_10 = 0;
-  for (int i = 0; i < 10; ++i) flow1_in_next_10 += q.dequeue().flow == 1;
-  // Fair from now on: about half, definitely not all 10.
-  EXPECT_GE(flow1_in_next_10, 4);
-  EXPECT_LE(flow1_in_next_10, 6);
-}
-
-TEST(VirtualClock, CostScalesService) {
-  // Equal weights, but flow 0's items cost 2x: it should get ~half the
-  // item count (equal *service*, not equal items).
-  VirtualClockQueue q({1.0, 1.0});
-  for (int i = 0; i < 30; ++i) {
-    q.enqueue(0, 2.0, 0);
-    q.enqueue(1, 1.0, 0);
-  }
-  int served[2] = {0, 0};
-  for (int i = 0; i < 30; ++i) ++served[q.dequeue().flow];
-  EXPECT_NEAR(served[1], 20, 1);
-  EXPECT_NEAR(served[0], 10, 1);
-}
-
-TEST(VirtualClock, PayloadsAndBacklogTracked) {
-  VirtualClockQueue q({1.0});
-  q.enqueue(0, 1.0, 42);
-  q.enqueue(0, 1.0, 43);
-  EXPECT_EQ(q.flow_backlog(0), 2u);
-  EXPECT_EQ(q.dequeue().payload, 42u);  // FIFO within a flow
-  EXPECT_EQ(q.flow_backlog(0), 1u);
-  EXPECT_EQ(q.dequeue().payload, 43u);
-  EXPECT_TRUE(q.empty());
-  EXPECT_THROW(q.dequeue(), ContractViolation);
-}
-
-TEST(VirtualClock, ValidatesInputs) {
-  EXPECT_THROW(VirtualClockQueue({}), ContractViolation);
-  EXPECT_THROW(VirtualClockQueue({0.0}), ContractViolation);
-  VirtualClockQueue q({1.0});
-  EXPECT_THROW(q.enqueue(1, 1.0, 0), ContractViolation);
-  EXPECT_THROW(q.enqueue(0, 0.0, 0), ContractViolation);
-}
 
 // --- WeightedFairScheduler ----------------------------------------------------
 

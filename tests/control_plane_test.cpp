@@ -222,18 +222,14 @@ TEST(ControlPlane, ConservativeStartupPinsOneOverROnBothDrivers) {
 // ---------------------------------------------------------------------------
 // Demand-spike fast path budget (satellite of D10): at most
 // spike_replan_limit re-plans per member per window, fractional limits
-// error-carried, suppressed attempts counted and reported.
+// error-carried, suppressed attempts counted per member.
 // ---------------------------------------------------------------------------
 
 TEST(ControlPlane, SpikeReplanBudgetBoundsTheFastPath) {
   const test::FixedRateScheduler scheduler({100.0});
-  int replans = 0;
-  int suppressed = 0;
   coord::ControlPlaneConfig config;
   config.window = kWindow;
   config.spike_replan_limit = 1.0;
-  config.on_spike_replan = [&replans] { ++replans; };
-  config.on_replan_suppressed = [&suppressed] { ++suppressed; };
   coord::ControlPlane plane(&scheduler, config);
   coord::ControlPlane::Member* member = plane.add_member();
 
@@ -243,8 +239,6 @@ TEST(ControlPlane, SpikeReplanBudgetBoundsTheFastPath) {
   EXPECT_FALSE(member->spike_replan());
   EXPECT_EQ(member->spike_replans(), 1u);
   EXPECT_EQ(member->replans_suppressed(), 2u);
-  EXPECT_EQ(replans, 1);
-  EXPECT_EQ(suppressed, 2);
 
   member->advance_window(kWindow);  // budget refills at the boundary
   EXPECT_TRUE(member->spike_replan());

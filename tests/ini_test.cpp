@@ -1,6 +1,9 @@
 // Unit tests for the INI reader and the scenario-file loader.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "experiments/scenario_ini.hpp"
 #include "util/assert.hpp"
 #include "util/ini.hpp"
@@ -169,18 +172,15 @@ TEST(ScenarioIni, ControlPlaneSectionSetsCoordinationKnobs) {
   const std::string text = std::string(kMinimalScenario) +
                            "[control_plane]\n"
                            "tree_fanout = 2\n"
-                           "snapshot_period_ms = 200\n"
-                           "spike_replan_limit = 0.5\n";
+                           "snapshot_period_ms = 200\n";
   const ScenarioConfig config = scenario_from_ini(parse_ini(text));
   EXPECT_EQ(config.tree_fanout, 2u);
   EXPECT_EQ(config.tree_period, 200 * kMillisecond);
-  EXPECT_DOUBLE_EQ(config.spike_replan_limit, 0.5);
 
   // Omitting the section keeps the defaults.
   const ScenarioConfig bare = scenario_from_ini(parse_ini(kMinimalScenario));
   EXPECT_EQ(bare.tree_fanout, 0u);
   EXPECT_EQ(bare.tree_period, 0);
-  EXPECT_DOUBLE_EQ(bare.spike_replan_limit, 1.0);
 }
 
 TEST(ScenarioIni, ControlPlaneSectionValidatesRanges) {
@@ -197,12 +197,77 @@ TEST(ScenarioIni, ControlPlaneSectionValidatesRanges) {
   EXPECT_THROW(
       scenario_from_ini(parse_ini(with_section("snapshot_period_ms = -5\n"))),
       ContractViolation);
-  EXPECT_THROW(
-      scenario_from_ini(parse_ini(with_section("spike_replan_limit = -1\n"))),
-      ContractViolation);
   const std::string duplicated = with_section("tree_fanout = 2\n") +
                                  "[control_plane]\ntree_fanout = 4\n";
   EXPECT_THROW(scenario_from_ini(parse_ini(duplicated)), ContractViolation);
+}
+
+TEST(ScenarioIni, RejectsNumbersTheirIntegersCannotHold) {
+  using namespace experiments;
+  // Every number that feeds an integer: counts, indices and the seed, and
+  // the durations and times that become integer microseconds.
+  struct Key {
+    const char* section;  // "" = global
+    const char* key;
+    bool whole;  // counts, indices and the seed
+  };
+  const Key keys[] = {
+      {"", "plan_solver_threads", true},
+      {"", "redirectors", true},
+      {"", "clusters", true},
+      {"", "sim_shards", true},
+      {"", "client_scale", true},
+      {"", "max_outstanding", true},
+      {"", "seed", true},
+      {"client", "redirector", true},
+      {"capacity_event", "server", true},
+      {"control_plane", "tree_fanout", true},
+      {"", "duration", false},
+      {"", "window_ms", false},
+      {"", "tree_link_delay", false},
+      {"control_plane", "snapshot_period_ms", false},
+      {"control_plane", "lease_ttl_ms", false},
+      {"control_plane", "heartbeat_ms", false},
+      {"control_plane", "reconnect_base_ms", false},
+      {"control_plane", "reconnect_max_ms", false},
+      {"phase", "start", false},
+      {"phase", "end", false},
+      {"capacity_event", "time", false},
+  };
+  const std::string text =
+      std::string(kMinimalScenario) +
+      "[control_plane]\n"
+      "[capacity_event]\ntime = 1\nserver = 0\ncapacity = 100\n";
+  ASSERT_NO_THROW(scenario_from_ini(parse_ini(text)));
+  const auto expect_rejected = [](const IniDocument& doc,
+                                  const std::string& key,
+                                  const std::string& value) {
+    try {
+      scenario_from_ini(doc);
+      ADD_FAILURE() << key << " = " << value << " was accepted";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const Key& k : keys) {
+    std::vector<std::string> values = {"-1", "nan", "1e30"};
+    if (k.whole) values.push_back("2.5");
+    for (const std::string& value : values) {
+      IniDocument doc = parse_ini(text);
+      IniSection* section = &doc.global;
+      for (IniSection& s : doc.sections)
+        if (s.name == k.section) section = &s;
+      section->values[k.key] = value;
+      expect_rejected(doc, k.key, value);
+    }
+  }
+  for (const char* range : {"nan-5", "0-nan", "0-1e30"}) {
+    IniDocument doc = parse_ini(text);
+    for (IniSection& s : doc.sections)
+      if (s.name == "client") s.values["active"] = range;
+    expect_rejected(doc, "active", range);
+  }
 }
 
 TEST(ScenarioIni, ControlPlaneMembershipKnobs) {
