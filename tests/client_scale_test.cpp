@@ -205,6 +205,17 @@ TEST(ScenarioDigest, Figure10Income) {
   EXPECT_EQ(result_hash(c), 0x9dd053952fd2addeull);
 }
 
+/// Figure 10 for 25 s: each 400 req/s machine cycles through its 4,096 L4
+/// source ports about twice, so new connections meet affinity hints left
+/// by earlier ones, and provider S owns two servers for a hint to choose
+/// between. The 6 s cut above hashes the same with use_affinity off.
+TEST(ScenarioDigest, Figure10IncomePortReuse) {
+  ScenarioConfig c = figure10().config;
+  c.duration_sec = 25.0;
+  c.phases = {{"cut", 1.0, 25.0}};
+  EXPECT_EQ(result_hash(c), 0x4e96fb6a1644ada1ull);
+}
+
 TEST(ScenarioDigest, TwoProviderIncomeOnAPool) {
   EXPECT_EQ(result_hash(two_provider_config()), 0x52556748d76db263ull);
 }
