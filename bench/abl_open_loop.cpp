@@ -41,13 +41,15 @@ struct Outcome {
 Outcome run_with(const sched::Scheduler* scheduler,
                  const workload::RequestTrace& trace) {
   sim::Simulator sim;
+  nodes::RequestSlab requests;
   nodes::Metrics metrics(3);
-  nodes::Server server(&sim, &metrics, {"s", 0, 320.0, {1, 80}});
+  nodes::Server server(&sim, &requests, &metrics, {"s", 0, 320.0, {1, 80}});
   nodes::ServerPool pool;
   pool.add(&server);
   coord::ControlPlane plane(scheduler, {});
   coord::ControlPlane::Member* member = plane.add_member();
-  nodes::L4Redirector redirector(&sim, &metrics, &pool, member, {});
+  nodes::L4Redirector redirector(&sim, &requests, &metrics, &pool, member,
+                                 {});
   coord::SimWindowDriver driver(&sim, &plane);
   driver.start(100 * kMillisecond);
   // A lone redirector still needs its aggregation feedback (normally the
@@ -59,7 +61,8 @@ Outcome run_with(const sched::Scheduler* scheduler,
                                      round++, member->local_demand());
                                });
 
-  nodes::TraceClient client(&sim, &metrics, &redirector, &trace, {}, Rng(9));
+  nodes::TraceClient client(&sim, &requests, &metrics, &redirector, &trace,
+                            {}, Rng(9));
   client.start();
   sim.run_until(seconds(40));
 

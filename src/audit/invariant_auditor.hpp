@@ -544,33 +544,40 @@ void audit_parallel_plan_match(const Plan& parallel, const Plan& serial,
 }
 
 // ---------------------------------------------------------------------------
-// l4/connection_table: no orphaned NAT entries.
+// l4/connection_table: the open-flow counter and the entries' indexes.
 // ---------------------------------------------------------------------------
 
-/// Every active NAT flow must carry a matching affinity hint for the same
-/// server: establish() writes both, so a table entry whose hint is missing
-/// or points elsewhere is orphaned state — reply packets would be rewritten
-/// toward a server the affinity logic no longer remembers. (A hint without
-/// a live flow is fine: hints deliberately outlive connections.)
+/// One entry per flow holds both the NAT mapping (open) and the affinity
+/// hint (closed), so the two can no longer disagree. What can still drift:
+/// the open-flow counter behind active_connections() must equal the number
+/// of entries marked open, and every stored vip and server index must name
+/// an element of its list. @p flows maps keys with a `vip` index to values
+/// with `server()` and `open()` (l4::ConnectionTable::FlowMap).
 template <class FlowMap>
-void audit_connection_table(const FlowMap& table, const FlowMap& affinity) {
+void audit_connection_table(const FlowMap& flows, std::size_t open_flows,
+                            std::size_t vips, std::size_t servers) {
+  std::size_t open = 0;
   std::size_t index = 0;
-  for (const auto& [key, server] : table) {
-    const auto hint = affinity.find(key);
-    require(hint != affinity.end(), "l4.orphaned-nat-entry", [&] {
-      return "active flow #" + std::to_string(index) +
-             " has no affinity hint; establish() must record both the NAT "
-             "mapping and the hint atomically";
+  for (const auto& [key, flow] : flows) {
+    require(key.vip < vips, "l4.vip-index-range", [&] {
+      return "flow #" + std::to_string(index) + " names vip " +
+             std::to_string(key.vip) + " of a " + std::to_string(vips) +
+             "-entry vip list";
     });
-    require(hint->second == server, "l4.affinity-mismatch", [&] {
-      return "active flow #" + std::to_string(index) + " is NATed to host " +
-             std::to_string(server.host) +
-             " but its affinity hint names host " +
-             std::to_string(hint->second.host) +
-             "; a re-establish updated one map but not the other";
+    require(flow.server() < servers, "l4.server-index-range", [&] {
+      return "flow #" + std::to_string(index) + " names server " +
+             std::to_string(flow.server()) + " of a " +
+             std::to_string(servers) + "-entry server list";
     });
+    if (flow.open()) ++open;
     ++index;
   }
+  require(open == open_flows, "l4.open-flow-count", [&] {
+    return std::to_string(open) + " entries are marked open but the table "
+           "counts " + std::to_string(open_flows) +
+           " active connections; establish() and release() must move the "
+           "counter with the open bit";
+  });
 }
 
 // ---------------------------------------------------------------------------

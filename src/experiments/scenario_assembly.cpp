@@ -79,7 +79,8 @@ Domain::Domain(const ScenarioConfig& config,
     sc.owner = resolve(graph, config.servers[s].owner);
     sc.capacity = config.servers[s].capacity;
     sc.endpoint = {0x14000000u + offset + static_cast<std::uint32_t>(s), 80};
-    servers.push_back(std::make_unique<nodes::Server>(sim, &metrics, sc));
+    servers.push_back(
+        std::make_unique<nodes::Server>(sim, &requests, &metrics, sc));
     pool.add(servers.back().get());
   }
 
@@ -105,8 +106,8 @@ Domain::Domain(const ScenarioConfig& config,
       rc.net_delay = config.net_delay;
       rc.weighted_admission = config.weighted_admission;
       rc.trace = trace_ptr;
-      l7s.push_back(std::make_unique<nodes::L7Redirector>(sim, &metrics,
-                                                          &pool, member, rc));
+      l7s.push_back(std::make_unique<nodes::L7Redirector>(
+          sim, &requests, &metrics, &pool, member, rc));
       redirectors.push_back(l7s.back().get());
     } else {
       nodes::L4Redirector::Config rc;
@@ -114,8 +115,8 @@ Domain::Domain(const ScenarioConfig& config,
       rc.net_delay = config.net_delay;
       rc.weighted_admission = config.weighted_admission;
       rc.trace = trace_ptr;
-      l4s.push_back(std::make_unique<nodes::L4Redirector>(sim, &metrics,
-                                                          &pool, member, rc));
+      l4s.push_back(std::make_unique<nodes::L4Redirector>(
+          sim, &requests, &metrics, &pool, member, rc));
       redirectors.push_back(l4s.back().get());
     }
   }
@@ -148,8 +149,8 @@ void Domain::add_clients(const ScenarioConfig& config,
     for (std::size_t m = 0; m < config.client_scale; ++m)
       machine_streams.push_back(streams.split());
     clients.push_back(std::make_unique<nodes::ClientFleet>(
-        simulator, &metrics, redirectors[spec.redirector], fc, machine_streams,
-        sizes));
+        simulator, &requests, &metrics, redirectors[spec.redirector], fc,
+        machine_streams, sizes));
     next_index += config.client_scale;
 
     // One toggle per fleet per interval boundary. The per-machine toggles

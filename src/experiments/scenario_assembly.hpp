@@ -99,6 +99,9 @@ struct Domain {
   sim::Simulator* simulator;
   std::unique_ptr<sched::Scheduler> scheduler;
   nodes::Metrics metrics;
+  /// Requests in flight between the domain's clients, redirectors and
+  /// servers; the request path's events carry handles into it.
+  nodes::RequestSlab requests;
   std::vector<std::unique_ptr<nodes::Server>> servers;
   nodes::ServerPool pool;
   std::unique_ptr<coord::ControlPlane> plane;

@@ -27,18 +27,19 @@ namespace sharegrid::nodes {
 
 /// What a client looks like to a redirector: the callbacks that complete a
 /// request's life cycle. Implemented by the closed-loop ClientFleet and the
-/// open-loop TraceClient.
+/// open-loop TraceClient. A source acquires each request it issues in the
+/// domain's RequestSlab and releases it in on_response.
 class RequestSource {
  public:
   virtual ~RequestSource() = default;
 
   /// L7: the redirector assigned @p server; re-issue the request there.
-  virtual void on_redirect_to_server(const Request& request,
+  virtual void on_redirect_to_server(RequestHandle request,
                                      Server* server) = 0;
   /// L7: the redirector said retry later (implicit queuing).
-  virtual void on_self_redirect(const Request& request) = 0;
+  virtual void on_self_redirect(RequestHandle request) = 0;
   /// Final response arrived (from a server or through the L4 NAT path).
-  virtual void on_response(const Request& request) = 0;
+  virtual void on_response(RequestHandle request) = 0;
 };
 
 /// What a redirector looks like to a client: a sink for new requests.
@@ -48,9 +49,8 @@ class RedirectorBase {
   virtual ~RedirectorBase() = default;
 
   /// Invoked (already past the client->redirector network delay) when a
-  /// client issues or retries a request.
-  virtual void on_client_request(const Request& request,
-                                 RequestSource* from) = 0;
+  /// client issues or retries a request. The slab names its source.
+  virtual void on_client_request(RequestHandle request) = 0;
 };
 
 /// All the load-generating machines of one client spec: `client_scale`
@@ -84,9 +84,10 @@ class ClientFleet final : public RequestSource {
     bool loop_armed = false;
   };
 
-  /// @param streams one RNG stream per machine; the fleet has
-  ///                `streams.size()` machines.
-  ClientFleet(sim::Simulator* sim, Metrics* metrics,
+  /// @param requests the domain's in-flight requests (not owned).
+  /// @param streams  one RNG stream per machine; the fleet has
+  ///                 `streams.size()` machines.
+  ClientFleet(sim::Simulator* sim, RequestSlab* requests, Metrics* metrics,
               RedirectorBase* redirector, Config config,
               const std::vector<Rng>& streams,
               const workload::ReplySizeDistribution* sizes = nullptr);
@@ -100,9 +101,9 @@ class ClientFleet final : public RequestSource {
   void set_active(bool active);
 
   // RequestSource:
-  void on_redirect_to_server(const Request& request, Server* server) override;
-  void on_self_redirect(const Request& request) override;
-  void on_response(const Request& request) override;
+  void on_redirect_to_server(RequestHandle request, Server* server) override;
+  void on_self_redirect(RequestHandle request) override;
+  void on_response(RequestHandle request) override;
 
   std::size_t size() const { return machines_.size(); }
   const Machine& machine(std::size_t m) const;
@@ -111,9 +112,10 @@ class ClientFleet final : public RequestSource {
   Machine& machine_of(const Request& request);
   void schedule_next_arrival(std::size_t m);
   void emit(std::size_t m);
-  void send_to_redirector(const Request& request);
+  void send_to_redirector(RequestHandle request);
 
   sim::Simulator* sim_;
+  RequestSlab* requests_;
   Metrics* metrics_;
   RedirectorBase* redirector_;
   Config config_;

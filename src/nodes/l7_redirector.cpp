@@ -6,15 +6,17 @@
 
 namespace sharegrid::nodes {
 
-L7Redirector::L7Redirector(sim::Simulator* sim, Metrics* metrics,
-                           ServerPool* servers,
+L7Redirector::L7Redirector(sim::Simulator* sim, RequestSlab* requests,
+                           Metrics* metrics, ServerPool* servers,
                            coord::ControlPlane::Member* member, Config config)
     : sim_(sim),
+      requests_(requests),
       metrics_(metrics),
       servers_(servers),
       member_(member),
       config_(std::move(config)) {
   SHAREGRID_EXPECTS(sim != nullptr);
+  SHAREGRID_EXPECTS(requests != nullptr);
   SHAREGRID_EXPECTS(metrics != nullptr);
   SHAREGRID_EXPECTS(servers != nullptr);
   SHAREGRID_EXPECTS(member != nullptr);
@@ -53,54 +55,53 @@ void L7Redirector::on_window_begun(SimTime now) {
     // first design, reproduced for the ablation bench).
     for (std::size_t i = 0; i < held_.size(); ++i) {
       while (!held_[i].empty()) {
+        const RequestHandle request = held_[i].front();
         const double weight =
-            config_.weighted_admission ? held_[i].front().request.weight : 1.0;
+            config_.weighted_admission ? (*requests_)[request].weight : 1.0;
         const auto owner = member_->try_admit(i, weight);
         if (!owner) break;
-        Held h = std::move(held_[i].front());
         held_[i].pop_front();
-        admit_and_redirect(h.request, h.from, *owner);
+        admit_and_redirect(request, *owner);
       }
     }
   }
 }
 
-void L7Redirector::on_client_request(const Request& request,
-                                     RequestSource* from) {
+void L7Redirector::on_client_request(RequestHandle handle) {
+  const Request& request = (*requests_)[handle];
   const core::PrincipalId p = request.principal;
   SHAREGRID_EXPECTS(p < held_.size());
-  member_->record_arrival(p, config_.weighted_admission ? request.weight
-                                                        : 1.0);
+  const double weight = config_.weighted_admission ? request.weight : 1.0;
+  member_->record_arrival(p, weight);
 
   if (config_.mode == Mode::kExplicitQueue) {
-    held_[p].push_back({request, from});
+    held_[p].push_back(handle);
     return;
   }
 
-  const double weight = config_.weighted_admission ? request.weight : 1.0;
   if (const auto owner = member_->try_admit(p, weight)) {
-    admit_and_redirect(request, from, *owner);
+    admit_and_redirect(handle, *owner);
     return;
   }
   // Out of quota: 302 back to ourselves; the client retries (implicit
   // queuing — the queue lives at the clients, not here).
   ++self_redirects_;
-  sim_->schedule_after(config_.net_delay, [from, request, alive = alive_] {
+  sim_->schedule_after(config_.net_delay, [this, alive = alive_, handle] {
     if (!*alive) return;
-    from->on_self_redirect(request);
+    requests_->source(handle)->on_self_redirect(handle);
   });
 }
 
-void L7Redirector::admit_and_redirect(const Request& request,
-                                      RequestSource* from,
+void L7Redirector::admit_and_redirect(RequestHandle request,
                                       core::PrincipalId owner) {
   Server* server = servers_->pick(owner);
   SHAREGRID_ASSERT(server != nullptr);
   ++admitted_;
   sim_->schedule_after(config_.net_delay,
-                       [from, request, server, alive = alive_] {
+                       [this, alive = alive_, request, server] {
                          if (!*alive) return;
-                         from->on_redirect_to_server(request, server);
+                         requests_->source(request)->on_redirect_to_server(
+                             request, server);
                        });
 }
 

@@ -49,15 +49,17 @@ class L7Redirector final : public RedirectorBase {
     WindowTrace* trace = nullptr;
   };
 
-  /// @param member this node's control-plane slice (not owned). The node
-  ///               binds its demand/window hooks in the ctor; a member can
-  ///               belong to exactly one node.
-  L7Redirector(sim::Simulator* sim, Metrics* metrics, ServerPool* servers,
-               coord::ControlPlane::Member* member, Config config);
+  /// @param requests the domain's in-flight requests (not owned).
+  /// @param member   this node's control-plane slice (not owned). The node
+  ///                 binds its demand/window hooks in the ctor; a member can
+  ///                 belong to exactly one node.
+  L7Redirector(sim::Simulator* sim, RequestSlab* requests, Metrics* metrics,
+               ServerPool* servers, coord::ControlPlane::Member* member,
+               Config config);
   ~L7Redirector() override { *alive_ = false; }
 
   // RedirectorBase:
-  void on_client_request(const Request& request, RequestSource* from) override;
+  void on_client_request(RequestHandle request) override;
 
   /// This node's current local demand estimate (requests/sec per principal):
   /// the member's estimator rates plus held-request backlog. Delegates to the
@@ -73,21 +75,17 @@ class L7Redirector final : public RedirectorBase {
 
  private:
   void on_window_begun(SimTime now);
-  void admit_and_redirect(const Request& request, RequestSource* from,
-                          core::PrincipalId owner);
+  void admit_and_redirect(RequestHandle request, core::PrincipalId owner);
 
   sim::Simulator* sim_;
+  RequestSlab* requests_;
   Metrics* metrics_;
   ServerPool* servers_;
   coord::ControlPlane::Member* member_;
   Config config_;
 
   // Explicit-queue mode state.
-  struct Held {
-    Request request;
-    RequestSource* from;
-  };
-  std::vector<std::deque<Held>> held_;
+  std::vector<std::deque<RequestHandle>> held_;
 
   std::uint64_t admitted_ = 0;
   std::uint64_t self_redirects_ = 0;

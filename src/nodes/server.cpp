@@ -7,33 +7,40 @@
 
 namespace sharegrid::nodes {
 
-Server::Server(sim::Simulator* sim, Metrics* metrics, Config config)
-    : sim_(sim), metrics_(metrics), config_(std::move(config)) {
+Server::Server(sim::Simulator* sim, RequestSlab* requests, Metrics* metrics,
+               Config config)
+    : sim_(sim),
+      requests_(requests),
+      metrics_(metrics),
+      config_(std::move(config)) {
   SHAREGRID_EXPECTS(sim != nullptr);
+  SHAREGRID_EXPECTS(requests != nullptr);
   SHAREGRID_EXPECTS(metrics != nullptr);
   SHAREGRID_EXPECTS(config_.capacity > 0.0);
   SHAREGRID_EXPECTS(config_.owner != core::kNoPrincipal);
 }
 
-void Server::submit(const Request& request,
-                    std::function<void(const Request&)> on_complete) {
-  SHAREGRID_EXPECTS(request.weight > 0.0);
+void Server::submit(RequestHandle request, sim::Callback on_complete) {
+  const double weight = (*requests_)[request].weight;
+  SHAREGRID_EXPECTS(weight > 0.0);
   const SimTime start = std::max(sim_->now(), next_free_);
-  const auto service =
-      static_cast<SimDuration>(request.weight / config_.capacity *
-                               static_cast<double>(kSecond));
+  const auto service = static_cast<SimDuration>(
+      weight / config_.capacity * static_cast<double>(kSecond));
   next_free_ = start + std::max<SimDuration>(1, service);
-  units_served_ += request.weight;
+  units_served_ += weight;
 
-  sim_->schedule_at(
-      next_free_,
-      [this, alive = alive_, request, cb = std::move(on_complete)] {
-        if (!*alive) return;
-        metrics_->on_served(request.principal, sim_->now());
-        metrics_->on_reply_bytes(request.principal, sim_->now(),
-                                 request.reply_bytes);
-        if (cb) cb(request);
-      });
+  pending_.push_back(std::move(on_complete));
+  sim_->schedule_at(next_free_, [this, alive = alive_, request] {
+    if (!*alive) return;
+    // Due times strictly increase with submission order, so this event's
+    // callback is the oldest pending one.
+    sim::Callback done = pending_.pop_front();
+    const Request& served = (*requests_)[request];
+    metrics_->on_served(served.principal, sim_->now());
+    metrics_->on_reply_bytes(served.principal, sim_->now(),
+                             served.reply_bytes);
+    if (done) done();
+  });
 }
 
 double Server::backlog_seconds() const {

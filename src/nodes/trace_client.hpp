@@ -30,8 +30,9 @@ class TraceClient final : public RequestSource {
     SimDuration net_delay = 500;    ///< one-way hop delay (usec)
   };
 
-  /// @param trace  replayed arrivals (not owned; must outlive the client).
-  TraceClient(sim::Simulator* sim, Metrics* metrics,
+  /// @param requests the domain's in-flight requests (not owned).
+  /// @param trace    replayed arrivals (not owned; must outlive the client).
+  TraceClient(sim::Simulator* sim, RequestSlab* requests, Metrics* metrics,
               RedirectorBase* redirector,
               const workload::RequestTrace* trace, Config config, Rng rng);
   ~TraceClient() override { *alive_ = false; }
@@ -43,17 +44,19 @@ class TraceClient final : public RequestSource {
   void start();
 
   // RequestSource:
-  void on_redirect_to_server(const Request& request, Server* server) override;
-  void on_self_redirect(const Request& request) override;
-  void on_response(const Request& request) override;
+  void on_redirect_to_server(RequestHandle request, Server* server) override;
+  void on_self_redirect(RequestHandle request) override;
+  void on_response(RequestHandle request) override;
 
   std::uint64_t issued() const { return issued_; }
   std::uint64_t completed() const { return completed_; }
 
  private:
-  void send(const Request& request);
+  void issue(std::size_t entry);
+  void send(RequestHandle request);
 
   sim::Simulator* sim_;
+  RequestSlab* requests_;
   Metrics* metrics_;
   RedirectorBase* redirector_;
   const workload::RequestTrace* trace_;

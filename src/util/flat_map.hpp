@@ -20,6 +20,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -122,9 +123,11 @@ class FlatMap {
 
 /// Open-addressing hash map: one contiguous slot array, linear probing,
 /// backward-shift deletion. No per-entry allocation, no tombstone decay, and
-/// probes touch consecutive cache lines. Capacity is a power of two and
-/// grows at 7/8 load. Key and Value should be cheap to move; equality must
-/// be exact (the simulator's endpoint/id keys are integral).
+/// probes touch consecutive cache lines. Occupancy lives in a bitmap beside
+/// the slot array, so a slot is exactly sizeof(value_type): a per-slot flag
+/// would pad a 12-byte entry to 16. Capacity is a power of two and grows at
+/// 7/8 load. Key and Value should be cheap to move; equality must be exact
+/// (the simulator's endpoint/id keys are integral).
 template <class Key, class Value, class Hash = std::hash<Key>>
 class FlatHashMap {
  public:
@@ -149,8 +152,8 @@ class FlatHashMap {
     Iterator(const Iterator<false>& other)  // NOLINT(runtime/explicit)
         : map_(other.map_), slot_(other.slot_) {}
 
-    Ref operator*() const { return map_->slots_[slot_].entry; }
-    Ptr operator->() const { return &map_->slots_[slot_].entry; }
+    Ref operator*() const { return map_->slots_[slot_]; }
+    Ptr operator->() const { return &map_->slots_[slot_]; }
     Iterator& operator++() {
       ++slot_;
       skip_empty();
@@ -167,9 +170,7 @@ class FlatHashMap {
     friend class FlatHashMap;
     friend class Iterator<true>;
     void skip_empty() {
-      if (map_ == nullptr) return;
-      while (slot_ < map_->slots_.size() && !map_->slots_[slot_].occupied)
-        ++slot_;
+      if (map_ != nullptr) slot_ = map_->next_occupied(slot_);
     }
     MapPtr map_ = nullptr;
     std::size_t slot_ = 0;
@@ -186,6 +187,7 @@ class FlatHashMap {
 
   void clear() {
     slots_.clear();
+    occupied_.clear();
     size_ = 0;
   }
 
@@ -215,15 +217,15 @@ class FlatHashMap {
     grow_if_needed();
     const std::size_t mask = slots_.size() - 1;
     std::size_t slot = hash_(key) & mask;
-    while (slots_[slot].occupied) {
-      if (slots_[slot].entry.first == key) {
-        slots_[slot].entry.second = std::move(value);
+    while (occupied(slot)) {
+      if (slots_[slot].first == key) {
+        slots_[slot].second = std::move(value);
         return {iterator(this, slot), false};
       }
       slot = (slot + 1) & mask;
     }
-    slots_[slot].entry = {key, std::move(value)};
-    slots_[slot].occupied = true;
+    slots_[slot] = {key, std::move(value)};
+    set_occupied(slot);
     ++size_;
     return {iterator(this, slot), true};
   }
@@ -241,27 +243,23 @@ class FlatHashMap {
     std::size_t probe = hole;
     while (true) {
       probe = (probe + 1) & mask;
-      if (!slots_[probe].occupied) break;
-      const std::size_t home = hash_(slots_[probe].entry.first) & mask;
+      if (!occupied(probe)) break;
+      const std::size_t home = hash_(slots_[probe].first) & mask;
       // The entry at `probe` may fill the hole only if its home position
       // does not lie strictly between the hole and the probe (cyclically) —
       // otherwise moving it would break its own probe chain.
       if (((probe - home) & mask) >= ((probe - hole) & mask)) {
-        slots_[hole].entry = std::move(slots_[probe].entry);
+        slots_[hole] = std::move(slots_[probe]);
         hole = probe;
       }
     }
-    slots_[hole].occupied = false;
-    slots_[hole].entry = value_type{};
+    occupied_[hole / 64] &= ~(std::uint64_t{1} << (hole % 64));
+    slots_[hole] = value_type{};
     --size_;
     return 1;
   }
 
  private:
-  struct Slot {
-    value_type entry{};
-    bool occupied = false;
-  };
   static constexpr std::size_t kMinCapacity = 16;
   static constexpr std::size_t kNotFound = static_cast<std::size_t>(-1);
 
@@ -270,22 +268,41 @@ class FlatHashMap {
     grow_if_needed();
     const std::size_t mask = slots_.size() - 1;
     std::size_t slot = hash_(key) & mask;
-    while (slots_[slot].occupied) {
-      if (slots_[slot].entry.first == key) return {iterator(this, slot), false};
+    while (occupied(slot)) {
+      if (slots_[slot].first == key) return {iterator(this, slot), false};
       slot = (slot + 1) & mask;
     }
-    slots_[slot].entry = {key, Value{}};
-    slots_[slot].occupied = true;
+    slots_[slot] = {key, Value{}};
+    set_occupied(slot);
     ++size_;
     return {iterator(this, slot), true};
+  }
+
+  static bool test_bit(const std::vector<std::uint64_t>& words,
+                       std::size_t i) {
+    return ((words[i / 64] >> (i % 64)) & 1) != 0;
+  }
+  bool occupied(std::size_t slot) const { return test_bit(occupied_, slot); }
+  void set_occupied(std::size_t slot) {
+    occupied_[slot / 64] |= std::uint64_t{1} << (slot % 64);
+  }
+  /// First occupied slot at or after @p slot; capacity() when none.
+  std::size_t next_occupied(std::size_t slot) const {
+    while (slot < slots_.size()) {
+      const std::uint64_t word = occupied_[slot / 64] >> (slot % 64);
+      if (word != 0)
+        return slot + static_cast<std::size_t>(std::countr_zero(word));
+      slot = (slot / 64 + 1) * 64;
+    }
+    return slots_.size();
   }
 
   std::size_t find_slot(const Key& key) const {
     if (slots_.empty()) return kNotFound;
     const std::size_t mask = slots_.size() - 1;
     std::size_t slot = hash_(key) & mask;
-    while (slots_[slot].occupied) {
-      if (slots_[slot].entry.first == key) return slot;
+    while (occupied(slot)) {
+      if (slots_[slot].first == key) return slot;
       slot = (slot + 1) & mask;
     }
     return kNotFound;
@@ -303,19 +320,22 @@ class FlatHashMap {
 
   void rehash(std::size_t new_capacity) {
     SHAREGRID_ASSERT((new_capacity & (new_capacity - 1)) == 0);
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(new_capacity, Slot{});
+    std::vector<value_type> old = std::move(slots_);
+    std::vector<std::uint64_t> old_occupied = std::move(occupied_);
+    slots_.assign(new_capacity, value_type{});
+    occupied_.assign((new_capacity + 63) / 64, 0);
     const std::size_t mask = new_capacity - 1;
-    for (Slot& s : old) {
-      if (!s.occupied) continue;
-      std::size_t slot = hash_(s.entry.first) & mask;
-      while (slots_[slot].occupied) slot = (slot + 1) & mask;
-      slots_[slot].entry = std::move(s.entry);
-      slots_[slot].occupied = true;
+    for (std::size_t i = 0; i < old.size(); ++i) {
+      if (!test_bit(old_occupied, i)) continue;
+      std::size_t slot = hash_(old[i].first) & mask;
+      while (occupied(slot)) slot = (slot + 1) & mask;
+      slots_[slot] = std::move(old[i]);
+      set_occupied(slot);
     }
   }
 
-  std::vector<Slot> slots_;
+  std::vector<value_type> slots_;
+  std::vector<std::uint64_t> occupied_;  ///< bit i: slot i holds an entry
   std::size_t size_ = 0;
   Hash hash_;
 };

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <limits>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,7 +15,7 @@
 #include "core/entitlement.hpp"
 #include "core/flow.hpp"
 #include "experiments/paper_figures.hpp"
-#include "l4/packet.hpp"
+#include "l4/connection_table.hpp"
 #include "lp/problem.hpp"
 #include "lp/solve_context.hpp"
 #include "util/assert.hpp"
@@ -476,42 +475,51 @@ TEST(AuditWindow, CarryRange) {
 // l4/connection_table
 // ---------------------------------------------------------------------------
 
-using FlowMap = std::map<std::pair<l4::Endpoint, l4::Endpoint>, l4::Endpoint>;
+using Table = l4::ConnectionTable;
+
+/// Two open flows and one closed one (a hint) over 2 vips and 3 servers.
+Table::FlowMap sample_flows() {
+  Table::FlowMap flows;
+  flows[{1, 4000, 0}] = {2 | Table::Flow::kOpen};
+  flows[{1, 4001, 1}] = {0 | Table::Flow::kOpen};
+  flows[{2, 4000, 0}] = {1};
+  return flows;
+}
 
 TEST(AuditL4, ConsistentTablePasses) {
-  const l4::Endpoint client{1, 4000}, vip{9, 80}, server{2, 8080};
-  FlowMap table{{{client, vip}, server}};
-  FlowMap affinity = table;
-  EXPECT_NO_THROW(audit::audit_connection_table(table, affinity));
+  EXPECT_NO_THROW(audit::audit_connection_table(sample_flows(), 2, 2, 3));
 }
 
-TEST(AuditL4, OrphanedNatEntryFires) {
-  const l4::Endpoint client{1, 4000}, vip{9, 80}, server{2, 8080};
-  FlowMap table{{{client, vip}, server}};
-  const FlowMap affinity;  // hint lost
-  const std::string msg = violation_message(
-      [&] { audit::audit_connection_table(table, affinity); });
-  EXPECT_NE(msg.find("l4.orphaned-nat-entry"), std::string::npos);
-  EXPECT_NE(msg.find("establish()"), std::string::npos);
-}
-
-TEST(AuditL4, AffinityMismatchFires) {
-  const l4::Endpoint client{1, 4000}, vip{9, 80};
-  const l4::Endpoint server_a{2, 8080}, server_b{3, 8080};
-  FlowMap table{{{client, vip}, server_a}};
-  FlowMap affinity{{{client, vip}, server_b}};
-  const std::string msg = violation_message(
-      [&] { audit::audit_connection_table(table, affinity); });
-  EXPECT_NE(msg.find("l4.affinity-mismatch"), std::string::npos);
-}
-
-// An affinity hint with no live flow is fine: hints deliberately outlive
-// connections so new connections from the same client prefer the old server.
+// A closed flow is the affinity hint: it keeps its server index and does
+// not count as an active connection.
 TEST(AuditL4, DanglingHintWithoutFlowIsAllowed) {
-  const l4::Endpoint client{1, 4000}, vip{9, 80}, server{2, 8080};
-  const FlowMap table;
-  FlowMap affinity{{{client, vip}, server}};
-  EXPECT_NO_THROW(audit::audit_connection_table(table, affinity));
+  Table::FlowMap flows;
+  flows[{1, 4000, 0}] = {2};
+  EXPECT_NO_THROW(audit::audit_connection_table(flows, 0, 1, 3));
+}
+
+TEST(AuditL4, OpenFlowCountMismatchFires) {
+  // A release() that cleared the open bit but not the counter.
+  const std::string msg = violation_message(
+      [] { audit::audit_connection_table(sample_flows(), 3, 2, 3); });
+  EXPECT_NE(msg.find("l4.open-flow-count"), std::string::npos);
+  EXPECT_NE(msg.find("release()"), std::string::npos);
+}
+
+TEST(AuditL4, VipIndexOutOfRangeFires) {
+  Table::FlowMap flows = sample_flows();
+  flows[{3, 4000, 2}] = {0};  // the vip list has two entries
+  const std::string msg = violation_message(
+      [&] { audit::audit_connection_table(flows, 2, 2, 3); });
+  EXPECT_NE(msg.find("l4.vip-index-range"), std::string::npos);
+}
+
+TEST(AuditL4, ServerIndexOutOfRangeFires) {
+  Table::FlowMap flows = sample_flows();
+  flows[{3, 4000, 1}] = {3 | Table::Flow::kOpen};  // three servers: 0..2
+  const std::string msg = violation_message(
+      [&] { audit::audit_connection_table(flows, 3, 2, 3); });
+  EXPECT_NE(msg.find("l4.server-index-range"), std::string::npos);
 }
 
 }  // namespace

@@ -80,14 +80,15 @@ TEST(TraceClient, ReplaysOpenLoopThroughL4) {
   // the client keeps issuing at the full trace rate (open loop), unlike the
   // closed-loop ClientFleet.
   sim::Simulator sim;
+  nodes::RequestSlab requests;
   nodes::Metrics metrics(1);
-  nodes::Server server(&sim, &metrics, {"s", 0, 1000.0, {1, 80}});
+  nodes::Server server(&sim, &requests, &metrics, {"s", 0, 1000.0, {1, 80}});
   nodes::ServerPool pool;
   pool.add(&server);
   test::FixedRateScheduler scheduler({40.0});
   coord::ControlPlane plane(&scheduler, {});
-  nodes::L4Redirector redirector(&sim, &metrics, &pool, plane.add_member(),
-                                 {});
+  nodes::L4Redirector redirector(&sim, &requests, &metrics, &pool,
+                                 plane.add_member(), {});
   coord::SimWindowDriver driver(&sim, &plane);
   driver.start(100 * kMillisecond);
 
@@ -97,7 +98,8 @@ TEST(TraceClient, ReplaysOpenLoopThroughL4) {
   const RequestTrace trace =
       RequestTrace::synthesize(plan, {0}, {200.0}, sizes, 11);
 
-  nodes::TraceClient client(&sim, &metrics, &redirector, &trace, {}, Rng(3));
+  nodes::TraceClient client(&sim, &requests, &metrics, &redirector, &trace,
+                            {}, Rng(3));
   client.start();
   sim.run_until(seconds(10));
 
@@ -121,18 +123,20 @@ TEST(TraceClient, IdenticalInputForDifferentSchedulers) {
 
   auto run = [&](double rate) {
     sim::Simulator sim;
+    nodes::RequestSlab requests;
     nodes::Metrics metrics(1);
-    nodes::Server server(&sim, &metrics, {"s", 0, 1000.0, {1, 80}});
+    nodes::Server server(&sim, &requests, &metrics,
+                         {"s", 0, 1000.0, {1, 80}});
     nodes::ServerPool pool;
     pool.add(&server);
     test::FixedRateScheduler scheduler({rate});
     coord::ControlPlane plane(&scheduler, {});
-    nodes::L4Redirector redirector(&sim, &metrics, &pool, plane.add_member(),
-                                   {});
+    nodes::L4Redirector redirector(&sim, &requests, &metrics, &pool,
+                                   plane.add_member(), {});
     coord::SimWindowDriver driver(&sim, &plane);
     driver.start(100 * kMillisecond);
-    nodes::TraceClient client(&sim, &metrics, &redirector, &trace, {},
-                              Rng(3));
+    nodes::TraceClient client(&sim, &requests, &metrics, &redirector, &trace,
+                              {}, Rng(3));
     client.start();
     sim.run_until(seconds(5));
     return metrics.offered(0).total_events();
