@@ -9,8 +9,10 @@
 // The store is a hierarchical timing wheel (timing_wheel.hpp) rather than a
 // binary heap: O(1) schedule and pop instead of O(log n). Event nodes come
 // from a freelist, and the small-buffer Callback (callback.hpp) stores
-// closures of up to 48 bytes inline, so only larger closures allocate.
-// Design notes and measurements: docs/sim-performance.md, DESIGN.md D8.
+// closures of up to 48 bytes inline, so only larger closures allocate; the
+// request path keeps its closures inside that budget by carrying slab
+// handles (nodes/request.hpp). Design notes and measurements:
+// docs/sim-performance.md, DESIGN.md D8.
 #pragma once
 
 #include <cstdint>

@@ -48,7 +48,10 @@ echo "=== [multi-process] 3-process loopback fleet (coord::SocketTransport) ==="
 # through the same command the benchmark uses. perfbench/run.py exits
 # nonzero when the build fails or is refused, the program crashes, or an
 # output check prints correct=false, so a broken benchmark shows here
-# before a change lands rather than in the benchmark run after it.
+# before a change lands rather than in the benchmark run after it. The
+# traced run (--trace 1) also makes the checks only it makes: cluster_l4's
+# 1-lane result equal to the N-lane result bit for bit, and socket_fleet's
+# tracer keeping every span.
 if [[ "${SHAREGRID_CI_SKIP_PERFBENCH:-0}" == "1" ]]; then
   echo "=== [perfbench] skipped (SHAREGRID_CI_SKIP_PERFBENCH=1) ==="
 else
@@ -58,7 +61,7 @@ else
 print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')"
   for workload in ${WORKLOADS}; do
     python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 1 \
-      --trace 0
+      --trace 1
   done
 fi
 
