@@ -63,10 +63,12 @@ BENCHMARK(BM_AccessLevelsDenseBoundedPaths)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
 
 // --- Connection-table container pair -----------------------------------
 //
-// Mirrors l4::ConnectionTable's hot path: one lookup per packet, one
-// insert + one affinity overwrite per admitted connection, one erase per
-// FIN. Keys and endpoint layout match the redirector's synthesis
-// (nodes/l4_redirector.cpp) so probe distributions are representative.
+// Records the swap of the NAT table's std::map for a flat hash map: a
+// (client, vip) pair key with an endpoint value, inserted per connection,
+// looked up per packet and erased per FIN. l4::ConnectionTable has since
+// moved on to one 12-byte entry per flow whose release clears an open bit
+// (docs/sim-performance.md), so neither side is its current layout. Keys
+// follow the redirector's endpoint synthesis (nodes/l4_redirector.cpp).
 
 using FlowKey = std::pair<l4::Endpoint, l4::Endpoint>;  // (client, vip)
 
