@@ -15,19 +15,20 @@ CombiningTree::CombiningTree(sim::Simulator* sim, TreeTopology topology,
   SHAREGRID_EXPECTS(config_.link_delay >= 0);
   SHAREGRID_EXPECTS(config_.vector_size > 0);
   children_ = topology_.children();
+  root_ = topology_.root();
   nodes_.resize(topology_.size());
   failed_.assign(topology_.size(), false);
-  // A round holds slots only during its up phase, which lasts at most
-  // depth * link_delay; with one round starting per period, at most
-  // ceil(depth * link_delay / period) + 1 rounds hold slots at once. Double
-  // the bound for slack around equal-time boundaries — begin_round asserts
-  // the bucket it reclaims has actually drained, so an undersized ring is a
-  // loud failure, not corruption.
-  const std::uint64_t up_phase =
-      static_cast<std::uint64_t>(topology_.depth()) *
+  // A round holds its frame until its last broadcast is delivered, at most
+  // 2 * depth * link_delay after it starts; with one round starting per
+  // period, at most ceil(2 * depth * link_delay / period) + 1 rounds hold
+  // frames at once. Double the bound for slack around equal-time
+  // boundaries — begin_round asserts the bucket it reclaims has actually
+  // drained, so an undersized ring is a loud failure, not corruption.
+  const std::uint64_t round_trip =
+      2 * static_cast<std::uint64_t>(topology_.depth()) *
       static_cast<std::uint64_t>(config_.link_delay);
   const std::size_t in_flight =
-      static_cast<std::size_t>(up_phase / static_cast<std::uint64_t>(config_.period)) + 1;
+      static_cast<std::size_t>(round_trip / static_cast<std::uint64_t>(config_.period)) + 1;
   rounds_.resize(2 * in_flight + 2);
   for (RoundFrame& frame : rounds_) {
     frame.slots.resize(topology_.size());
@@ -80,10 +81,11 @@ void CombiningTree::begin_round(std::uint64_t round) {
   SHAREGRID_ASSERT(!frame.live);  // ring sized to bound in-flight rounds
   frame.round = round;
   frame.live = true;
-  frame.live_slots = nodes_.size();
+  // n - 1 reports up, then the aggregate's arrival at each of the n nodes
+  // (the root's own is local).
+  frame.messages_pending = 2 * nodes_.size() - 1;
   for (std::size_t node = 0; node < nodes_.size(); ++node) {
     RoundSlot& slot = frame.slots[node];
-    slot.live = true;
     slot.sum.assign(config_.vector_size, 0.0);
     slot.reports_pending = children_[node].size();
     if (nodes_[node].provider) {
@@ -95,53 +97,55 @@ void CombiningTree::begin_round(std::uint64_t round) {
   }
 }
 
-void CombiningTree::deliver_report(std::uint64_t round, std::size_t node,
-                                   const std::vector<double>& value) {
+CombiningTree::RoundFrame& CombiningTree::frame_of(std::uint64_t round) {
   RoundFrame& frame = rounds_[round % rounds_.size()];
   SHAREGRID_ASSERT(frame.live && frame.round == round);
+  return frame;
+}
+
+void CombiningTree::message_delivered(RoundFrame& frame) {
+  SHAREGRID_ASSERT(frame.messages_pending > 0);
+  // The bucket's slot vectors keep their capacity for the next round.
+  if (--frame.messages_pending == 0) frame.live = false;
+}
+
+void CombiningTree::deliver_report(std::uint64_t round, std::size_t child) {
+  RoundFrame& frame = frame_of(round);
+  const std::size_t node = topology_.parent[child];
+  const std::vector<double>& value = frame.slots[child].sum;
   RoundSlot& slot = frame.slots[node];
-  SHAREGRID_ASSERT(slot.live);
   for (std::size_t i = 0; i < value.size(); ++i) slot.sum[i] += value[i];
   SHAREGRID_ASSERT(slot.reports_pending > 0);
+  message_delivered(frame);
   if (--slot.reports_pending == 0) forward_up(round, node);
 }
 
 void CombiningTree::forward_up(std::uint64_t round, std::size_t node) {
-  RoundFrame& frame = rounds_[round % rounds_.size()];
-  SHAREGRID_ASSERT(frame.live && frame.round == round);
-  RoundSlot& slot = frame.slots[node];
-  SHAREGRID_ASSERT(slot.live);
-  // Retire the slot but keep its sum buffer in place (capacity is reused on
-  // the next round through this bucket); the buffer stays readable below
-  // because nothing re-enters this frame synchronously.
-  slot.live = false;
-  SHAREGRID_ASSERT(frame.live_slots > 0);
-  if (--frame.live_slots == 0) frame.live = false;
-
   const std::size_t parent = topology_.parent[node];
   if (parent == kNoParent) {
     // Root: the aggregate is complete; broadcast it back down.
     ++rounds_completed_;
-    broadcast_down(round, node, slot.sum);
+    broadcast_down(round, node);
     return;
   }
   ++messages_sent_;
+  // The report names its sender; the parent reads the partial sum from the
+  // sender's slot, which keeps it until the round's frame retires.
   sim_->schedule_after(config_.link_delay,
-                       [this, round, parent, sum = slot.sum] {
-                         deliver_report(round, parent, sum);
-                       });
+                       [this, round, node] { deliver_report(round, node); });
 }
 
-void CombiningTree::broadcast_down(std::uint64_t round, std::size_t node,
-                                   const std::vector<double>& aggregate) {
-  if (nodes_[node].receiver) nodes_[node].receiver(round, aggregate);
+void CombiningTree::broadcast_down(std::uint64_t round, std::size_t node) {
+  RoundFrame& frame = frame_of(round);
+  if (nodes_[node].receiver)
+    nodes_[node].receiver(round, frame.slots[root_].sum);
   for (std::size_t child : children_[node]) {
     ++messages_sent_;
-    sim_->schedule_after(config_.link_delay,
-                         [this, round, child, aggregate] {
-                           broadcast_down(round, child, aggregate);
-                         });
+    sim_->schedule_after(config_.link_delay, [this, round, child] {
+      broadcast_down(round, child);
+    });
   }
+  message_delivered(frame);
 }
 
 PairwiseExchange::PairwiseExchange(sim::Simulator* sim, std::size_t node_count,
@@ -185,21 +189,31 @@ void PairwiseExchange::begin_round() {
                                : std::vector<double>(config_.vector_size, 0.0);
     SHAREGRID_ASSERT(samples[i].size() == config_.vector_size);
   }
-  for (std::size_t dst = 0; dst < n; ++dst) {
-    if (!receivers_[dst]) {
-      messages_sent_ += n - 1;
-      continue;
-    }
-    std::vector<double> total(config_.vector_size, 0.0);
-    for (std::size_t src = 0; src < n; ++src) {
-      if (src != dst) ++messages_sent_;
-      for (std::size_t k = 0; k < config_.vector_size; ++k)
-        total[k] += samples[src][k];
-    }
-    sim_->schedule_after(config_.link_delay, [this, round, dst, total] {
-      receivers_[dst](round, total);
-    });
+  // Every destination sums the same n samples in the same order, so one
+  // total serves them all.
+  std::vector<double> total(config_.vector_size, 0.0);
+  for (std::size_t src = 0; src < n; ++src) {
+    for (std::size_t k = 0; k < config_.vector_size; ++k)
+      total[k] += samples[src][k];
   }
+  messages_sent_ += n * (n - 1);
+  std::size_t deliveries = 0;
+  for (std::size_t dst = 0; dst < n; ++dst) {
+    if (!receivers_[dst]) continue;
+    ++deliveries;
+    sim_->schedule_after(config_.link_delay,
+                         [this, round, dst] { deliver(round, dst); });
+  }
+  if (deliveries > 0)
+    in_flight_.push_back({round, std::move(total), deliveries});
+}
+
+void PairwiseExchange::deliver(std::uint64_t round, std::size_t dst) {
+  SHAREGRID_ASSERT(!in_flight_.empty());
+  InFlight& oldest = in_flight_.front();
+  SHAREGRID_ASSERT(oldest.round == round);
+  receivers_[dst](round, oldest.total);
+  if (--oldest.deliveries_pending == 0) in_flight_.pop_front();
 }
 
 }  // namespace sharegrid::coord

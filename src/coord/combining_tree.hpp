@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <vector>
 
@@ -74,38 +75,46 @@ class CombiningTree {
     Provider provider;
     Receiver receiver;
   };
-  /// Per-round partial aggregation at one interior node.
+  /// Per-round partial aggregation at one node. A node's sum stays in its
+  /// slot after the node reports: the report message names (round, node)
+  /// and the parent reads the sum from here on delivery, and the root's
+  /// slot holds the aggregate that the broadcast messages deliver.
   struct RoundSlot {
     std::vector<double> sum;
     std::size_t reports_pending = 0;
-    /// Created at round start, cleared when the node forwards its partial
-    /// sum; replaces the old map erase.
-    bool live = false;
   };
   /// All per-node slots of one in-flight round, stored in a ring bucket
   /// (`round % rounds_.size()`). The ring replaces a
   /// `std::map<(round, node), RoundSlot>` whose node churn dominated every
-  /// snapshot exchange: slot vectors are now allocated once and reused, and
-  /// lookup is two indexed loads. Capacity bounds the number of live rounds
-  /// — a round holds slots only during its up phase (≤ depth * link_delay),
-  /// and begin_round asserts the reclaimed bucket has drained.
+  /// snapshot exchange: slot vectors are allocated once and reused, and
+  /// lookup is two indexed loads. A round holds its frame until its last
+  /// message is delivered (≤ 2 * depth * link_delay after it starts), so
+  /// messages carry indices instead of vector copies; capacity bounds the
+  /// number of live rounds, and begin_round asserts the reclaimed bucket
+  /// has drained.
   struct RoundFrame {
     std::uint64_t round = 0;
     bool live = false;
-    std::size_t live_slots = 0;
+    /// Reports and broadcasts of this round not delivered yet.
+    std::size_t messages_pending = 0;
     std::vector<RoundSlot> slots;  // indexed by node
   };
 
   void begin_round(std::uint64_t round);
-  void deliver_report(std::uint64_t round, std::size_t node,
-                      const std::vector<double>& value);
+  /// The frame of a live @p round.
+  RoundFrame& frame_of(std::uint64_t round);
+  /// Counts one delivered message; retires the frame after the last one.
+  void message_delivered(RoundFrame& frame);
+  /// Report from @p child reaching its parent: fold in the child's sum.
+  void deliver_report(std::uint64_t round, std::size_t child);
   void forward_up(std::uint64_t round, std::size_t node);
-  void broadcast_down(std::uint64_t round, std::size_t node,
-                      const std::vector<double>& aggregate);
+  /// Hands the round's aggregate to @p node and sends it on to its children.
+  void broadcast_down(std::uint64_t round, std::size_t node);
 
   sim::Simulator* sim_;
   TreeTopology topology_;
   std::vector<std::vector<std::size_t>> children_;
+  std::size_t root_ = 0;
   TreeConfig config_;
   std::vector<NodeState> nodes_;
   // Ring of in-flight rounds; see RoundFrame.
@@ -133,12 +142,24 @@ class PairwiseExchange {
   std::uint64_t messages_sent() const { return messages_sent_; }
 
  private:
+  /// One round's total while its messages are in flight. Every message
+  /// carries the same total, and with one link delay rounds deliver in
+  /// start order, so messages carry (round, destination) and read the
+  /// oldest entry.
+  struct InFlight {
+    std::uint64_t round = 0;
+    std::vector<double> total;
+    std::size_t deliveries_pending = 0;
+  };
+
   void begin_round();
+  void deliver(std::uint64_t round, std::size_t dst);
 
   sim::Simulator* sim_;
   TreeConfig config_;
   std::vector<CombiningTree::Provider> providers_;
   std::vector<CombiningTree::Receiver> receivers_;
+  std::deque<InFlight> in_flight_;  // oldest round first
   std::unique_ptr<sim::PeriodicTask> task_;
   std::uint64_t next_round_ = 0;
   std::uint64_t messages_sent_ = 0;

@@ -29,6 +29,7 @@ ClientFleet::ClientFleet(sim::Simulator* sim, RequestSlab* requests,
   SHAREGRID_EXPECTS(config_.principal != core::kNoPrincipal);
   SHAREGRID_EXPECTS(config_.max_outstanding >= 1);
   SHAREGRID_EXPECTS(!streams.empty());
+  alive_ = sim_->new_liveness_flag();
   machines_.reserve(streams.size());
   for (const Rng& stream : streams) machines_.push_back({stream});
 }

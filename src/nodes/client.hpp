@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "nodes/metrics.hpp"
@@ -84,6 +83,7 @@ class ClientFleet final : public RequestSource {
     bool loop_armed = false;
   };
 
+  /// @param sim      owns the node's liveness flag; it must outlive the node.
   /// @param requests the domain's in-flight requests (not owned).
   /// @param streams  one RNG stream per machine; the fleet has
   ///                 `streams.size()` machines.
@@ -123,7 +123,7 @@ class ClientFleet final : public RequestSource {
   std::vector<Machine> machines_;
 
   bool active_ = false;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  bool* alive_ = nullptr;  // owned by sim_ (Simulator::new_liveness_flag)
 };
 
 }  // namespace sharegrid::nodes

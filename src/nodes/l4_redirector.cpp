@@ -39,6 +39,7 @@ L4Redirector::L4Redirector(sim::Simulator* sim, RequestSlab* requests,
   SHAREGRID_EXPECTS(metrics != nullptr);
   SHAREGRID_EXPECTS(servers != nullptr);
   SHAREGRID_EXPECTS(member != nullptr);
+  alive_ = sim_->new_liveness_flag();
   const std::size_t n = member_->size();
   queues_.resize(n);
   in_flight_.assign(n, 0.0);

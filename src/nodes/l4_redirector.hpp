@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -53,6 +52,7 @@ class L4Redirector final : public RedirectorBase {
     WindowTrace* trace = nullptr;
   };
 
+  /// @param sim      owns the node's liveness flag; it must outlive the node.
   /// @param requests the domain's in-flight requests (not owned).
   /// @param member   this node's control-plane slice (not owned). The node
   ///                 binds its demand/window hooks in the ctor; a member can
@@ -121,7 +121,7 @@ class L4Redirector final : public RedirectorBase {
   std::uint64_t admitted_ = 0;
   std::uint64_t flushed_drops_ = 0;
   std::uint64_t flushed_admitted_ = 0;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  bool* alive_ = nullptr;  // owned by sim_ (Simulator::new_liveness_flag)
 };
 
 }  // namespace sharegrid::nodes

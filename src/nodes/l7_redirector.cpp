@@ -20,6 +20,7 @@ L7Redirector::L7Redirector(sim::Simulator* sim, RequestSlab* requests,
   SHAREGRID_EXPECTS(metrics != nullptr);
   SHAREGRID_EXPECTS(servers != nullptr);
   SHAREGRID_EXPECTS(member != nullptr);
+  alive_ = sim_->new_liveness_flag();
   held_.resize(member_->size());
 
   coord::ControlPlane::MemberHooks hooks;

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,6 +48,7 @@ class L7Redirector final : public RedirectorBase {
     WindowTrace* trace = nullptr;
   };
 
+  /// @param sim      owns the node's liveness flag; it must outlive the node.
   /// @param requests the domain's in-flight requests (not owned).
   /// @param member   this node's control-plane slice (not owned). The node
   ///                 binds its demand/window hooks in the ctor; a member can
@@ -89,7 +89,7 @@ class L7Redirector final : public RedirectorBase {
 
   std::uint64_t admitted_ = 0;
   std::uint64_t self_redirects_ = 0;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  bool* alive_ = nullptr;  // owned by sim_ (Simulator::new_liveness_flag)
 };
 
 }  // namespace sharegrid::nodes

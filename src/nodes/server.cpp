@@ -18,6 +18,7 @@ Server::Server(sim::Simulator* sim, RequestSlab* requests, Metrics* metrics,
   SHAREGRID_EXPECTS(metrics != nullptr);
   SHAREGRID_EXPECTS(config_.capacity > 0.0);
   SHAREGRID_EXPECTS(config_.owner != core::kNoPrincipal);
+  alive_ = sim_->new_liveness_flag();
 }
 
 void Server::submit(RequestHandle request, sim::Callback on_complete) {

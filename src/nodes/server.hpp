@@ -2,7 +2,6 @@
 // 1 GHz PCs; here a capacity-C requests/sec service queue, DESIGN.md §4).
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,6 +29,7 @@ class Server {
     l4::Endpoint endpoint;                         ///< L4 address
   };
 
+  /// @param sim      owns the node's liveness flag; it must outlive the node.
   /// @param requests the domain's in-flight requests (not owned).
   Server(sim::Simulator* sim, RequestSlab* requests, Metrics* metrics,
          Config config);
@@ -65,8 +65,8 @@ class Server {
   double units_served_ = 0.0;
   util::RingQueue<sim::Callback> pending_;  ///< completions, in due order
   // Completion events may still sit in the simulator queue when a server is
-  // destroyed mid-run; the shared flag makes them inert instead of dangling.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  // destroyed mid-run; the flag makes them inert instead of dangling.
+  bool* alive_ = nullptr;  // owned by sim_ (Simulator::new_liveness_flag)
 };
 
 /// Maps resource-owning principals to their physical machines and picks a

@@ -22,6 +22,7 @@ TraceClient::TraceClient(sim::Simulator* sim, RequestSlab* requests,
   SHAREGRID_EXPECTS(metrics != nullptr);
   SHAREGRID_EXPECTS(redirector != nullptr);
   SHAREGRID_EXPECTS(trace != nullptr);
+  alive_ = sim_->new_liveness_flag();
 }
 
 void TraceClient::start() {

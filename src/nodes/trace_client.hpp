@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "nodes/client.hpp"
 #include "nodes/metrics.hpp"
@@ -30,6 +29,7 @@ class TraceClient final : public RequestSource {
     SimDuration net_delay = 500;    ///< one-way hop delay (usec)
   };
 
+  /// @param sim      owns the node's liveness flag; it must outlive the node.
   /// @param requests the domain's in-flight requests (not owned).
   /// @param trace    replayed arrivals (not owned; must outlive the client).
   TraceClient(sim::Simulator* sim, RequestSlab* requests, Metrics* metrics,
@@ -64,7 +64,7 @@ class TraceClient final : public RequestSource {
   Rng rng_;
   std::uint64_t issued_ = 0;
   std::uint64_t completed_ = 0;
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
+  bool* alive_ = nullptr;  // owned by sim_ (Simulator::new_liveness_flag)
 };
 
 }  // namespace sharegrid::nodes

@@ -2,12 +2,15 @@
 //
 // std::function pays a heap allocation for any capture larger than its tiny
 // internal buffer, and the old simulator paid that price once per scheduled
-// event. sim::Callback is a move-only callable wrapper with 48 bytes of
-// inline storage — enough for closures of a few pointers plus a SimTime,
-// such as periodic tasks and client arrival loops — that falls back to the
-// heap for oversized or throwing-move captures. The request path's closures
-// carry a 4-byte nodes::RequestHandle instead of a 48-byte nodes::Request
-// and fit too: an admitted L4 request costs about 0.01 operator new calls
+// event. sim::Callback is a move-only callable wrapper with 32 bytes of
+// inline storage at 8-byte alignment, so the whole wrapper is 40 bytes and
+// an EventNode fits one 64-byte cache line (timing_wheel.hpp). Captures
+// that are larger, aligned above 8 bytes, or throwing on move take the heap
+// path. The request path fits: its closures carry a node pointer, a
+// simulator-owned liveness flag (Simulator::new_liveness_flag) and a 4-byte
+// nodes::RequestHandle, plus a server pointer on the forward hop — 24 or 32
+// bytes, trivially copyable, so a move is a memcpy and a reset does nothing.
+// An admitted L4 request costs about 0.01 operator new calls
 // (tests/alloc_count_test.cpp, docs/sim-performance.md, DESIGN.md D8).
 #pragma once
 
@@ -25,11 +28,14 @@ namespace sharegrid::sim {
 /// Move-only `void()` callable with small-buffer optimization.
 class Callback {
  public:
-  /// Inline capture budget. Sized so closures of `this` plus a shared_ptr
-  /// liveness flag plus a timestamp or an index, or a std::function copy,
-  /// stay allocation-free, while an EventNode still packs into one cache
-  /// line pair.
-  static constexpr std::size_t kInlineBytes = 48;
+  /// Inline capture budget. Sized so closures of `this` plus a liveness
+  /// flag pointer plus a handle and a server pointer, or a std::function
+  /// copy, stay allocation-free, while an EventNode packs into one cache
+  /// line.
+  static constexpr std::size_t kInlineBytes = 32;
+  /// Alignment of the inline buffer; captures aligned above it go to the
+  /// heap.
+  static constexpr std::size_t kInlineAlign = alignof(void*);
 
   Callback() noexcept = default;
   Callback(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
@@ -103,7 +109,7 @@ class Callback {
   template <class F>
   static constexpr bool fits_inline() {
     return sizeof(F) <= kInlineBytes &&
-           alignof(F) <= alignof(std::max_align_t) &&
+           alignof(F) <= kInlineAlign &&
            std::is_nothrow_move_constructible_v<F>;
   }
 
@@ -158,8 +164,11 @@ class Callback {
     }
   }
 
-  alignas(std::max_align_t) std::byte storage_[kInlineBytes];
+  alignas(kInlineAlign) std::byte storage_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
+
+static_assert(sizeof(Callback) == Callback::kInlineBytes + sizeof(void*),
+              "Callback is its inline buffer plus one ops pointer");
 
 }  // namespace sharegrid::sim

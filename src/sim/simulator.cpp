@@ -67,21 +67,20 @@ void Simulator::run_all() {
 
 PeriodicTask::PeriodicTask(Simulator* sim, SimTime start, SimDuration period,
                            std::function<void()> body)
-    : sim_(sim),
-      period_(period),
-      body_(std::move(body)),
-      alive_(std::make_shared<bool>(true)) {
+    : sim_(sim), period_(period), body_(std::move(body)) {
   SHAREGRID_EXPECTS(sim != nullptr);
   SHAREGRID_EXPECTS(period > 0);
   SHAREGRID_EXPECTS(body_ != nullptr);
+  alive_ = sim_->new_liveness_flag();
   arm(start);
 }
 
 void PeriodicTask::arm(SimTime when) {
-  // The shared alive flag lets a cancelled/destroyed task leave its pending
-  // event harmlessly in the queue. The closure is {this, shared_ptr copy,
-  // SimTime} = 32 bytes — inside Callback's inline buffer, so each firing
-  // rearms without re-wrapping body_ or touching the heap.
+  // The simulator-owned alive flag lets a cancelled/destroyed task leave its
+  // pending event harmlessly in the queue. The closure is {this, flag
+  // pointer, SimTime} = 24 trivially copyable bytes — inside Callback's
+  // inline buffer, so each firing rearms without re-wrapping body_ or
+  // touching the heap.
   sim_->schedule_at(when, [this, alive = alive_, when] {
     if (!*alive) return;
     body_();

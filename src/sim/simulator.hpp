@@ -7,15 +7,18 @@
 // (DESIGN.md D4).
 //
 // The store is a hierarchical timing wheel (timing_wheel.hpp) rather than a
-// binary heap: O(1) schedule and pop instead of O(log n). Event nodes come
-// from a freelist, and the small-buffer Callback (callback.hpp) stores
-// closures of up to 48 bytes inline, so only larger closures allocate; the
-// request path keeps its closures inside that budget by carrying slab
-// handles (nodes/request.hpp). Design notes and measurements:
+// binary heap: O(1) schedule and pop instead of O(log n). Event nodes are
+// one 64-byte cache line each and come from a freelist, and the
+// small-buffer Callback (callback.hpp) stores closures of up to 32 bytes
+// inline, so only larger closures allocate. The request path keeps its
+// closures inside that budget by carrying slab handles (nodes/request.hpp)
+// and a plain pointer to a liveness flag the simulator owns
+// (new_liveness_flag). Design notes and measurements:
 // docs/sim-performance.md, DESIGN.md D8.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -72,6 +75,15 @@ class Simulator {
   /// Total events executed so far (for the micro benches).
   std::uint64_t events_processed() const { return events_processed_; }
 
+  /// A new liveness flag, set to true. A node or task whose pending events
+  /// must turn inert once it is gone captures the pointer in its closures
+  /// and clears the flag in its destructor; the closures check it before
+  /// touching the node. The flag lives as long as this simulator, never
+  /// moves, and is never reused, so closures carry 8 bytes and no
+  /// refcount. Contract: whoever takes a flag is destroyed before this
+  /// simulator.
+  bool* new_liveness_flag() { return &flags_.emplace_back(true); }
+
  private:
   /// Nodes are pool-allocated in chunks and recycled through a freelist, so
   /// the steady-state loop never touches the heap.
@@ -93,6 +105,7 @@ class Simulator {
   TimingWheel wheel_;
   EventNode* free_ = nullptr;
   std::vector<std::unique_ptr<EventNode[]>> arena_;
+  std::deque<bool> flags_;  // see new_liveness_flag(); elements never move
 };
 
 /// Helper that reruns a callback at a fixed period until cancelled; the
@@ -101,6 +114,8 @@ class PeriodicTask {
  public:
   /// Starts firing at @p start and then every @p period. The callback runs
   /// while the task is live; destroying or cancel()ing stops future firings.
+  /// The task takes a liveness flag from @p sim, so it must be destroyed
+  /// before @p sim.
   PeriodicTask(Simulator* sim, SimTime start, SimDuration period,
                std::function<void()> body);
   ~PeriodicTask() { cancel(); }
@@ -116,7 +131,7 @@ class PeriodicTask {
   Simulator* sim_;
   SimDuration period_;
   std::function<void()> body_;  // stored once; rearming never re-wraps it
-  std::shared_ptr<bool> alive_;
+  bool* alive_ = nullptr;       // owned by sim_
 };
 
 }  // namespace sharegrid::sim

@@ -90,46 +90,6 @@ void TimingWheel::advance_to(SimTime t) {
   }
 }
 
-SimTime TimingWheel::next_due(SimTime limit) {
-  for (;;) {
-    if (occupied_[0] != 0) {
-      // Level-0 slots bucket single microseconds of the cursor's current
-      // 64-us span, so the earliest occupied slot IS the event time — and
-      // level 0, when occupied, always holds the global minimum (deeper
-      // starts lie at or past the cursor's 4096-us bucket boundary).
-      const SimTime best = (cursor_ & ~static_cast<SimTime>(kSlots - 1)) +
-                           std::countr_zero(occupied_[0]);
-      return best <= limit ? best : kNoEvent;
-    }
-    if (size_ == 0) return kNoEvent;
-    // A bucket start (or the overflow minimum), a lower bound on every
-    // event in it: advance there and cascade, then look again.
-    const SimTime best = deep_min();
-    if (best > limit) return kNoEvent;
-    advance_to(best);
-  }
-}
-
-EventNode* TimingWheel::pop_at(SimTime t) {
-  // Same 64-us span as the cursor, so no bucket boundary is crossed and no
-  // cascade is needed.
-  SHAREGRID_EXPECTS(t >= cursor_);
-  SHAREGRID_EXPECTS((t ^ cursor_) < static_cast<SimTime>(kSlots));
-  cursor_ = t;
-  const std::size_t index = slot_index(t, 0);
-  Slot& slot = slots_[0][index];
-  EventNode* node = slot.head;
-  SHAREGRID_EXPECTS(node != nullptr && node->time == t);
-  slot.head = node->next;
-  if (slot.head == nullptr) {
-    slot.tail = nullptr;
-    occupied_[0] &= ~(std::uint64_t{1} << index);
-  }
-  node->next = nullptr;
-  --size_;
-  return node;
-}
-
 void TimingWheel::audit_consistency(std::uint64_t inserted,
                                     std::uint64_t popped) const {
   std::uint64_t pending = 0;

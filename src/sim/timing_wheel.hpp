@@ -17,7 +17,9 @@
 // re-verifies this plus event conservation after every cascade.
 //
 // The wheel stores raw EventNode pointers and never allocates; nodes are
-// owned, pooled, and recycled by the Simulator.
+// owned, pooled, and recycled by the Simulator. A node is one 64-byte cache
+// line (time, seq, next and a 40-byte Callback), so a cascade that walks a
+// slot list touches one line per event.
 #pragma once
 
 #include <bit>
@@ -32,13 +34,18 @@
 namespace sharegrid::sim {
 
 /// One scheduled event. Pool-allocated by the Simulator, threaded through
-/// wheel slot lists (or the freelist) via `next`.
-struct EventNode {
+/// wheel slot lists (or the freelist) via `next`. Exactly one cache line:
+/// filing, cascading and dispatching an event touch a single line, and a
+/// 64-node chunk is 4 KiB.
+struct alignas(64) EventNode {
   SimTime time = 0;
   std::uint64_t seq = 0;  ///< scheduling order; audits equal-time FIFO
   EventNode* next = nullptr;
   Callback fn;
 };
+
+static_assert(sizeof(EventNode) == 64,
+              "an event node is one cache line: time, seq, next, callback");
 
 /// Hierarchical timing wheel over EventNodes (see file comment).
 class TimingWheel {
@@ -99,15 +106,6 @@ class TimingWheel {
       advance_to(best);  // cascades; the next pass finds level 0 occupied
     }
   }
-
-  /// Returns the earliest pending event time, or kNoEvent if none is due at
-  /// or before @p limit. Cascades internally and may advance the cursor up
-  /// to (never past) min(limit, earliest event time).
-  SimTime next_due(SimTime limit);
-
-  /// Pops the earliest event at time @p t, which the immediately preceding
-  /// next_due() call must have returned; advances the cursor to @p t.
-  EventNode* pop_at(SimTime t);
 
   /// Advances the cursor to @p t, which must not pass the earliest pending
   /// event; re-files events whose bucket the cursor enters.

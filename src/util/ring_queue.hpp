@@ -3,7 +3,7 @@
 // std::deque allocates a block each time its tail crosses into a new one
 // and frees the head block once drained, so a queue that stays short but
 // never empties still allocates once per block's worth of traffic (every
-// nine elements for a 56-byte sim::Callback). RingQueue keeps its buffer
+// twelve elements for a 40-byte sim::Callback). RingQueue keeps its buffer
 // while it is in use: it allocates only when its length reaches a new
 // high, and a queue that drains after a burst past kKeep elements shrinks
 // back to kKeep, so the burst's memory does not stay with the queue.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -13,8 +14,10 @@
 #include "nodes/l7_redirector.hpp"
 #include "nodes/metrics.hpp"
 #include "nodes/server.hpp"
+#include "nodes/trace_client.hpp"
 #include "sim/simulator.hpp"
 #include "test_helpers.hpp"
+#include "workload/trace.hpp"
 
 namespace sharegrid::nodes {
 namespace {
@@ -136,6 +139,29 @@ TEST(Server, CompletionsFireInSubmissionOrder) {
     EXPECT_EQ(done[i].first, i);
     EXPECT_EQ(done[i].second, due[i]);
   }
+}
+
+// A server destroyed with completions pending leaves them inert: nothing is
+// served or completed once it is gone (debug-asan catches a completion event
+// that would still touch it).
+TEST(Server, DestructionIsSafeWithPendingEvents) {
+  sim::Simulator sim;
+  RequestSlab requests;
+  Metrics metrics(1);
+  auto server = std::make_unique<Server>(
+      &sim, &requests, &metrics, Server::Config{"s", 0, 100.0, {1, 80}});
+  int completions = 0;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    server->submit(requests.acquire(make_request(0, i, 0), nullptr),
+                   [&] { ++completions; });
+  }
+  sim.run_until(seconds(0.035));  // 10 ms per request: three done
+  EXPECT_EQ(completions, 3);
+  server.reset();
+  EXPECT_FALSE(sim.idle());
+  sim.run_all();
+  EXPECT_EQ(completions, 3);
+  EXPECT_EQ(metrics.served(0).total_events(), 3u);
 }
 
 TEST(ServerPool, PicksLeastBackloggedMachineOfOwner) {
@@ -402,6 +428,41 @@ TEST(ClientFleet, CallbacksTouchOnlyTheAddressedMachine) {
   EXPECT_EQ(snapshot(), after);
 }
 
+// A fleet destroyed with its arrival loop, a send, a hop to a server and a
+// retry pending leaves them all inert.
+TEST(ClientFleet, DestructionIsSafeWithPendingEvents) {
+  sim::Simulator sim;
+  RequestSlab requests;
+  Metrics metrics(1);
+  RecordingRedirector redirector(&requests);
+  Server server(&sim, &requests, &metrics, {"s", 0, 100.0, {1, 80}});
+  auto fleet = std::make_unique<ClientFleet>(
+      &sim, &requests, &metrics, &redirector, client_config(100.0, 1000),
+      std::vector<Rng>{Rng(1), Rng(2)});
+  fleet->set_active(true);
+  // Arrivals every 10 ms: the one at 1 s is still on its way.
+  sim.run_until(seconds(1.0));
+  ASSERT_GE(redirector.handles.size(), 2u);
+  fleet->on_redirect_to_server(redirector.handles[0], &server);
+  fleet->on_self_redirect(redirector.handles[1]);
+  const std::size_t seen = redirector.requests.size();
+  fleet.reset();
+  EXPECT_FALSE(sim.idle());
+  sim.run_until(seconds(5.0));
+  EXPECT_EQ(redirector.requests.size(), seen);
+  EXPECT_EQ(server.units_served(), 0.0);
+  EXPECT_EQ(metrics.latency(0).count(), 0u);
+}
+
+/// Counts the callbacks a redirector makes to its request source.
+class CountingSource final : public RequestSource {
+ public:
+  void on_redirect_to_server(RequestHandle, Server*) override { ++calls; }
+  void on_self_redirect(RequestHandle) override { ++calls; }
+  void on_response(RequestHandle) override { ++calls; }
+  int calls = 0;
+};
+
 // --- L7Redirector ---------------------------------------------------------------
 
 struct L7Fixture {
@@ -486,6 +547,34 @@ TEST(L7Redirector, LocalDemandTracksArrivals) {
   const std::vector<double> demand = f.redirector->local_demand();
   EXPECT_NEAR(demand[0], 100.0, 10.0);
   EXPECT_NEAR(demand[1], 0.0, 1e-9);
+}
+
+// Requests handed straight to a redirector get their 302 one hop later.
+// When the redirector is destroyed first, those hops stay inert; the run
+// without destruction shows they were pending.
+TEST(L7Redirector, DestructionIsSafeWithPendingEvents) {
+  for (const bool destroy : {false, true}) {
+    sim::Simulator sim;
+    RequestSlab requests;
+    Metrics metrics(1);
+    FixedRateScheduler scheduler({100.0});
+    coord::ControlPlane plane(&scheduler, coord::ControlPlaneConfig{});
+    Server server(&sim, &requests, &metrics, {"s", 0, 1000.0, {1, 80}});
+    ServerPool pool;
+    pool.add(&server);
+    CountingSource source;
+    auto redirector = std::make_unique<L7Redirector>(
+        &sim, &requests, &metrics, &pool, plane.add_member(),
+        L7Redirector::Config{});
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      redirector->on_client_request(
+          requests.acquire(make_request(0, i, 0), &source));
+    }
+    if (destroy) redirector.reset();
+    EXPECT_FALSE(sim.idle());
+    sim.run_all();
+    EXPECT_EQ(source.calls, destroy ? 0 : 4);
+  }
 }
 
 // --- L4Redirector ---------------------------------------------------------------
@@ -573,6 +662,69 @@ TEST(L4Redirector, ConnectionsDrainAfterService) {
   EXPECT_EQ(f.redirector->connections().active_connections(), 0u);
   EXPECT_GT(f.redirector->connections().flows(), 0u);
   EXPECT_EQ(f.requests.in_flight(), 0u);
+}
+
+// Connections admitted at the first window queue at a slow server. The
+// redirector is destroyed with forward hops, server completions and reply
+// hops of its own pending; none of them reaches the source afterwards.
+TEST(L4Redirector, DestructionIsSafeWithPendingEvents) {
+  for (const bool destroy : {false, true}) {
+    sim::Simulator sim;
+    RequestSlab requests;
+    Metrics metrics(1);
+    FixedRateScheduler scheduler({1000.0});
+    coord::ControlPlane plane(&scheduler, coord::ControlPlaneConfig{});
+    Server server(&sim, &requests, &metrics, {"s", 0, 100.0, {1, 80}});
+    ServerPool pool;
+    pool.add(&server);
+    CountingSource source;
+    auto redirector = std::make_unique<L4Redirector>(
+        &sim, &requests, &metrics, &pool, plane.add_member(),
+        L4Redirector::Config{});
+    coord::SimWindowDriver driver(&sim, &plane);
+    driver.start(100 * kMillisecond);
+    // Parked until the 100 ms window grants quota and reinjects them.
+    for (std::uint64_t i = 0; i < 20; ++i) {
+      redirector->on_client_request(
+          requests.acquire(make_request(0, i, 0, i), &source));
+    }
+    sim.run_until(seconds(0.13));
+    driver.stop();
+    const std::uint64_t admitted = redirector->admitted();
+    ASSERT_GT(admitted, 3u);
+    const int calls = source.calls;
+    EXPECT_GT(calls, 0);
+    EXPECT_GT(server.backlog_seconds(), 0.0);
+    if (destroy) redirector.reset();
+    sim.run_all();
+    EXPECT_EQ(source.calls, destroy ? calls : static_cast<int>(admitted));
+  }
+}
+
+// Each node checks its simulator before taking a liveness flag from it, so a
+// null simulator is a contract violation, not a crash.
+TEST(NodeConstructors, RejectANullSimulator) {
+  RequestSlab requests;
+  Metrics metrics(1);
+  FixedRateScheduler scheduler({100.0});
+  coord::ControlPlane plane(&scheduler, coord::ControlPlaneConfig{});
+  ServerPool pool;
+  RecordingRedirector redirector(&requests);
+  const workload::RequestTrace trace;
+  EXPECT_THROW(Server(nullptr, &requests, &metrics, {"s", 0, 100.0, {1, 80}}),
+               ContractViolation);
+  EXPECT_THROW(ClientFleet(nullptr, &requests, &metrics, &redirector,
+                           client_config(100.0, 10), {Rng(1)}),
+               ContractViolation);
+  EXPECT_THROW(TraceClient(nullptr, &requests, &metrics, &redirector, &trace,
+                           TraceClient::Config{}, Rng(1)),
+               ContractViolation);
+  EXPECT_THROW(L7Redirector(nullptr, &requests, &metrics, &pool,
+                            plane.add_member(), L7Redirector::Config{}),
+               ContractViolation);
+  EXPECT_THROW(L4Redirector(nullptr, &requests, &metrics, &pool,
+                            plane.add_member(), L4Redirector::Config{}),
+               ContractViolation);
 }
 
 /// Plans like FixedRateScheduler but flags every plan as an LP fallback, as

@@ -170,13 +170,10 @@ TEST(TimingWheel, AuditConsistencyAcceptsCascadedState) {
 
   std::uint64_t popped = 0;
   SimTime last = -1;
-  for (;;) {
-    const SimTime due = wheel.next_due(TimingWheel::kNoEvent);
-    if (due == TimingWheel::kNoEvent) break;
-    EXPECT_GE(due, last);
-    last = due;
-    EventNode* node = wheel.pop_at(due);
-    EXPECT_EQ(node->time, due);
+  while (EventNode* node = wheel.pop_next(TimingWheel::kNoEvent)) {
+    EXPECT_GE(node->time, last);
+    EXPECT_EQ(wheel.cursor(), node->time);
+    last = node->time;
     ++popped;
     wheel.audit_consistency(seq, popped);
   }
@@ -201,7 +198,7 @@ TEST(Callback, InlineAndHeapCapturesBothInvoke) {
   small();
   EXPECT_EQ(hits, 1);
 
-  // Oversized capture (> 48 bytes) forces the heap path; behaviour must be
+  // Oversized capture (> 32 bytes) forces the heap path; behaviour must be
   // identical.
   struct Big {
     double payload[16] = {};
@@ -211,6 +208,22 @@ TEST(Callback, InlineAndHeapCapturesBothInvoke) {
   Callback large([big, &sum] { sum += big.payload[3]; });
   large();
   EXPECT_EQ(sum, 7.0);
+
+  // A small capture aligned above the buffer's 8 bytes also takes the heap
+  // path, so it still runs at an address of its own alignment.
+  struct alignas(16) Aligned {
+    int* hits;
+    void operator()() const {
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(this) % 16, 0u);
+      ++*hits;
+    }
+  };
+  static_assert(sizeof(Aligned) <= Callback::kInlineBytes);
+  static_assert(alignof(Aligned) > Callback::kInlineAlign);
+  Callback aligned(Aligned{&hits});
+  Callback moved(std::move(aligned));
+  moved();
+  EXPECT_EQ(hits, 2);
 }
 
 TEST(Callback, MoveTransfersAndEmptiesSource) {

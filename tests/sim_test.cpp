@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event simulation engine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -69,6 +70,21 @@ TEST(Simulator, CountsProcessedEvents) {
   EXPECT_EQ(sim.events_processed(), 42u);
 }
 
+TEST(Simulator, LivenessFlagsStartTrueAndNeverMove) {
+  Simulator sim;
+  bool* first = sim.new_liveness_flag();
+  EXPECT_TRUE(*first);
+  *first = false;
+  std::vector<bool*> more;
+  for (int i = 0; i < 10000; ++i) more.push_back(sim.new_liveness_flag());
+  // Still the same flag after the store grew (debug-asan would flag a
+  // relocation), and every flag is its own.
+  EXPECT_FALSE(*first);
+  for (bool* flag : more) EXPECT_TRUE(*flag);
+  std::sort(more.begin(), more.end());
+  EXPECT_EQ(std::adjacent_find(more.begin(), more.end()), more.end());
+}
+
 TEST(PeriodicTask, FiresAtFixedPeriod) {
   Simulator sim;
   std::vector<SimTime> fires;
@@ -96,6 +112,10 @@ TEST(PeriodicTask, DestructionIsSafeWithPendingEvents) {
   }  // destroyed; its queued event must be inert
   sim.run_until(100);
   EXPECT_EQ(fired, 2);
+}
+
+TEST(PeriodicTask, RejectsANullSimulator) {
+  EXPECT_THROW(PeriodicTask(nullptr, 0, 10, [] {}), ContractViolation);
 }
 
 TEST(PeriodicTask, BodyCanCancelItself) {

@@ -1,6 +1,8 @@
 // Tests for request traces and the open-loop TraceClient.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "coord/control_plane.hpp"
 #include "coord/window_driver.hpp"
 #include "nodes/l4_redirector.hpp"
@@ -110,6 +112,44 @@ TEST(TraceClient, ReplaysOpenLoopThroughL4) {
               5.0);
   // The unserved backlog sits in the redirector queue, still growing.
   EXPECT_GT(redirector.queue_length(0), 1000u);
+}
+
+/// Counts the requests clients hand to it.
+class CountingRedirector final : public nodes::RedirectorBase {
+ public:
+  void on_client_request(nodes::RequestHandle) override { ++requests; }
+  int requests = 0;
+};
+
+// A trace client destroyed with arrivals, a send, a hop to a server and a
+// retry pending leaves them all inert.
+TEST(TraceClient, DestructionIsSafeWithPendingEvents) {
+  sim::Simulator sim;
+  nodes::RequestSlab requests;
+  nodes::Metrics metrics(1);
+  nodes::Server server(&sim, &requests, &metrics, {"s", 0, 1000.0, {1, 80}});
+  CountingRedirector redirector;
+  RequestTrace trace;
+  for (int i = 1; i <= 100; ++i)
+    trace.append({i * 10 * kMillisecond, 0, 1.0, 100.0});
+  auto client = std::make_unique<nodes::TraceClient>(
+      &sim, &requests, &metrics, &redirector, &trace,
+      nodes::TraceClient::Config{}, Rng(3));
+  client->start();
+  // The arrival at 500 ms is still on its way to the redirector.
+  sim.run_until(seconds(0.5));
+  nodes::Request request;
+  request.principal = 0;
+  client->on_redirect_to_server(requests.acquire(request, client.get()),
+                                &server);
+  client->on_self_redirect(requests.acquire(request, client.get()));
+  const int seen = redirector.requests;
+  EXPECT_EQ(seen, 49);
+  client.reset();
+  sim.run_all();
+  EXPECT_EQ(redirector.requests, seen);
+  EXPECT_EQ(server.units_served(), 0.0);
+  EXPECT_EQ(metrics.latency(0).count(), 0u);
 }
 
 TEST(TraceClient, IdenticalInputForDifferentSchedulers) {
