@@ -43,7 +43,7 @@ Outcome run_with(const sched::Scheduler* scheduler,
   sim::Simulator sim;
   nodes::RequestSlab requests;
   nodes::Metrics metrics(3);
-  nodes::Server server(&sim, &requests, &metrics, {"s", 0, 320.0, {1, 80}});
+  nodes::Server server(&sim, &requests, &metrics, {"s", 0, 320.0});
   nodes::ServerPool pool;
   pool.add(&server);
   coord::ControlPlane plane(scheduler, {});

@@ -15,7 +15,7 @@
 
 #include "core/agreement_graph.hpp"
 #include "core/flow.hpp"
-#include "l4/packet.hpp"
+#include "l4/connection_table.hpp"
 #include "util/flat_map.hpp"
 #include "util/rng.hpp"
 
@@ -68,7 +68,7 @@ BENCHMARK(BM_AccessLevelsDenseBoundedPaths)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
 // looked up per packet and erased per FIN. l4::ConnectionTable has since
 // moved on to one 12-byte entry per flow whose release clears an open bit
 // (docs/sim-performance.md), so neither side is its current layout. Keys
-// follow the redirector's endpoint synthesis (nodes/l4_redirector.cpp).
+// keep the (client, vip) endpoint pair the table was keyed by then.
 
 using FlowKey = std::pair<l4::Endpoint, l4::Endpoint>;  // (client, vip)
 

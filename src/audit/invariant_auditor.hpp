@@ -551,8 +551,9 @@ void audit_parallel_plan_match(const Plan& parallel, const Plan& serial,
 /// hint (closed), so the two can no longer disagree. What can still drift:
 /// the open-flow counter behind active_connections() must equal the number
 /// of entries marked open, and every stored vip and server index must name
-/// an element of its list. @p flows maps keys with a `vip` index to values
-/// with `server()` and `open()` (l4::ConnectionTable::FlowMap).
+/// one of the caller's @p vips principals and @p servers machines. @p flows
+/// maps keys with a `vip` index to values with `server()` and `open()`
+/// (l4::ConnectionTable::FlowMap).
 template <class FlowMap>
 void audit_connection_table(const FlowMap& flows, std::size_t open_flows,
                             std::size_t vips, std::size_t servers) {
@@ -561,13 +562,13 @@ void audit_connection_table(const FlowMap& flows, std::size_t open_flows,
   for (const auto& [key, flow] : flows) {
     require(key.vip < vips, "l4.vip-index-range", [&] {
       return "flow #" + std::to_string(index) + " names vip " +
-             std::to_string(key.vip) + " of a " + std::to_string(vips) +
-             "-entry vip list";
+             std::to_string(key.vip) + " of " + std::to_string(vips) +
+             " vips";
     });
     require(flow.server() < servers, "l4.server-index-range", [&] {
       return "flow #" + std::to_string(index) + " names server " +
-             std::to_string(flow.server()) + " of a " +
-             std::to_string(servers) + "-entry server list";
+             std::to_string(flow.server()) + " of " +
+             std::to_string(servers) + " servers";
     });
     if (flow.open()) ++open;
     ++index;

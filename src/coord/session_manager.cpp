@@ -9,6 +9,11 @@
 namespace sharegrid::coord {
 namespace {
 
+// A dialed peer that accepts TCP but never answers HELLO (e.g. a stopped
+// process whose kernel still completes connections) is treated as a refusal
+// after this long.
+constexpr std::int64_t kHelloTimeoutUsec = 500000;
+
 util::MetricCounter& reconnects_counter() {
   static util::MetricCounter& counter = util::global_metrics().counter(
       "coord.socket.reconnects",
@@ -70,7 +75,6 @@ SessionManager::SessionManager(Options options)
   SHAREGRID_EXPECTS(options_.reconnect_base_usec > 0);
   SHAREGRID_EXPECTS(options_.reconnect_max_usec >=
                     options_.reconnect_base_usec);
-  SHAREGRID_EXPECTS(options_.hello_timeout_usec > 0);
   SHAREGRID_EXPECTS(options_.io_timeout_ms > 0);
   // Every peer entry must parse (and pass the loopback policy) up front,
   // not when first dialed.
@@ -87,13 +91,11 @@ void SessionManager::start() {
   peers_.assign(fleet_, Peer{});
   const PeerAddr self =
       parse_peer(options_.peers[options_.self_index], options_.allow_nonlocal);
-  const std::uint16_t port =
-      options_.listen_port != 0 ? options_.listen_port : self.port;
   // Loopback fleets bind loopback; a fleet that opted into non-local peers
   // must accept from other hosts, so it binds the wildcard address.
   listener_ = options_.allow_nonlocal
-                  ? net::Socket::listen_on("0.0.0.0", port)
-                  : net::Socket::listen_on_loopback(port);
+                  ? net::Socket::listen_on("0.0.0.0", self.port)
+                  : net::Socket::listen_on_loopback(self.port);
   listener_.set_read_timeout_ms(options_.io_timeout_ms);
   listen_port_ = listener_.local_port();
   running_.store(true);
@@ -435,7 +437,7 @@ void SessionManager::dial_pass(std::int64_t now_usec) {
     ci.outbound = true;
     ci.peer = p;
     peer.conn = idx;
-    peer.handshake_deadline_usec = now_usec + options_.hello_timeout_usec;
+    peer.handshake_deadline_usec = now_usec + kHelloTimeoutUsec;
     send_on_conn(idx, hello_bytes());
   }
 }

@@ -83,9 +83,6 @@ class SessionManager {
     /// This process's incarnation, carried in every HELLO. Bump it on each
     /// restart: peers use it to tell a rejoining process from a zombie.
     std::uint64_t incarnation = 1;
-    /// Overrides the port parsed from peers[self_index] (0 = use peers[];
-    /// tests pass "host:0" and read the ephemeral listen_port()).
-    std::uint16_t listen_port = 0;
     /// Loopback-only unless set: with false (default) every peer entry must
     /// be 127.0.0.1/localhost and the listener binds loopback; with true,
     /// peers may be any numeric IPv4 and the listener binds 0.0.0.0.
@@ -94,10 +91,6 @@ class SessionManager {
     /// reconnect_max_usec, resets on an established session.
     std::int64_t reconnect_base_usec = 20000;
     std::int64_t reconnect_max_usec = 320000;
-    /// A dialed peer that accepts TCP but never answers HELLO (e.g. a
-    /// stopped process whose kernel still completes connections) is treated
-    /// as a refusal after this long.
-    std::int64_t hello_timeout_usec = 500000;
     /// Socket receive timeout for the background pumps; bounds stop() join
     /// latency and how often readers re-check the running flag.
     int io_timeout_ms = 50;

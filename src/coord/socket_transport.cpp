@@ -66,11 +66,9 @@ SocketTransport::SocketTransport(std::size_t local_member_count,
   session.peers = options_.peers;
   session.self_index = options_.process_index;
   session.incarnation = options_.incarnation;
-  session.listen_port = options_.listen_port;
   session.allow_nonlocal = options_.allow_nonlocal;
   session.reconnect_base_usec = options_.reconnect_base_usec;
   session.reconnect_max_usec = options_.reconnect_max_usec;
-  session.hello_timeout_usec = options_.hello_timeout_usec;
   session.io_timeout_ms = options_.io_timeout_ms;
   session.hello_aux =
       (static_cast<std::uint64_t>(options_.member_offset) << 32) |

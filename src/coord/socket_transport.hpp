@@ -84,9 +84,6 @@ class SocketTransport final : public SnapshotTransport {
     /// incarnation 1 bootstraps as the initial lease holder; a restarted
     /// process always starts as a follower and adopts the current lease.
     std::uint64_t incarnation = 1;
-    /// Overrides the port parsed from peers[process_index] (0 = use peers[];
-    /// tests pass "host:0" and read the ephemeral listen_port()).
-    std::uint16_t listen_port = 0;
     /// Loopback-only unless set (satellite: [control_plane] allow_nonlocal).
     bool allow_nonlocal = false;
     /// First global member index hosted by this process. Global members are
@@ -116,9 +113,6 @@ class SocketTransport final : public SnapshotTransport {
     /// doubling up to reconnect_max_usec, reset on an established session.
     std::int64_t reconnect_base_usec = 20000;
     std::int64_t reconnect_max_usec = 320000;
-    /// A dialed peer that accepts TCP but never answers HELLO counts as a
-    /// refusal after this long (a stopped process still completes TCP).
-    std::int64_t hello_timeout_usec = 500000;
     /// Socket receive timeout for the background pumps; bounds stop() join
     /// latency and how often readers re-check the running flag.
     int io_timeout_ms = 50;

@@ -71,14 +71,11 @@ Domain::Domain(const ScenarioConfig& config,
     : simulator(sim), scheduler(std::move(planner)), metrics(graph.size()) {
   const std::string site =
       cluster ? "c" + std::to_string(*cluster) : std::string();
-  const auto offset =
-      static_cast<std::uint32_t>(cluster.value_or(0)) << 12;
   for (std::size_t s = 0; s < config.servers.size(); ++s) {
     nodes::Server::Config sc;
     sc.name = (cluster ? site + "-" : "") + "server-" + std::to_string(s);
     sc.owner = resolve(graph, config.servers[s].owner);
     sc.capacity = config.servers[s].capacity;
-    sc.endpoint = {0x14000000u + offset + static_cast<std::uint32_t>(s), 80};
     servers.push_back(
         std::make_unique<nodes::Server>(sim, &requests, &metrics, sc));
     pool.add(servers.back().get());

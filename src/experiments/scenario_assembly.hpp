@@ -72,10 +72,10 @@ struct Domain {
   /// @param cluster  the cluster index, or nullopt for the classic single
   ///                 domain. It names the nodes ("server-<s>" and
   ///                 "l7-<r>"/"l4-<r>" classic, "c<c>-server-<s>" and
-  ///                 "l4-c<c>" per cluster), offsets the server endpoints,
-  ///                 and sizes the fleet each member slices the global
-  ///                 plan for: config.redirector_count members per domain,
-  ///                 times `clusters` domains.
+  ///                 "l4-c<c>" per cluster) and sizes the fleet each
+  ///                 member slices the global plan for:
+  ///                 config.redirector_count members per domain, times
+  ///                 `clusters` domains.
   Domain(const ScenarioConfig& config, const core::AgreementGraph& graph,
          sim::Simulator* sim, std::unique_ptr<sched::Scheduler> planner,
          std::optional<std::size_t> cluster);

@@ -1,7 +1,5 @@
 #include "l4/connection_table.hpp"
 
-#include <sstream>
-
 #include "audit/invariant_auditor.hpp"
 #include "util/assert.hpp"
 
@@ -12,88 +10,37 @@ namespace sharegrid::l4 {
 static_assert(sizeof(ConnectionTable::FlowMap::value_type) == 12,
               "a NAT entry must stay 12 bytes");
 
-std::string to_string(const Endpoint& ep) {
-  std::ostringstream os;
-  os << "h" << ep.host << ":" << ep.port;
-  return os.str();
+ConnectionTable::FlowKey ConnectionTable::key_of(const Endpoint& client,
+                                                 std::size_t vip) {
+  SHAREGRID_EXPECTS(vip < kMaxVips);
+  return FlowKey{client.host, client.port, static_cast<std::uint16_t>(vip)};
 }
 
-std::optional<std::uint32_t> ConnectionTable::EndpointList::find(
-    const Endpoint& endpoint) const {
-  const auto it = index_.find(pack(endpoint));
-  if (it == index_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::uint32_t ConnectionTable::EndpointList::intern(const Endpoint& endpoint) {
-  if (const auto index = find(endpoint)) return *index;
-  SHAREGRID_EXPECTS(endpoints_.size() < limit_);
-  const auto index = static_cast<std::uint32_t>(endpoints_.size());
-  endpoints_.push_back(endpoint);
-  index_.insert_or_assign(pack(endpoint), index);
-  return index;
-}
-
-std::optional<ConnectionTable::FlowKey> ConnectionTable::key_of(
-    const Endpoint& client, const Endpoint& vip) const {
-  const auto index = vips_.find(vip);
-  if (!index) return std::nullopt;
-  return FlowKey{client.host, client.port, static_cast<std::uint16_t>(*index)};
-}
-
-void ConnectionTable::establish(const Endpoint& client, const Endpoint& vip,
-                                const Endpoint& server) {
-  const FlowKey key{client.host, client.port,
-                    static_cast<std::uint16_t>(vips_.intern(vip))};
-  const Flow flow{servers_.intern(server) | Flow::kOpen};
+void ConnectionTable::establish(const Endpoint& client, std::size_t vip,
+                                std::size_t server) {
+  const FlowKey key = key_of(client, vip);
+  SHAREGRID_EXPECTS(server < kMaxServers);
   Flow& entry = flows_[key];
   if (!entry.open()) ++open_flows_;
-  entry = flow;
+  entry.bits = static_cast<std::uint32_t>(server) | Flow::kOpen;
 }
 
-std::optional<Endpoint> ConnectionTable::lookup(const Endpoint& client,
-                                                const Endpoint& vip) const {
-  const auto key = key_of(client, vip);
-  if (!key) return std::nullopt;
-  const auto it = flows_.find(*key);
-  if (it == flows_.end() || !it->second.open()) return std::nullopt;
-  return servers_[it->second.server()];
-}
-
-void ConnectionTable::release(const Endpoint& client, const Endpoint& vip) {
-  const auto key = key_of(client, vip);
-  if (!key) return;
-  const auto it = flows_.find(*key);
+void ConnectionTable::release(const Endpoint& client, std::size_t vip) {
+  const auto it = flows_.find(key_of(client, vip));
   if (it == flows_.end() || !it->second.open()) return;
   it->second.bits &= ~Flow::kOpen;
   --open_flows_;
 }
 
-void ConnectionTable::audit() const {
-  audit::audit_connection_table(flows_, open_flows_, vips_.size(),
-                                servers_.size());
-}
-
-Packet ConnectionTable::rewrite_to_server(Packet packet,
-                                          const Endpoint& server) {
-  packet.dst = server;
-  return packet;
-}
-
-Packet ConnectionTable::rewrite_to_client(Packet packet, const Endpoint& vip,
-                                          const Endpoint& client) {
-  packet.src = vip;
-  packet.dst = client;
-  return packet;
-}
-
-std::optional<Endpoint> ConnectionTable::affinity_hint(
-    const Endpoint& client, const Endpoint& vip) const {
-  const auto key = key_of(client, vip);
-  if (!key) return std::nullopt;
-  const auto it = flows_.find(*key);
+std::optional<std::size_t> ConnectionTable::affinity_hint(
+    const Endpoint& client, std::size_t vip) const {
+  const auto it = flows_.find(key_of(client, vip));
   if (it == flows_.end()) return std::nullopt;
-  return servers_[it->second.server()];
+  return it->second.server();
+}
+
+void ConnectionTable::audit(std::size_t vips, std::size_t servers) const {
+  audit::audit_connection_table(flows_, open_flows_, vips, servers);
 }
 
 }  // namespace sharegrid::l4

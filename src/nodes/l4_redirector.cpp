@@ -1,6 +1,7 @@
 #include "nodes/l4_redirector.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "audit/invariant_auditor.hpp"
@@ -73,15 +74,9 @@ L4Redirector::L4Redirector(sim::Simulator* sim, RequestSlab* requests,
   member_->bind(std::move(hooks));
 }
 
-l4::Packet L4Redirector::syn_of(const Request& request) {
-  l4::Packet syn;
-  syn.kind = l4::PacketKind::kSyn;
-  syn.src = {0x0C000000u + static_cast<std::uint32_t>(request.client),
-             static_cast<std::uint16_t>(1024 + (request.id & 0xFFF))};
-  syn.dst = vip(request.principal);
-  syn.request_id = request.id;
-  syn.weight = request.weight;
-  return syn;
+l4::Endpoint L4Redirector::client_of(const Request& request) {
+  return {0x0C000000u + static_cast<std::uint32_t>(request.client),
+          static_cast<std::uint16_t>(1024 + (request.id & 0xFFF))};
 }
 
 void L4Redirector::on_client_request(RequestHandle handle) {
@@ -115,37 +110,33 @@ bool L4Redirector::try_forward(RequestHandle handle) {
   const auto owner = member_->try_admit(request.principal, weight);
   if (!owner) return false;
 
-  const l4::Packet syn = syn_of(request);
-  Server* server = nullptr;
+  const l4::Endpoint client = client_of(request);
+  std::optional<std::size_t> server;
   if (config_.use_affinity) {
-    // Prefer the machine that last served this client host — but only when
-    // the admission decision lands on the same owner ("to the extent allowed
+    // Prefer the machine that last served this client endpoint — but only
+    // when the admission decision lands on its owner ("to the extent allowed
     // by the sharing agreements", §4.2).
-    if (const auto hint = table_.affinity_hint(syn.src, syn.dst)) {
-      Server* preferred = servers_->find(*hint);
-      if (preferred != nullptr && preferred->config().owner == *owner)
-        server = preferred;
-    }
+    const auto hint = table_.affinity_hint(client, request.principal);
+    if (hint && servers_->at(*hint).config().owner == *owner) server = hint;
   }
-  if (server == nullptr) server = servers_->pick(*owner);
-  SHAREGRID_ASSERT(server != nullptr);
-  forward_to(handle, syn, server);
+  if (!server) server = servers_->pick(*owner);
+  SHAREGRID_ASSERT(server.has_value());
+  forward_to(handle, client, *server);
   return true;
 }
 
-void L4Redirector::forward_to(RequestHandle handle, const l4::Packet& syn,
-                              Server* server) {
+void L4Redirector::forward_to(RequestHandle handle, const l4::Endpoint& client,
+                              std::size_t server) {
+  const core::PrincipalId p = (*requests_)[handle].principal;
   ++admitted_;
-  in_flight_[(*requests_)[handle].principal] += 1.0;
-  table_.establish(syn.src, syn.dst, server->config().endpoint);
-  const l4::Packet rewritten =
-      l4::ConnectionTable::rewrite_to_server(syn, server->config().endpoint);
-  (void)rewritten;  // header rewrite modeled; payload path is the callback
+  in_flight_[p] += 1.0;
+  table_.establish(client, p, server);
 
+  Server* machine = &servers_->at(server);
   sim_->schedule_after(config_.net_delay,
-                       [this, alive = alive_, handle, server] {
+                       [this, alive = alive_, handle, machine] {
                          if (!*alive) return;
-                         server->submit(handle, [this, alive, handle] {
+                         machine->submit(handle, [this, alive, handle] {
                            if (!*alive) return;
                            on_served(handle);
                          });
@@ -154,13 +145,9 @@ void L4Redirector::forward_to(RequestHandle handle, const l4::Packet& syn,
 
 void L4Redirector::on_served(RequestHandle handle) {
   const Request& done = (*requests_)[handle];
-  // Reply path: server -> redirector (reverse NAT) -> client.
-  const l4::Packet syn = syn_of(done);
-  const l4::Packet reply =
-      l4::ConnectionTable::rewrite_to_client(syn, syn.dst, syn.src);
-  (void)reply;
+  // Reply path: server -> redirector, which closes the flow -> client.
   in_flight_[done.principal] -= 1.0;
-  table_.release(syn.src, syn.dst);
+  table_.release(client_of(done), done.principal);
   sim_->schedule_after(2 * config_.net_delay,
                        [this, alive = alive_, handle] {
                          if (!*alive) return;
@@ -177,7 +164,7 @@ void L4Redirector::flush_metrics() {
 
 void L4Redirector::on_window_begun(SimTime now) {
   flush_metrics();
-  SHAREGRID_AUDIT_HOOK(table_.audit());
+  SHAREGRID_AUDIT_HOOK(table_.audit(queues_.size(), servers_->size()));
   const std::size_t n = queues_.size();
   const sched::WindowScheduler& window = member_->window_scheduler();
   if (window.last_plan().lp_fallback) metrics_->on_plan_fallback();

@@ -1,18 +1,18 @@
-// Layer-4 NAT packet redirector (§4.2).
+// Layer-4 NAT redirector (§4.2).
 //
 // Models the paper's Linux Virtual Server kernel module plus user-space
-// daemon: a SYN for a virtual service address is either admitted — a server
-// is chosen per the scheduling decision, the destination is rewritten, and a
-// connection-table entry keeps the flow pinned to that server — or parked in
-// a per-principal kernel-level queue that a periodic task drains in later
-// windows as agreements allow. Replies are reverse-rewritten so clients only
-// ever see the virtual address. New connections prefer the server that last
-// served the same client (affinity, e.g. for SSL session reuse) whenever the
-// admission decision lands on the same owner.
+// daemon: a SYN for a principal's virtual service is either admitted — a
+// server is chosen per the scheduling decision and a connection-table entry
+// keyed by (client endpoint, principal) pins the flow to that server's
+// index in the ServerPool — or parked in a per-principal kernel-level queue
+// that a periodic task drains in later windows as agreements allow. New
+// connections prefer the server that last served the same client endpoint
+// (affinity, e.g. for SSL session reuse) whenever the admission decision
+// lands on that server's owner.
 //
 // The window loop — estimators, snapshots, plan, quotas — lives in
-// coord::ControlPlane (DESIGN.md D10); this node owns the packet path and
-// what the kernel queue / in-flight connections contribute to demand.
+// coord::ControlPlane (DESIGN.md D10); this node owns the connection path
+// and what the kernel queue / in-flight connections contribute to demand.
 //
 // A request stays in the domain's RequestSlab from the client to the
 // reply; the kernel queues and the events of the forward and reply hops
@@ -23,6 +23,7 @@
 // sampled size mix (ROADMAP keeps the fix as an open item).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -30,7 +31,6 @@
 
 #include "coord/control_plane.hpp"
 #include "l4/connection_table.hpp"
-#include "l4/packet.hpp"
 #include "nodes/client.hpp"
 #include "nodes/metrics.hpp"
 #include "nodes/server.hpp"
@@ -65,12 +65,7 @@ class L4Redirector final : public RedirectorBase {
     *alive_ = false;
   }
 
-  /// Virtual service endpoint for a principal's service (what clients dial).
-  static l4::Endpoint vip(core::PrincipalId principal) {
-    return {0x0A000000u + static_cast<std::uint32_t>(principal), 80};
-  }
-
-  // RedirectorBase: runs the request's SYN through the packet path.
+  // RedirectorBase: admits or queues the connection the request opens.
   void on_client_request(RequestHandle request) override;
 
   /// Local demand estimate; delegates to the control plane (kept for tests).
@@ -86,9 +81,9 @@ class L4Redirector final : public RedirectorBase {
   coord::ControlPlane::Member* member() { return member_; }
 
  private:
-  /// The SYN a request's connection opens: from port 1024 + (id mod 4096)
-  /// of the client machine's address to the principal's vip.
-  static l4::Packet syn_of(const Request& request);
+  /// The client end of a request's connection: port 1024 + (id mod 4096)
+  /// of the client machine's address.
+  static l4::Endpoint client_of(const Request& request);
 
   void on_window_begun(SimTime now);
   /// Flushes admitted/dropped deltas to the global metrics registry; called
@@ -97,8 +92,8 @@ class L4Redirector final : public RedirectorBase {
   void flush_metrics();
   /// Admission decision for a SYN; true when forwarded.
   bool try_forward(RequestHandle request);
-  void forward_to(RequestHandle request, const l4::Packet& syn,
-                  Server* server);
+  void forward_to(RequestHandle request, const l4::Endpoint& client,
+                  std::size_t server);
   /// The server finished @p request: close its flow, send the reply.
   void on_served(RequestHandle request);
 

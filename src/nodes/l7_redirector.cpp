@@ -95,8 +95,9 @@ void L7Redirector::on_client_request(RequestHandle handle) {
 
 void L7Redirector::admit_and_redirect(RequestHandle request,
                                       core::PrincipalId owner) {
-  Server* server = servers_->pick(owner);
-  SHAREGRID_ASSERT(server != nullptr);
+  const auto index = servers_->pick(owner);
+  SHAREGRID_ASSERT(index.has_value());
+  Server* server = &servers_->at(*index);
   ++admitted_;
   sim_->schedule_after(config_.net_delay,
                        [this, alive = alive_, request, server] {

@@ -53,42 +53,28 @@ void Server::set_capacity(double capacity) {
   config_.capacity = capacity;
 }
 
-const std::vector<Server*> ServerPool::kEmpty;
-
 void ServerPool::add(Server* server) {
   SHAREGRID_EXPECTS(server != nullptr);
   const core::PrincipalId owner = server->config().owner;
   if (owner >= by_owner_.size()) by_owner_.resize(owner + 1);
-  by_owner_[owner].push_back(server);
-  all_.push_back(server);
+  by_owner_[owner].push_back(machines_.size());
+  machines_.push_back(server);
 }
 
-Server* ServerPool::pick(core::PrincipalId owner) const {
-  if (owner >= by_owner_.size() || by_owner_[owner].empty()) return nullptr;
-  Server* best = by_owner_[owner].front();
-  for (Server* s : by_owner_[owner]) {
-    if (s->backlog_seconds() < best->backlog_seconds()) best = s;
+std::optional<std::size_t> ServerPool::pick(core::PrincipalId owner) const {
+  if (owner >= by_owner_.size() || by_owner_[owner].empty())
+    return std::nullopt;
+  std::size_t best = by_owner_[owner].front();
+  for (const std::size_t s : by_owner_[owner]) {
+    if (machines_[s]->backlog_seconds() < machines_[best]->backlog_seconds())
+      best = s;
   }
   return best;
 }
 
-Server* ServerPool::find(const l4::Endpoint& endpoint) const {
-  for (Server* s : all_) {
-    if (s->config().endpoint == endpoint) return s;
-  }
-  return nullptr;
-}
-
-const std::vector<Server*>& ServerPool::machines(
-    core::PrincipalId owner) const {
-  if (owner >= by_owner_.size()) return kEmpty;
-  return by_owner_[owner];
-}
-
-double ServerPool::capacity(core::PrincipalId owner) const {
-  double total = 0.0;
-  for (const Server* s : machines(owner)) total += s->config().capacity;
-  return total;
+Server& ServerPool::at(std::size_t index) const {
+  SHAREGRID_EXPECTS(index < machines_.size());
+  return *machines_[index];
 }
 
 }  // namespace sharegrid::nodes

@@ -2,11 +2,12 @@
 // 1 GHz PCs; here a capacity-C requests/sec service queue, DESIGN.md §4).
 #pragma once
 
+#include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/principal.hpp"
-#include "l4/packet.hpp"
 #include "nodes/metrics.hpp"
 #include "nodes/request.hpp"
 #include "sim/simulator.hpp"
@@ -26,7 +27,6 @@ class Server {
     std::string name;
     core::PrincipalId owner = core::kNoPrincipal;  ///< resource owner
     double capacity = 320.0;                       ///< units (requests)/sec
-    l4::Endpoint endpoint;                         ///< L4 address
   };
 
   /// @param sim      owns the node's liveness flag; it must outlive the node.
@@ -70,28 +70,26 @@ class Server {
 };
 
 /// Maps resource-owning principals to their physical machines and picks a
-/// machine for each admitted request (least backlog, then declaration order).
+/// machine for each admitted request (least backlog, then registration
+/// order). A machine's index is its registration order.
 class ServerPool {
  public:
-  /// Registers a machine (not owned).
+  /// Registers a machine (not owned) as index size().
   void add(Server* server);
 
-  /// Least-backlogged machine owned by @p owner; null when the owner has no
-  /// machines.
-  Server* pick(core::PrincipalId owner) const;
+  /// Index of the least-backlogged machine owned by @p owner; nullopt when
+  /// the owner has no machines.
+  std::optional<std::size_t> pick(core::PrincipalId owner) const;
 
-  /// Machine with the given L4 endpoint; null when unknown.
-  Server* find(const l4::Endpoint& endpoint) const;
+  /// The machine registered as @p index.
+  Server& at(std::size_t index) const;
 
-  const std::vector<Server*>& machines(core::PrincipalId owner) const;
-
-  /// Aggregate capacity owned by @p owner.
-  double capacity(core::PrincipalId owner) const;
+  /// Machines registered.
+  std::size_t size() const { return machines_.size(); }
 
  private:
-  std::vector<std::vector<Server*>> by_owner_;
-  std::vector<Server*> all_;
-  static const std::vector<Server*> kEmpty;
+  std::vector<Server*> machines_;
+  std::vector<std::vector<std::size_t>> by_owner_;  ///< indexes, per owner
 };
 
 }  // namespace sharegrid::nodes

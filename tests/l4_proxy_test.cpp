@@ -128,6 +128,11 @@ TEST(L4Proxy, ReapsFinishedRelays) {
   test::FixedRateScheduler scheduler({100000.0});
   L4Proxy::Config config;
   config.services = {{0, backend.port(), 0}};
+  // One window for every dial. The first window plans from saturated
+  // demand; later ones plan from the smoothed arrival rate, and on a loaded
+  // host the 50 sequential dials would spill into windows whose quota runs
+  // out and refuse some of them.
+  config.window_usec = 60 * 1000000;
   L4Proxy proxy(&scheduler, config);
   proxy.start();
 

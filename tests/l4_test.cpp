@@ -1,14 +1,15 @@
-// Unit tests for the L4 packet model and NAT connection table.
+// Unit tests for the L4 NAT connection table.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <string>
 #include <utility>
 
 #include "l4/connection_table.hpp"
-#include "l4/packet.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -17,22 +18,23 @@ namespace {
 
 const Endpoint kClient{100, 5000};
 const Endpoint kClient2{100, 5001};
-const Endpoint kVip{10, 80};
-const Endpoint kServerA{200, 80};
-const Endpoint kServerB{201, 80};
+constexpr std::size_t kVip = 3;
+constexpr std::size_t kServerA = 0;
+constexpr std::size_t kServerB = 1;
+constexpr std::size_t kLastVip = ConnectionTable::kMaxVips - 1;
+constexpr std::size_t kLastServer = ConnectionTable::kMaxServers - 1;
 
 TEST(ConnectionTable, EstablishLookupRelease) {
   ConnectionTable table;
-  EXPECT_FALSE(table.lookup(kClient, kVip).has_value());
+  EXPECT_FALSE(table.affinity_hint(kClient, kVip).has_value());
 
   table.establish(kClient, kVip, kServerA);
-  ASSERT_TRUE(table.lookup(kClient, kVip).has_value());
-  EXPECT_EQ(*table.lookup(kClient, kVip), kServerA);
+  EXPECT_EQ(table.affinity_hint(kClient, kVip), kServerA);
   EXPECT_EQ(table.active_connections(), 1u);
 
   table.release(kClient, kVip);
-  EXPECT_FALSE(table.lookup(kClient, kVip).has_value());
   EXPECT_EQ(table.active_connections(), 0u);
+  EXPECT_EQ(table.flows(), 1u);
 }
 
 TEST(ConnectionTable, ReleaseIsIdempotent) {
@@ -48,8 +50,9 @@ TEST(ConnectionTable, FlowsAreKeyedByFullClientEndpoint) {
   ConnectionTable table;
   table.establish(kClient, kVip, kServerA);
   table.establish(kClient2, kVip, kServerB);
-  EXPECT_EQ(*table.lookup(kClient, kVip), kServerA);
-  EXPECT_EQ(*table.lookup(kClient2, kVip), kServerB);
+  EXPECT_EQ(table.affinity_hint(kClient, kVip), kServerA);
+  EXPECT_EQ(table.affinity_hint(kClient2, kVip), kServerB);
+  EXPECT_EQ(table.active_connections(), 2u);
 }
 
 TEST(ConnectionTable, AffinityHintSurvivesRelease) {
@@ -58,8 +61,7 @@ TEST(ConnectionTable, AffinityHintSurvivesRelease) {
   ConnectionTable table;
   table.establish(kClient, kVip, kServerB);
   table.release(kClient, kVip);
-  ASSERT_TRUE(table.affinity_hint(kClient, kVip).has_value());
-  EXPECT_EQ(*table.affinity_hint(kClient, kVip), kServerB);
+  EXPECT_EQ(table.affinity_hint(kClient, kVip), kServerB);
   // A different client port has no hint.
   EXPECT_FALSE(table.affinity_hint(kClient2, kVip).has_value());
 }
@@ -69,80 +71,52 @@ TEST(ConnectionTable, AffinityTracksLatestServer) {
   table.establish(kClient, kVip, kServerA);
   table.release(kClient, kVip);
   table.establish(kClient, kVip, kServerB);
-  EXPECT_EQ(*table.affinity_hint(kClient, kVip), kServerB);
-}
-
-TEST(ConnectionTable, ForwardRewriteSetsServerDestination) {
-  Packet syn;
-  syn.kind = PacketKind::kSyn;
-  syn.src = kClient;
-  syn.dst = kVip;
-  const Packet out = ConnectionTable::rewrite_to_server(syn, kServerA);
-  EXPECT_EQ(out.dst, kServerA);
-  EXPECT_EQ(out.src, kClient);  // source untouched on the forward path (NAT)
-}
-
-TEST(ConnectionTable, ReverseRewriteMasksServerBehindVip) {
-  Packet reply;
-  reply.kind = PacketKind::kData;
-  reply.src = kServerA;
-  reply.dst = kClient;
-  const Packet out = ConnectionTable::rewrite_to_client(reply, kVip, kClient);
-  EXPECT_EQ(out.src, kVip);  // client only ever sees the virtual address
-  EXPECT_EQ(out.dst, kClient);
+  EXPECT_EQ(table.affinity_hint(kClient, kVip), kServerB);
 }
 
 /// The table as two std::maps, one of open flows and one of hints: the
 /// shape the merged table replaced.
 class ReferenceTable {
  public:
-  void establish(const Endpoint& client, const Endpoint& vip,
-                 const Endpoint& server) {
+  void establish(const Endpoint& client, std::size_t vip,
+                 std::size_t server) {
     open_[{client, vip}] = server;
     hints_[{client, vip}] = server;
   }
-  void release(const Endpoint& client, const Endpoint& vip) {
+  void release(const Endpoint& client, std::size_t vip) {
     open_.erase({client, vip});
   }
-  std::optional<Endpoint> lookup(const Endpoint& client,
-                                 const Endpoint& vip) const {
-    return find(open_, client, vip);
+  bool open(const Endpoint& client, std::size_t vip) const {
+    return open_.contains({client, vip});
   }
-  std::optional<Endpoint> affinity_hint(const Endpoint& client,
-                                        const Endpoint& vip) const {
-    return find(hints_, client, vip);
+  std::optional<std::size_t> affinity_hint(const Endpoint& client,
+                                           std::size_t vip) const {
+    const auto it = hints_.find({client, vip});
+    if (it == hints_.end()) return std::nullopt;
+    return it->second;
   }
   std::size_t active_connections() const { return open_.size(); }
   std::size_t flows() const { return hints_.size(); }
 
  private:
-  using Map = std::map<std::pair<Endpoint, Endpoint>, Endpoint>;
-  static std::optional<Endpoint> find(const Map& map, const Endpoint& client,
-                                      const Endpoint& vip) {
-    const auto it = map.find({client, vip});
-    if (it == map.end()) return std::nullopt;
-    return it->second;
-  }
+  using Map = std::map<std::pair<Endpoint, std::size_t>, std::size_t>;
   Map open_;
   Map hints_;
 };
 
 // Seeded operations against the reference: establish (including over an
-// open flow), release (including unknown and repeated releases), lookup,
-// affinity_hint and active_connections. Client hosts share ports and vips
-// share a host, so keys differ in a single field, and the hosts set the
-// high bits the packed key must keep.
+// open flow), release (including unknown and repeated releases) and
+// affinity_hint. Client hosts share ports, so keys differ in a single
+// field; the hosts set the high bits the packed key must keep, and the
+// vips and servers include the largest index each field holds. After
+// every operation the touched flow's hint, the open-flow count and the
+// audit must agree with the reference.
 TEST(ConnectionTable, DifferentialAgainstTwoMapReference) {
   const std::array<std::uint32_t, 4> hosts = {7, 0x10007, 0x0C000007,
                                               0xFFFFFFFF};
   const std::array<std::uint16_t, 5> ports = {1024, 1025, 5119, 80, 65535};
-  const std::array<Endpoint, 3> vips = {
-      Endpoint{0x0A000000, 80}, Endpoint{0x0A000000, 443},
-      Endpoint{0x0A000001, 80}};
-  const std::array<Endpoint, 5> servers = {
-      Endpoint{0x14000000, 80}, Endpoint{0x14000001, 80},
-      Endpoint{0x14000000, 8080}, Endpoint{0x14001000, 80},
-      Endpoint{0, 0}};
+  const std::array<std::size_t, 3> vips = {0, 1, kLastVip};
+  const std::array<std::size_t, 5> servers = {0, 1, 2, 4096, kLastServer};
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     Rng rng(seed);
     ConnectionTable table;
@@ -152,35 +126,32 @@ TEST(ConnectionTable, DifferentialAgainstTwoMapReference) {
     for (int op = 0; op < 10000; ++op) {
       const Endpoint client{hosts[rng.bounded(hosts.size())],
                             ports[rng.bounded(ports.size())]};
-      const Endpoint vip = vips[rng.bounded(vips.size())];
-      switch (rng.bounded(5)) {
+      const std::size_t vip = vips[rng.bounded(vips.size())];
+      switch (rng.bounded(4)) {
         case 0:
         case 1: {
-          if (reference.lookup(client, vip)) ++reopened;
-          const Endpoint server = servers[rng.bounded(servers.size())];
+          if (reference.open(client, vip)) ++reopened;
+          const std::size_t server = servers[rng.bounded(servers.size())];
           table.establish(client, vip, server);
           reference.establish(client, vip, server);
           break;
         }
         case 2:
-          if (!reference.lookup(client, vip)) ++idle_releases;
+          if (!reference.open(client, vip)) ++idle_releases;
           table.release(client, vip);
           reference.release(client, vip);
           break;
-        case 3:
-          ASSERT_EQ(table.lookup(client, vip), reference.lookup(client, vip))
-              << "seed " << seed << " op " << op;
-          break;
         default:
-          ASSERT_EQ(table.affinity_hint(client, vip),
-                    reference.affinity_hint(client, vip))
-              << "seed " << seed << " op " << op;
-          break;
+          break;  // a lookup only: the checks below read the flow
       }
+      ASSERT_EQ(table.affinity_hint(client, vip),
+                reference.affinity_hint(client, vip))
+          << "seed " << seed << " op " << op;
       ASSERT_EQ(table.active_connections(), reference.active_connections())
           << "seed " << seed << " op " << op;
       ASSERT_EQ(table.flows(), reference.flows());
-      ASSERT_NO_THROW(table.audit());
+      ASSERT_NO_THROW(table.audit(ConnectionTable::kMaxVips,
+                                  ConnectionTable::kMaxServers));
     }
     // Every kind of operation happened, on a well-filled table.
     EXPECT_GT(reopened, 100u);
@@ -190,31 +161,49 @@ TEST(ConnectionTable, DifferentialAgainstTwoMapReference) {
 }
 
 TEST(ConnectionTable, FullVipListStillIndexesEveryVip) {
-  // The 16-bit vip index reaches all 65,536 vips, and not one more.
+  // The 16-bit vip reaches all 65,536 vips and the 31-bit server index all
+  // 2^31 servers, and neither field one more.
   ConnectionTable table;
-  for (std::uint32_t v = 0; v < ConnectionTable::kMaxVips; ++v)
-    table.establish(kClient, {0x0A000000u + v, 80}, kServerA);
-  EXPECT_EQ(table.active_connections(), ConnectionTable::kMaxVips);
-  EXPECT_EQ(*table.affinity_hint(kClient, {0x0A00FFFFu, 80}), kServerA);
-  EXPECT_THROW(table.establish(kClient, {0x0B000000u, 80}, kServerA),
+  for (std::size_t v = 0; v < ConnectionTable::kMaxVips; ++v)
+    table.establish(kClient, v, kServerA);
+  table.establish(kClient2, kVip, kLastServer);
+  EXPECT_EQ(table.active_connections(), ConnectionTable::kMaxVips + 1);
+  EXPECT_EQ(table.affinity_hint(kClient, kLastVip), kServerA);
+  EXPECT_EQ(table.affinity_hint(kClient2, kVip), kLastServer);
+  EXPECT_THROW(table.establish(kClient2, ConnectionTable::kMaxVips, kServerA),
                ContractViolation);
-  // The refused flow left no entry, and known vips still work.
-  EXPECT_EQ(table.flows(), ConnectionTable::kMaxVips);
-  EXPECT_FALSE(table.affinity_hint(kClient, {0x0B000000u, 80}).has_value());
-  table.establish(kClient2, {0x0A000000u, 80}, kServerB);
-  EXPECT_EQ(*table.lookup(kClient2, {0x0A000000u, 80}), kServerB);
-  EXPECT_NO_THROW(table.audit());
+  EXPECT_THROW(
+      table.establish(kClient2, kVip + 1, ConnectionTable::kMaxServers),
+      ContractViolation);
+  // The refused flows left no entry.
+  EXPECT_EQ(table.flows(), ConnectionTable::kMaxVips + 1);
+  EXPECT_EQ(table.active_connections(), ConnectionTable::kMaxVips + 1);
+  EXPECT_FALSE(table.affinity_hint(kClient2, kVip + 1).has_value());
+  EXPECT_NO_THROW(table.audit(ConnectionTable::kMaxVips,
+                              ConnectionTable::kMaxServers));
+
+  // The audit checks each stored index against the caller's counts.
+  const auto audit_error = [&](std::size_t vips, std::size_t servers) {
+    try {
+      table.audit(vips, servers);
+    } catch (const ContractViolation& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  EXPECT_NE(audit_error(kLastVip, ConnectionTable::kMaxServers)
+                .find("l4.vip-index-range"),
+            std::string::npos);
+  EXPECT_NE(audit_error(ConnectionTable::kMaxVips, kLastServer)
+                .find("l4.server-index-range"),
+            std::string::npos);
 }
 
 TEST(Endpoint, OrderingAndEquality) {
   EXPECT_EQ(kClient, (Endpoint{100, 5000}));
   EXPECT_NE(kClient, kClient2);
   EXPECT_LT(kClient, kClient2);
-  EXPECT_LT(kVip, kClient);
-}
-
-TEST(Endpoint, ToStringFormat) {
-  EXPECT_EQ(to_string(kClient), "h100:5000");
+  EXPECT_LT((Endpoint{10, 80}), kClient);
 }
 
 }  // namespace

@@ -48,7 +48,7 @@ TEST(Server, ServesAtConfiguredCapacity) {
   sim::Simulator sim;
   RequestSlab requests;
   Metrics metrics(1);
-  Server server(&sim, &requests, &metrics, {"s", 0, 100.0, {1, 80}});
+  Server server(&sim, &requests, &metrics, {"s", 0, 100.0});
 
   int completions = 0;
   for (int i = 0; i < 50; ++i) {
@@ -69,7 +69,7 @@ TEST(Server, WeightScalesServiceTime) {
   sim::Simulator sim;
   RequestSlab requests;
   Metrics metrics(1);
-  Server server(&sim, &requests, &metrics, {"s", 0, 100.0, {1, 80}});
+  Server server(&sim, &requests, &metrics, {"s", 0, 100.0});
 
   Request big = make_request(0, 1, 0);
   big.weight = 10.0;  // a 10x request takes 0.1 s at 100 units/s
@@ -83,7 +83,7 @@ TEST(Server, BacklogReflectsQueuedWork) {
   sim::Simulator sim;
   RequestSlab requests;
   Metrics metrics(1);
-  Server server(&sim, &requests, &metrics, {"s", 0, 100.0, {1, 80}});
+  Server server(&sim, &requests, &metrics, {"s", 0, 100.0});
   EXPECT_DOUBLE_EQ(server.backlog_seconds(), 0.0);
   for (int i = 0; i < 10; ++i)
     server.submit(requests.acquire(
@@ -97,7 +97,7 @@ TEST(Server, RecordsServedMetrics) {
   sim::Simulator sim;
   RequestSlab requests;
   Metrics metrics(2);
-  Server server(&sim, &requests, &metrics, {"s", 0, 100.0, {1, 80}});
+  Server server(&sim, &requests, &metrics, {"s", 0, 100.0});
   Request request = make_request(1, 1, 0);
   request.reply_bytes = 1000.0;
   server.submit(requests.acquire(request, nullptr), nullptr);
@@ -114,7 +114,7 @@ TEST(Server, CompletionsFireInSubmissionOrder) {
   sim::Simulator sim;
   RequestSlab requests;
   Metrics metrics(1);
-  Server server(&sim, &requests, &metrics, {"s", 0, 100.0, {1, 80}});
+  Server server(&sim, &requests, &metrics, {"s", 0, 100.0});
   std::vector<std::pair<std::uint64_t, SimTime>> done;
   std::vector<SimTime> due;
   SimTime free_at = 0;
@@ -149,7 +149,7 @@ TEST(Server, DestructionIsSafeWithPendingEvents) {
   RequestSlab requests;
   Metrics metrics(1);
   auto server = std::make_unique<Server>(
-      &sim, &requests, &metrics, Server::Config{"s", 0, 100.0, {1, 80}});
+      &sim, &requests, &metrics, Server::Config{"s", 0, 100.0});
   int completions = 0;
   for (std::uint64_t i = 0; i < 10; ++i) {
     server->submit(requests.acquire(make_request(0, i, 0), nullptr),
@@ -168,22 +168,24 @@ TEST(ServerPool, PicksLeastBackloggedMachineOfOwner) {
   sim::Simulator sim;
   RequestSlab requests;
   Metrics metrics(2);
-  Server s1(&sim, &requests, &metrics, {"s1", 0, 100.0, {1, 80}});
-  Server s2(&sim, &requests, &metrics, {"s2", 0, 100.0, {2, 80}});
-  Server other(&sim, &requests, &metrics, {"s3", 1, 100.0, {3, 80}});
+  Server s1(&sim, &requests, &metrics, {"s1", 0, 100.0});
+  Server s2(&sim, &requests, &metrics, {"s2", 0, 100.0});
+  Server other(&sim, &requests, &metrics, {"s3", 1, 100.0});
   ServerPool pool;
   pool.add(&s1);
   pool.add(&s2);
   pool.add(&other);
 
-  EXPECT_EQ(pool.pick(0), &s1);  // tie broken by declaration order
+  // Indexes are registration order.
+  EXPECT_EQ(pool.size(), 3u);
+  EXPECT_EQ(&pool.at(1), &s2);
+  EXPECT_THROW(pool.at(3), ContractViolation);
+
+  EXPECT_EQ(pool.pick(0), 0u);  // tie broken by registration order
   s1.submit(requests.acquire(make_request(0, 1, 0), nullptr), nullptr);
-  EXPECT_EQ(pool.pick(0), &s2);  // s1 now has backlog
-  EXPECT_EQ(pool.pick(1), &other);
-  EXPECT_EQ(pool.pick(5), nullptr);
-  EXPECT_DOUBLE_EQ(pool.capacity(0), 200.0);
-  EXPECT_EQ(pool.find({2, 80}), &s2);
-  EXPECT_EQ(pool.find({9, 9}), nullptr);
+  EXPECT_EQ(pool.pick(0), 1u);  // s1 now has backlog
+  EXPECT_EQ(pool.pick(1), 2u);
+  EXPECT_FALSE(pool.pick(5).has_value());
 }
 
 // --- RequestSlab -------------------------------------------------------------
@@ -435,7 +437,7 @@ TEST(ClientFleet, DestructionIsSafeWithPendingEvents) {
   RequestSlab requests;
   Metrics metrics(1);
   RecordingRedirector redirector(&requests);
-  Server server(&sim, &requests, &metrics, {"s", 0, 100.0, {1, 80}});
+  Server server(&sim, &requests, &metrics, {"s", 0, 100.0});
   auto fleet = std::make_unique<ClientFleet>(
       &sim, &requests, &metrics, &redirector, client_config(100.0, 1000),
       std::vector<Rng>{Rng(1), Rng(2)});
@@ -484,9 +486,9 @@ struct L7Fixture {
     plane = std::make_unique<coord::ControlPlane>(&scheduler,
                                                   coord::ControlPlaneConfig{});
     server0 = std::make_unique<Server>(
-        &sim, &requests, &metrics, Server::Config{"s0", 0, 1000.0, {1, 80}});
+        &sim, &requests, &metrics, Server::Config{"s0", 0, 1000.0});
     server1 = std::make_unique<Server>(
-        &sim, &requests, &metrics, Server::Config{"s1", 1, 1000.0, {2, 80}});
+        &sim, &requests, &metrics, Server::Config{"s1", 1, 1000.0});
     pool.add(server0.get());
     pool.add(server1.get());
     L7Redirector::Config rc;
@@ -559,7 +561,7 @@ TEST(L7Redirector, DestructionIsSafeWithPendingEvents) {
     Metrics metrics(1);
     FixedRateScheduler scheduler({100.0});
     coord::ControlPlane plane(&scheduler, coord::ControlPlaneConfig{});
-    Server server(&sim, &requests, &metrics, {"s", 0, 1000.0, {1, 80}});
+    Server server(&sim, &requests, &metrics, {"s", 0, 1000.0});
     ServerPool pool;
     pool.add(&server);
     CountingSource source;
@@ -597,9 +599,9 @@ struct L4Fixture {
     plane = std::make_unique<coord::ControlPlane>(&scheduler,
                                                   coord::ControlPlaneConfig{});
     server0 = std::make_unique<Server>(
-        &sim, &requests, &metrics, Server::Config{"s0", 0, 1000.0, {1, 80}});
+        &sim, &requests, &metrics, Server::Config{"s0", 0, 1000.0});
     server1 = std::make_unique<Server>(
-        &sim, &requests, &metrics, Server::Config{"s1", 0, 1000.0, {2, 80}});
+        &sim, &requests, &metrics, Server::Config{"s1", 0, 1000.0});
     pool.add(server0.get());
     pool.add(server1.get());
     L4Redirector::Config rc;
@@ -674,7 +676,7 @@ TEST(L4Redirector, DestructionIsSafeWithPendingEvents) {
     Metrics metrics(1);
     FixedRateScheduler scheduler({1000.0});
     coord::ControlPlane plane(&scheduler, coord::ControlPlaneConfig{});
-    Server server(&sim, &requests, &metrics, {"s", 0, 100.0, {1, 80}});
+    Server server(&sim, &requests, &metrics, {"s", 0, 100.0});
     ServerPool pool;
     pool.add(&server);
     CountingSource source;
@@ -711,7 +713,7 @@ TEST(NodeConstructors, RejectANullSimulator) {
   ServerPool pool;
   RecordingRedirector redirector(&requests);
   const workload::RequestTrace trace;
-  EXPECT_THROW(Server(nullptr, &requests, &metrics, {"s", 0, 100.0, {1, 80}}),
+  EXPECT_THROW(Server(nullptr, &requests, &metrics, {"s", 0, 100.0}),
                ContractViolation);
   EXPECT_THROW(ClientFleet(nullptr, &requests, &metrics, &redirector,
                            client_config(100.0, 10), {Rng(1)}),
@@ -751,7 +753,7 @@ TEST(L4Redirector, CountsWindowsBegunOnFallbackPlans) {
   Metrics metrics(2);
   FallbackScheduler scheduler({200.0, 0.0});
   coord::ControlPlane plane(&scheduler, coord::ControlPlaneConfig{});
-  Server server(&sim, &requests, &metrics, {"s0", 0, 1000.0, {1, 80}});
+  Server server(&sim, &requests, &metrics, {"s0", 0, 1000.0});
   ServerPool pool;
   pool.add(&server);
   L4Redirector redirector(&sim, &requests, &metrics, &pool,
@@ -766,10 +768,51 @@ TEST(L4Redirector, CountsWindowsBegunOnFallbackPlans) {
             redirector.window_scheduler().plan_fallbacks());
 }
 
-TEST(L4Redirector, VipMapsPrincipals) {
-  EXPECT_EQ(L4Redirector::vip(0).host, 0x0A000000u);
-  EXPECT_EQ(L4Redirector::vip(3).host, 0x0A000003u);
-  EXPECT_EQ(L4Redirector::vip(0).port, 80);
+// Machine 0 belongs to another owner; principal 0 owns machines 1 (a) and
+// 2 (b). The first connection goes to b, which pick() prefers while a is
+// busy. The second comes from the same client machine with an id 4096
+// higher, so from the same source port, while b is the busy one. Its hint
+// names b by pool index; without affinity it goes to pick()'s choice, a.
+TEST(L4Redirector, AffinityHintNamesTheLastServerByPoolIndex) {
+  for (const bool use_affinity : {true, false}) {
+    SCOPED_TRACE(use_affinity ? "use_affinity" : "no affinity");
+    sim::Simulator sim;
+    RequestSlab requests;
+    Metrics metrics(2);
+    FixedRateScheduler scheduler({1000.0, 1000.0});
+    coord::ControlPlane plane(&scheduler, coord::ControlPlaneConfig{});
+    Server other(&sim, &requests, &metrics, {"other", 1, 1000.0});
+    Server a(&sim, &requests, &metrics, {"a", 0, 1000.0});
+    Server b(&sim, &requests, &metrics, {"b", 0, 1000.0});
+    ServerPool pool;
+    pool.add(&other);
+    pool.add(&a);
+    pool.add(&b);
+    L4Redirector::Config rc;
+    rc.use_affinity = use_affinity;
+    L4Redirector redirector(&sim, &requests, &metrics, &pool,
+                            plane.add_member(), rc);
+    coord::SimWindowDriver driver(&sim, &plane);
+    driver.start(100 * kMillisecond);
+    CountingSource source;
+    sim.run_until(seconds(0.15));  // the first window granted quota
+    // One filler request makes @p busy the more backlogged machine.
+    const auto connect = [&](Server& busy, std::uint64_t id) {
+      busy.submit(requests.acquire(make_request(0, 0, sim.now()), nullptr),
+                  nullptr);
+      redirector.on_client_request(
+          requests.acquire(make_request(0, id, sim.now(), 3), &source));
+      sim.run_until(sim.now() + 50 * kMillisecond);
+    };
+    connect(a, 5);
+    EXPECT_EQ(b.units_served(), 1.0);
+    connect(b, 5 + 4096);
+    driver.stop();
+    EXPECT_EQ(source.calls, 2);
+    EXPECT_EQ(redirector.connections().flows(), 1u);
+    EXPECT_EQ(a.units_served(), use_affinity ? 1.0 : 2.0);
+    EXPECT_EQ(b.units_served(), use_affinity ? 3.0 : 2.0);
+  }
 }
 
 }  // namespace

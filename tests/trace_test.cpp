@@ -84,7 +84,7 @@ TEST(TraceClient, ReplaysOpenLoopThroughL4) {
   sim::Simulator sim;
   nodes::RequestSlab requests;
   nodes::Metrics metrics(1);
-  nodes::Server server(&sim, &requests, &metrics, {"s", 0, 1000.0, {1, 80}});
+  nodes::Server server(&sim, &requests, &metrics, {"s", 0, 1000.0});
   nodes::ServerPool pool;
   pool.add(&server);
   test::FixedRateScheduler scheduler({40.0});
@@ -127,7 +127,7 @@ TEST(TraceClient, DestructionIsSafeWithPendingEvents) {
   sim::Simulator sim;
   nodes::RequestSlab requests;
   nodes::Metrics metrics(1);
-  nodes::Server server(&sim, &requests, &metrics, {"s", 0, 1000.0, {1, 80}});
+  nodes::Server server(&sim, &requests, &metrics, {"s", 0, 1000.0});
   CountingRedirector redirector;
   RequestTrace trace;
   for (int i = 1; i <= 100; ++i)
@@ -166,7 +166,7 @@ TEST(TraceClient, IdenticalInputForDifferentSchedulers) {
     nodes::RequestSlab requests;
     nodes::Metrics metrics(1);
     nodes::Server server(&sim, &requests, &metrics,
-                         {"s", 0, 1000.0, {1, 80}});
+                         {"s", 0, 1000.0});
     nodes::ServerPool pool;
     pool.add(&server);
     test::FixedRateScheduler scheduler({rate});
