@@ -4,7 +4,6 @@
 // these numbers quantify what "small" buys.
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -15,7 +14,6 @@
 #include "sched/multi_provider_scheduler.hpp"
 #include "sched/response_time_scheduler.hpp"
 #include "util/rng.hpp"
-#include "util/worker_pool.hpp"
 
 using namespace sharegrid;
 
@@ -178,16 +176,13 @@ void BM_LpColdExplicitRows(benchmark::State& state) {
 BENCHMARK(BM_LpColdExplicitRows)
     ->Arg(16)->Arg(32)->Arg(64)->Unit(benchmark::kMicrosecond);
 
-// -- M3: multi-provider plan, serial vs worker-pool ---------------------------
+// -- M3: multi-provider plan ---------------------------------------------------
 //
 // One deployment hosting `p` providers solves `p` independent per-provider
-// income programs each window (DESIGN.md D8). Serial runs them in sequence
-// on the calling thread; Parallel fans them out on a WorkerPool. The plans
-// are bitwise identical either way (tests/parallel_plan_test.cpp) — this
-// measures only the dispatch cost/win.
+// income programs each window (DESIGN.md D8), one after another in provider
+// order on the calling thread.
 
-void multi_provider_bench(benchmark::State& state,
-                          std::shared_ptr<WorkerPool> pool) {
+void BM_MultiProviderPlan(benchmark::State& state) {
   Rng rng(44);
   const auto p = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kCustomers = 8;
@@ -205,7 +200,7 @@ void multi_provider_bench(benchmark::State& state,
   std::vector<double> prices(g.size(), 0.0);
   for (std::size_t i = p; i < g.size(); ++i) prices[i] = rng.uniform(0.5, 3.0);
   sched::MultiProviderScheduler scheduler(g, core::compute_access_levels(g),
-                                          providers, prices, std::move(pool));
+                                          providers, prices);
   auto windows = make_demand_sequence(g.size(), rng);
   for (auto& demand : windows)  // providers issue no demand of their own
     for (std::size_t s = 0; s < p; ++s) demand[s] = 0.0;
@@ -215,17 +210,7 @@ void multi_provider_bench(benchmark::State& state,
     w = (w + 1) % windows.size();
   }
 }
-
-void BM_MultiProviderPlanSerial(benchmark::State& state) {
-  multi_provider_bench(state, nullptr);
-}
-BENCHMARK(BM_MultiProviderPlanSerial)
-    ->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
-
-void BM_MultiProviderPlanParallel(benchmark::State& state) {
-  multi_provider_bench(state, std::make_shared<WorkerPool>(3));
-}
-BENCHMARK(BM_MultiProviderPlanParallel)
+BENCHMARK(BM_MultiProviderPlan)
     ->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
 
 }  // namespace

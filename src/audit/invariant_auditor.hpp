@@ -493,57 +493,6 @@ void audit_sim_event_conservation(std::uint64_t inserted, std::uint64_t popped,
                                   std::size_t size, std::uint64_t walked);
 
 // ---------------------------------------------------------------------------
-// sched/multi_provider_scheduler: parallel solves match the serial order.
-// ---------------------------------------------------------------------------
-
-/// A plan solved on the worker pool must be *bitwise* equal to the shadow
-/// plan solved serially from the same inputs — not merely close: both run
-/// the identical deterministic pipeline (DESIGN.md D7), so any difference
-/// means the parallel path leaked state between providers (a shared
-/// SolveContext, a data race, or a nondeterministic merge order), and
-/// serial/parallel runs would diverge event-for-event downstream.
-template <class Plan>
-void audit_parallel_plan_match(const Plan& parallel, const Plan& serial,
-                               std::size_t provider) {
-  require(parallel.rate.rows() == serial.rate.rows() &&
-              parallel.rate.cols() == serial.rate.cols() &&
-              parallel.demand.size() == serial.demand.size(),
-          "parallel.plan-shape", [&] {
-            return "provider #" + std::to_string(provider) +
-                   ": pooled and serial plans have different shapes; the "
-                   "merge assembled columns from the wrong provider";
-          });
-  for (std::size_t i = 0; i < parallel.rate.rows(); ++i) {
-    for (std::size_t k = 0; k < parallel.rate.cols(); ++k) {
-      require(parallel.rate(i, k) == serial.rate(i, k),
-              "parallel.plan-divergence", [&] {
-                return "provider #" + std::to_string(provider) + " rate(" +
-                       std::to_string(i) + ", " + std::to_string(k) +
-                       ") = " + num(parallel.rate(i, k)) +
-                       " pooled but " + num(serial.rate(i, k)) +
-                       " serial; the per-provider solves are sharing state "
-                       "and runs are no longer order-independent";
-              });
-    }
-  }
-  for (std::size_t i = 0; i < parallel.demand.size(); ++i) {
-    require(parallel.demand[i] == serial.demand[i],
-            "parallel.demand-divergence", [&] {
-              return "provider #" + std::to_string(provider) + " demand[" +
-                     std::to_string(i) + "] = " + num(parallel.demand[i]) +
-                     " pooled but " + num(serial.demand[i]) + " serial";
-            });
-  }
-  require(parallel.theta == serial.theta &&
-              parallel.lp_fallback == serial.lp_fallback,
-          "parallel.plan-divergence", [&] {
-            return "provider #" + std::to_string(provider) +
-                   ": theta/fallback flags disagree between the pooled and "
-                   "serial solves";
-          });
-}
-
-// ---------------------------------------------------------------------------
 // l4/connection_table: the open-flow counter and the entries' indexes.
 // ---------------------------------------------------------------------------
 

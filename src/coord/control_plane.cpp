@@ -1,7 +1,6 @@
 #include "coord/control_plane.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "audit/invariant_auditor.hpp"
@@ -12,6 +11,9 @@
 namespace sharegrid::coord {
 
 namespace {
+/// EWMA weight of the newest window in the demand estimators (§4.1).
+constexpr double kEstimatorAlpha = 0.3;
+
 util::MetricCounter& windows_counter() {
   static util::MetricCounter& counter = util::global_metrics().counter(
       "coord.windows", "scheduling windows begun (one plan each)");
@@ -30,11 +32,6 @@ ControlPlane::ControlPlane(const sched::Scheduler* scheduler,
   SHAREGRID_EXPECTS(scheduler != nullptr);
   SHAREGRID_EXPECTS(config_.window > 0);
   SHAREGRID_EXPECTS(config_.redirector_count >= 1);
-  SHAREGRID_EXPECTS(std::isfinite(config_.estimator_alpha));
-  SHAREGRID_EXPECTS(config_.estimator_alpha > 0.0 &&
-                    config_.estimator_alpha <= 1.0);
-  SHAREGRID_EXPECTS(std::isfinite(config_.spike_replan_limit));
-  SHAREGRID_EXPECTS(config_.spike_replan_limit >= 0.0);
 }
 
 ControlPlane::Member* ControlPlane::add_member() {
@@ -106,8 +103,7 @@ ControlPlane::Member::Member(ControlPlane* plane, std::size_t index)
       window_(plane->scheduler_, plane->config_.window,
               plane->config_.redirector_count, plane->config_.stale_policy) {
   const std::size_t n = plane->scheduler_->size();
-  estimators_.assign(
-      n, sched::ArrivalEstimator(plane->config_.estimator_alpha));
+  estimators_.assign(n, sched::ArrivalEstimator(kEstimatorAlpha));
   arrivals_.assign(n, 0.0);
 }
 
@@ -124,11 +120,11 @@ std::optional<core::PrincipalId> ControlPlane::Member::try_admit(
 }
 
 bool ControlPlane::Member::spike_replan() {
-  if (replans_used_ >= replans_allowed_) {
+  if (replanned_) {
     ++replans_suppressed_;
     return false;
   }
-  ++replans_used_;
+  replanned_ = true;
   ++spike_replans_;
   replans_counter().add();
 
@@ -156,11 +152,7 @@ void ControlPlane::Member::begin_window(SimTime now) {
   windows_counter().add();
   last_local_demand_ = local_demand();
   window_.begin_window(last_local_demand_, global_);
-  // Refill the spike-replan budget: integer re-plans released from the
-  // fractional per-window limit, error-carried so long-run re-plan counts
-  // track the limit exactly (DESIGN.md D5 applied to the fast path).
-  replans_allowed_ = replan_budget_.take(plane_->config_.spike_replan_limit);
-  replans_used_ = 0;
+  replanned_ = false;
   SHAREGRID_AUDIT_HOOK(audit::audit_control_plane_member_slices(
       window_.slices(), window_.last_plan().rate,
       /*share_cap=*/

@@ -9,8 +9,9 @@
 // the simulator and re-implemented (single-node, tree-less) in the live
 // stack. ControlPlane owns it once: per-principal ArrivalEstimator demand
 // monitoring, snapshot exchange over an abstract SnapshotTransport, plan
-// solves through the shared sched::Scheduler (MultiProviderScheduler's
-// parallel path included), and WindowScheduler slice/quota enforcement.
+// solves through the shared sched::Scheduler, and WindowScheduler
+// slice/quota enforcement. Demand estimators weigh the newest window by
+// 0.3, and each member may take one demand-spike re-plan per window.
 //
 // Timing is deliberately absent: a ControlPlane member only ever reacts to
 // record_arrival / try_admit / advance_window / receive_global calls. The
@@ -41,14 +42,8 @@ struct ControlPlaneConfig {
   /// R, the redirector fleet size — the conservative no-snapshot slice is
   /// 1/R (paper §5.1, Figure 8 phase 1). Members may be added up to R.
   std::size_t redirector_count = 1;
-  /// EWMA weight of the newest window for the demand estimators, in (0, 1].
-  double estimator_alpha = 0.3;
   /// Behaviour before the first snapshot arrives.
   sched::StalePolicy stale_policy = sched::StalePolicy::kConservative;
-  /// Demand-spike fast-path budget in re-plans per window. Fractional rates
-  /// are error-carried across windows (QuotaCarry), so 0.5 means one re-plan
-  /// every other window; 0 disables the fast path entirely.
-  double spike_replan_limit = 1.0;
 };
 
 /// Shared window loop; holds one Member per redirector / service instance.
@@ -80,15 +75,15 @@ class ControlPlane {
                                                double weight = 1.0);
 
     /// Demand-spike fast path: re-plans the current window against demand
-    /// including the arrivals seen so far, bounded by the per-window re-plan
-    /// budget (ControlPlaneConfig::spike_replan_limit). Returns false — and
-    /// counts a suppressed re-plan — when the budget is exhausted.
+    /// including the arrivals seen so far, at most once per window. Returns
+    /// false — and counts a suppressed re-plan — when this window already
+    /// re-planned (or none has begun yet).
     bool spike_replan();
 
     /// Folds this window's arrivals into the rate estimators.
     void end_window();
     /// Starts a new window: recomputes local demand, re-plans quotas against
-    /// the latest snapshot, refills the spike-replan budget, and fires the
+    /// the latest snapshot, allows one spike re-plan again, and fires the
     /// owner's on_window_begun hook.
     void begin_window(SimTime now);
     /// end_window() + begin_window() — one full window boundary.
@@ -149,11 +144,9 @@ class ControlPlane {
     bool has_snapshot_round_ = false;
     std::uint64_t last_round_ = 0;
 
-    // Spike-replan budget: integer re-plans released from the fractional
-    // per-window limit with an error carry, so limit = 0.5 alternates 0/1.
-    sched::QuotaCarry replan_budget_;
-    std::uint64_t replans_allowed_ = 0;
-    std::uint64_t replans_used_ = 0;
+    // Set once this window's spike re-plan is taken; begin_window clears it.
+    // Starts set: no re-plan before the first window.
+    bool replanned_ = true;
     std::uint64_t spike_replans_ = 0;
     std::uint64_t replans_suppressed_ = 0;
   };

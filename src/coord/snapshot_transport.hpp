@@ -8,9 +8,10 @@
 //
 //  * SimTreeTransport  — the event-driven CombiningTree on a Simulator
 //    (the DES experiments; link delay and tree shape are modeled);
-//  * InProcessTransport — a synchronous in-memory combining tree for live
-//    multi-redirector deployments sharing one process (mutex-serialized by
-//    the wall-clock driver above it);
+//  * InProcessTransport — a synchronous in-memory combining tree: the live
+//    facade's one-member exchange (mutex-serialized by the wall-clock
+//    driver above it), and the R-member oracle that the socket parity
+//    tests and multi_process_demo compare SocketTransport against;
 //  * SocketTransport   — cross-process exchange over loopback TCP
 //    (coord/socket_transport.hpp): round-tagged demand vectors in a star,
 //    with deadline-abandoned rounds and a staleness fallback to 1/R.

@@ -30,12 +30,10 @@ void SimWindowDriver::stop() {
 
 WallClockDriver::WallClockDriver(ControlPlane* plane,
                                  InProcessTransport* transport,
-                                 Options options)
-    : plane_(plane), transport_(transport), options_(options) {
+                                 std::int64_t window_usec)
+    : plane_(plane), transport_(transport), window_usec_(window_usec) {
   SHAREGRID_EXPECTS(plane != nullptr);
-  SHAREGRID_EXPECTS(options_.window_usec > 0);
-  SHAREGRID_EXPECTS(options_.max_catchup >= 1);
-  SHAREGRID_EXPECTS(options_.snapshot_period_windows >= 1);
+  SHAREGRID_EXPECTS(window_usec > 0);
 }
 
 void WallClockDriver::reset(std::int64_t now_usec) {
@@ -43,13 +41,13 @@ void WallClockDriver::reset(std::int64_t now_usec) {
 }
 
 std::int64_t WallClockDriver::poll(std::int64_t now_usec) {
-  std::int64_t elapsed =
-      (now_usec - window_start_usec_) / options_.window_usec;
+  const std::int64_t due = (now_usec - window_start_usec_) / window_usec_;
   // The very first poll must open a window — before it, no quota exists at
   // all; after an idle gap, catch up a bounded number of windows so the
   // estimators decay without replaying hours of empty history.
+  std::int64_t elapsed = due;
   if (!first_window_done_) elapsed = std::max<std::int64_t>(elapsed, 1);
-  elapsed = std::min(elapsed, options_.max_catchup);
+  elapsed = std::min(elapsed, kMaxCatchup);
   for (std::int64_t w = 0; w < elapsed; ++w) {
     // Same member-by-member boundary order as the sim driver's periodic
     // tasks: each member folds its estimators and begins its window before
@@ -64,13 +62,11 @@ std::int64_t WallClockDriver::poll(std::int64_t now_usec) {
     // sampled at boundary k-1 (one-window lag, like a zero-delay sim tree),
     // and the very first window runs snapshot-less — the conservative 1/R
     // startup phase of §5.1.
-    if (transport_ != nullptr &&
-        windows_begun_ %
-                static_cast<std::uint64_t>(options_.snapshot_period_windows) ==
-            0)
-      transport_->exchange();
+    if (transport_ != nullptr) transport_->exchange();
   }
-  if (elapsed > 0) window_start_usec_ = now_usec;
+  // Whole windows only, so the boundaries stay on their grid: a late poll
+  // opens the window it finds due without stretching it.
+  if (due > 0) window_start_usec_ += due * window_usec_;
   return elapsed;
 }
 

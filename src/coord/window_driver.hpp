@@ -8,11 +8,12 @@
 //    bit-reproducibility) match the historical per-redirector wiring.
 //  * WallClockDriver — clock-agnostic window roller for the live stack: the
 //    caller polls with the current time in microseconds (steady_clock in
-//    production, a fake in tests), elapsed windows are advanced with bounded
-//    catch-up, and the in-process snapshot exchange runs on a configurable
-//    window cadence after the new window's quotas are in place (so window k
-//    plans against the aggregate sampled at the end of window k-1 — the
-//    same one-window snapshot lag a zero-delay sim tree produces).
+//    production, a fake in tests), and every window boundary on the fixed
+//    grid since reset() that has elapsed is advanced, at most kMaxCatchup
+//    per poll. The in-process snapshot exchange runs after each new
+//    window's quotas are in place (so window k plans against the aggregate
+//    sampled at the end of window k-1 — the same one-window snapshot lag a
+//    zero-delay sim tree produces).
 #pragma once
 
 #include <cstdint>
@@ -47,25 +48,23 @@ class SimWindowDriver {
 /// synchronized — the admission facade above it holds the mutex.
 class WallClockDriver {
  public:
-  struct Options {
-    /// Scheduling window in microseconds.
-    std::int64_t window_usec = 100000;
-    /// Idle-gap bound: at most this many windows advance per poll.
-    std::int64_t max_catchup = 16;
-    /// Run a snapshot exchange every this many windows (>= 1).
-    std::int64_t snapshot_period_windows = 1;
-  };
+  /// Idle-gap bound: at most this many windows advance per poll, so the
+  /// estimators decay without replaying hours of empty history.
+  static constexpr std::int64_t kMaxCatchup = 16;
 
-  /// @param transport in-process exchange to run on window cadence; may be
-  ///                  nullptr (members then stay on their stale policy).
+  /// @param transport   in-process exchange to run after every window; may
+  ///                    be nullptr (members then stay on their stale policy).
+  /// @param window_usec scheduling window in microseconds.
   WallClockDriver(ControlPlane* plane, InProcessTransport* transport,
-                  Options options);
+                  std::int64_t window_usec);
 
-  /// Re-anchors the window clock at @p now_usec (call when serving starts).
+  /// Re-anchors the window grid at @p now_usec (call when serving starts).
   void reset(std::int64_t now_usec);
 
-  /// Advances every window boundary that elapsed by @p now_usec; returns how
-  /// many windows were rolled. The first poll always opens a window.
+  /// Advances every grid boundary that elapsed by @p now_usec, at most
+  /// kMaxCatchup of them; returns how many windows were rolled. The first
+  /// poll always opens a window. A late poll does not move the grid: the
+  /// next boundary stays a whole number of windows after reset().
   std::int64_t poll(std::int64_t now_usec);
 
   std::uint64_t windows_begun() const { return windows_begun_; }
@@ -73,7 +72,7 @@ class WallClockDriver {
  private:
   ControlPlane* plane_;
   InProcessTransport* transport_;
-  Options options_;
+  std::int64_t window_usec_;
   std::int64_t window_start_usec_ = 0;
   bool first_window_done_ = false;
   std::uint64_t windows_begun_ = 0;

@@ -1,7 +1,5 @@
 #include "core/flow.hpp"
 
-#include <algorithm>
-#include <thread>
 #include <vector>
 
 #include "audit/invariant_auditor.hpp"
@@ -76,29 +74,9 @@ AccessLevels compute_access_levels(const AgreementGraph& graph,
   for (PrincipalId j = 0; j < n; ++j)
     out.mandatory_transfer(j, j) = 1.0;  // a principal's own capacity
 
-  std::size_t workers = options.num_threads == 0
-                            ? std::max(1u, std::thread::hardware_concurrency())
-                            : options.num_threads;
-  workers = std::min(workers, n);
-  if (workers <= 1) {
-    PathWalker walker(graph, options.max_path_length, out.mandatory_transfer,
-                      out.optional_transfer);
-    for (PrincipalId j = 0; j < n; ++j) walker.walk_from(j);
-  } else {
-    // Source j writes only row j of MT/OT, so a static round-robin split of
-    // the sources needs no synchronization (each worker gets its own
-    // walker; the matrices are shared but rows are disjoint).
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      threads.emplace_back([&, w] {
-        PathWalker walker(graph, options.max_path_length,
-                          out.mandatory_transfer, out.optional_transfer);
-        for (PrincipalId j = w; j < n; j += workers) walker.walk_from(j);
-      });
-    }
-    for (std::thread& t : threads) t.join();
-  }
+  PathWalker walker(graph, options.max_path_length, out.mandatory_transfer,
+                    out.optional_transfer);
+  for (PrincipalId j = 0; j < n; ++j) walker.walk_from(j);
 
   compute_entitlements(graph, out);
 

@@ -36,16 +36,12 @@
 
 namespace sharegrid::core {
 
-/// Knobs for the path enumeration.
+/// Knob for the path enumeration.
 struct FlowOptions {
   /// Maximum number of tickets (edges) on a transitive path; the default
   /// admits all simple paths. Lowering this reproduces the paper's
   /// bounded-length MI^(m)/OI^(m) prefixes.
   std::size_t max_path_length = static_cast<std::size_t>(-1);
-  /// Worker threads for the per-source path walks (each source writes a
-  /// disjoint row of MT/OT, so the walks are embarrassingly parallel).
-  /// 1 = serial (default); 0 = one thread per hardware core.
-  std::size_t num_threads = 1;
 };
 
 /// Everything the schedulers need, precomputed from an agreement graph.

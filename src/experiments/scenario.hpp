@@ -65,10 +65,8 @@ struct ScenarioConfig {
   /// Multi-provider income mode: when non-empty, each named principal runs
   /// its own per-window income LP over its entitlement columns and the plans
   /// are merged (src/sched/multi_provider_scheduler.hpp); `provider` is then
-  /// ignored. Plans are identical whatever `plan_solver_threads` is.
+  /// ignored.
   std::vector<std::string> providers;
-  /// Worker threads for the per-provider plan solves (0 = solve serially).
-  std::size_t plan_solver_threads = 0;
 
   /// Locality caps c_k (§3.1.2 extension): at most this many requests/sec
   /// may be pushed to principal k's servers per window, modeling forwarding
@@ -139,11 +137,9 @@ struct ScenarioConfig {
   /// may span hosts (numeric IPv4 only; the listener then binds 0.0.0.0).
   bool allow_nonlocal = false;
 
-  // Client behaviour.
-  double retry_delay_sec = 0.2;
+  // Client behaviour; the retry backoff, arrival process and hop delay are
+  // the node configs' defaults.
   std::size_t max_outstanding = 128;
-  bool exponential_arrivals = true;
-  SimDuration net_delay = 500;
 
   nodes::L7Redirector::Mode l7_mode = nodes::L7Redirector::Mode::kCreditBased;
   bool weighted_admission = false;
@@ -197,8 +193,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config);
 /// Cluster-partitioned runner (sharded_scenario.cpp): one simulation domain
 /// per cluster on a conservatively synchronized ShardedSimulator, metrics
 /// merged in cluster order. Requires layer == kL4, redirector_count == 1,
-/// tree_link_delay > 0, tree_fanout == 0, no capacity events, and serial
-/// plan solves; see ScenarioConfig::clusters.
+/// tree_link_delay > 0, tree_fanout == 0 and no capacity events; see
+/// ScenarioConfig::clusters.
 ScenarioResult run_clustered_scenario(const ScenarioConfig& config);
 
 }  // namespace sharegrid::experiments

@@ -8,7 +8,6 @@
 #include "sched/multi_provider_scheduler.hpp"
 #include "sched/response_time_scheduler.hpp"
 #include "util/assert.hpp"
-#include "util/worker_pool.hpp"
 
 namespace sharegrid::experiments {
 
@@ -34,10 +33,7 @@ core::AgreementGraph planning_graph(const ScenarioConfig& config,
 }
 
 SchedulerFactory scheduler_factory(const ScenarioConfig& config) {
-  std::shared_ptr<WorkerPool> plan_pool;
-  if (!config.providers.empty() && config.plan_solver_threads > 0)
-    plan_pool = std::make_shared<WorkerPool>(config.plan_solver_threads);
-  return [&config, plan_pool](const core::AgreementGraph& graph)
+  return [&config](const core::AgreementGraph& graph)
              -> std::unique_ptr<sched::Scheduler> {
     const std::size_t n = graph.size();
     const core::AccessLevels levels = core::compute_access_levels(graph);
@@ -57,7 +53,7 @@ SchedulerFactory scheduler_factory(const ScenarioConfig& config) {
       for (const std::string& name : config.providers)
         providers.push_back(resolve(graph, name));
       return std::make_unique<sched::MultiProviderScheduler>(
-          graph, levels, std::move(providers), config.prices, plan_pool);
+          graph, levels, std::move(providers), config.prices);
     }
     return std::make_unique<sched::IncomeScheduler>(
         graph, levels, resolve(graph, config.provider), config.prices);
@@ -100,7 +96,6 @@ Domain::Domain(const ScenarioConfig& config,
       nodes::L7Redirector::Config rc;
       rc.name = "l7-" + suffix;
       rc.mode = config.l7_mode;
-      rc.net_delay = config.net_delay;
       rc.weighted_admission = config.weighted_admission;
       rc.trace = trace_ptr;
       l7s.push_back(std::make_unique<nodes::L7Redirector>(
@@ -109,7 +104,6 @@ Domain::Domain(const ScenarioConfig& config,
     } else {
       nodes::L4Redirector::Config rc;
       rc.name = "l4-" + suffix;
-      rc.net_delay = config.net_delay;
       rc.weighted_admission = config.weighted_admission;
       rc.trace = trace_ptr;
       l4s.push_back(std::make_unique<nodes::L4Redirector>(
@@ -137,10 +131,7 @@ void Domain::add_clients(const ScenarioConfig& config,
     fc.principal = resolve(graph, spec.principal);
     fc.first_index = next_index;
     fc.rate = spec.rate;
-    fc.retry_delay_sec = config.retry_delay_sec;
     fc.max_outstanding = config.max_outstanding;
-    fc.exponential_arrivals = config.exponential_arrivals;
-    fc.net_delay = config.net_delay;
     fc.weighted_requests = config.weighted_admission;
     machine_streams.clear();
     for (std::size_t m = 0; m < config.client_scale; ++m)

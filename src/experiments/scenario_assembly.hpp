@@ -54,9 +54,7 @@ core::AgreementGraph planning_graph(const ScenarioConfig& config,
 using SchedulerFactory = std::function<std::unique_ptr<sched::Scheduler>(
     const core::AgreementGraph&)>;
 
-/// The factory for @p config, which must outlive it. Multi-provider plan
-/// solves share one WorkerPool of config.plan_solver_threads across
-/// rebuilds, so capacity events don't respawn threads.
+/// The factory for @p config, which must outlive it.
 SchedulerFactory scheduler_factory(const ScenarioConfig& config);
 
 /// One simulation domain. Everything here is touched only by events of the

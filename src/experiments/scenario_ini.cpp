@@ -1,8 +1,11 @@
 #include "experiments/scenario_ini.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <sstream>
+#include <string_view>
 
 #include "util/assert.hpp"
 
@@ -117,8 +120,6 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
     }
     if (config.providers.empty()) fail("providers list is empty");
   }
-  if (const auto threads = g.get_double("plan_solver_threads"))
-    config.plan_solver_threads = whole_number(*threads, "plan_solver_threads");
   if (const auto length = g.get_double("duration"))
     config.duration_sec = duration(*length, "duration", kSecond);
   if (const auto window_ms = g.get_double("window_ms"))
@@ -317,6 +318,22 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
            " servers are declared");
     config.capacity_events.push_back(event);
   }
+
+  // --- Unknown sections and keys ---------------------------------------------
+  // Every getter above marks the key it returns, so a key left unread is one
+  // this loader does not know; a typo would otherwise leave its setting at
+  // the default in silence.
+  constexpr std::array<std::string_view, 7> kSections = {
+      "control_plane", "principal", "agreement",     "server",
+      "client",        "phase",     "capacity_event"};
+  for (const IniSection& s : doc.sections)
+    if (std::find(kSections.begin(), kSections.end(), s.name) ==
+        kSections.end())
+      fail("unknown section [" + s.name + "] (line " + std::to_string(s.line) +
+           ")");
+  if (const auto key = g.unread_key()) fail("unknown key " + named(g, *key));
+  for (const IniSection& s : doc.sections)
+    if (const auto key = s.unread_key()) fail("unknown key " + named(s, *key));
 
   return config;
 }

@@ -51,10 +51,6 @@ ScenarioResult run_clustered_scenario(const ScenarioConfig& config) {
   SHAREGRID_EXPECTS(config.tree_link_delay > 0);
   SHAREGRID_EXPECTS(config.tree_fanout == 0);
   SHAREGRID_EXPECTS(config.capacity_events.empty());
-  // Plan solves stay serial inside each cluster: the parallelism budget is
-  // already spent on the cluster lanes, and a WorkerPool shared by
-  // concurrently-solving clusters would race.
-  SHAREGRID_EXPECTS(config.plan_solver_threads == 0);
 
   util::global_metrics().reset();
 

@@ -601,7 +601,7 @@ PhaseResult SolveContext::Impl::run_simplex(const std::vector<double>& costs,
   const std::size_t m = prep.num_rows;
   compute_reduced_costs(costs, d);
   for (std::size_t iter = 0; iter < opt.max_iterations; ++iter) {
-    const bool bland = iter >= opt.bland_after;
+    const bool bland = iter >= kBlandAfter;
 
     // Entering column: a nonbasic variable improves the objective by rising
     // off its lower bound when d_j > 0, or by dropping off its upper bound
@@ -611,10 +611,10 @@ PhaseResult SolveContext::Impl::run_simplex(const std::vector<double>& costs,
     // which also keeps zero-length bound flips out of the anti-cycling
     // argument: every admitted flip travels a strictly positive distance.
     std::size_t enter = kNone;
-    double best = opt.tolerance;
+    double best = kTolerance;
     for (std::size_t j = 0; j < col_limit; ++j) {
       const double gain = at_upper[j] ? -d[j] : d[j];
-      if (gain <= opt.tolerance || upper[j] == 0.0) continue;
+      if (gain <= kTolerance || upper[j] == 0.0) continue;
       if (bland) {
         enter = j;
         break;
@@ -648,7 +648,7 @@ PhaseResult SolveContext::Impl::run_simplex(const std::vector<double>& costs,
     // largest magnitude — an absolute guard misclassifies genuinely tiny
     // data, while cancellation noise is always small relative to the column
     // that produced it.
-    const double drop = opt.tolerance * col_max;
+    const double drop = kTolerance * col_max;
     std::size_t leave = kNone;
     bool leave_at_upper = false;
     double best_ratio = upper[enter];  // bound-flip distance (may be inf)
@@ -770,7 +770,7 @@ bool SolveContext::Impl::dual_recover(const SolverOptions& opt) {
     // skips them for the same reason. The scheduler programs are full of
     // them (zero-width [0, 0] boxes for principal pairs with no agreement).
     if (upper[j] == 0.0) continue;
-    if (at_upper[j] ? d[j] < -opt.tolerance : d[j] > opt.tolerance)
+    if (at_upper[j] ? d[j] < -kTolerance : d[j] > kTolerance)
       return false;
   }
 
@@ -780,7 +780,7 @@ bool SolveContext::Impl::dual_recover(const SolverOptions& opt) {
     double scale = 1.0;
     for (std::size_t i = 0; i < m; ++i)
       scale = std::max(scale, std::abs(rhs[i]));
-    const double feas_tol = opt.tolerance * scale;
+    const double feas_tol = kTolerance * scale;
     std::size_t leave = kNone;
     bool above_upper = false;
     double worst = feas_tol;
@@ -819,7 +819,7 @@ bool SolveContext::Impl::dual_recover(const SolverOptions& opt) {
       pr[j] = column_dot(prep, j, rho);
       row_max = std::max(row_max, std::abs(pr[j]));
     }
-    const double drop = opt.tolerance * row_max;
+    const double drop = kTolerance * row_max;
     std::size_t enter = kNone;
     double best_ratio = std::numeric_limits<double>::infinity();
     for (std::size_t j = 0; j < limit; ++j) {
@@ -916,7 +916,7 @@ WarmOutcome SolveContext::Impl::try_warm(const Problem& problem,
     double col_scale = 0.0;
     for (const double v : repaired)
       col_scale = std::max(col_scale, std::abs(v));
-    if (!(std::abs(repaired[r]) > opt.tolerance * col_scale) ||
+    if (!(std::abs(repaired[r]) > kTolerance * col_scale) ||
         col_scale == 0.0) {
       // Unrepairable within the pivot-size guard; the eta file may already
       // carry earlier repairs, so the cache is dead either way.
@@ -940,7 +940,7 @@ WarmOutcome SolveContext::Impl::try_warm(const Problem& problem,
   double scale = 0.0;
   for (std::size_t r = 0; r < m; ++r)
     scale = std::max(scale, std::abs(new_rhs[r]));
-  const double feas_tol = opt.tolerance * (1.0 + scale);
+  const double feas_tol = kTolerance * (1.0 + scale);
   bool primal_infeasible = false;
   for (std::size_t r = 0; r < m; ++r) {
     if (new_rhs[r] < -feas_tol) primal_infeasible = true;

@@ -72,12 +72,13 @@ struct Solution {
   bool optimal() const { return status == Status::kOptimal; }
 };
 
+/// Numerical tolerance for optimality/feasibility tests.
+inline constexpr double kTolerance = 1e-9;
+/// Pivot count after which pricing falls back to Bland's rule.
+inline constexpr std::size_t kBlandAfter = 200;
+
 /// Solver tuning knobs; defaults are appropriate for window-scheduling LPs.
 struct SolverOptions {
-  /// Numerical tolerance for optimality/feasibility tests.
-  double tolerance = 1e-9;
-  /// Pivot count after which pricing falls back to Bland's rule.
-  std::size_t bland_after = 200;
   /// Hard cap on pivots (guards against pathological inputs).
   std::size_t max_iterations = 100000;
   /// Warm solves allowed between full (cold) solves in a SolveContext.

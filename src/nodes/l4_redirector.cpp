@@ -111,14 +111,13 @@ bool L4Redirector::try_forward(RequestHandle handle) {
   if (!owner) return false;
 
   const l4::Endpoint client = client_of(request);
-  std::optional<std::size_t> server;
-  if (config_.use_affinity) {
-    // Prefer the machine that last served this client endpoint — but only
-    // when the admission decision lands on its owner ("to the extent allowed
-    // by the sharing agreements", §4.2).
-    const auto hint = table_.affinity_hint(client, request.principal);
-    if (hint && servers_->at(*hint).config().owner == *owner) server = hint;
-  }
+  // Prefer the machine that last served this client endpoint — but only
+  // when the admission decision lands on its owner ("to the extent allowed
+  // by the sharing agreements", §4.2).
+  std::optional<std::size_t> server =
+      table_.affinity_hint(client, request.principal);
+  if (server && servers_->at(*server).config().owner != *owner)
+    server.reset();
   if (!server) server = servers_->pick(*owner);
   SHAREGRID_ASSERT(server.has_value());
   forward_to(handle, client, *server);

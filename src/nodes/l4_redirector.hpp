@@ -47,7 +47,6 @@ class L4Redirector final : public RedirectorBase {
     SimDuration net_delay = 500;  ///< one-way per-hop delay (usec)
     std::size_t max_queue = 1 << 16;  ///< kernel queue bound per principal
     bool weighted_admission = false;
-    bool use_affinity = true;
     /// Optional per-window decision log (not owned; may be shared).
     WindowTrace* trace = nullptr;
   };

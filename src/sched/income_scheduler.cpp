@@ -15,11 +15,8 @@ using lp::Sense;
 IncomeScheduler::IncomeScheduler(const core::AgreementGraph& graph,
                                  core::AccessLevels levels,
                                  core::PrincipalId provider,
-                                 std::vector<double> prices,
-                                 bool work_conserving)
-    : provider_(provider),
-      prices_(std::move(prices)),
-      work_conserving_(work_conserving) {
+                                 std::vector<double> prices)
+    : provider_(provider), prices_(std::move(prices)) {
   SHAREGRID_EXPECTS(provider < graph.size());
   SHAREGRID_EXPECTS(prices_.size() == graph.size());
   SHAREGRID_EXPECTS(levels.size() == graph.size());
@@ -34,11 +31,8 @@ IncomeScheduler::IncomeScheduler(EntitlementColumns,
                                  const core::AgreementGraph& graph,
                                  const core::AccessLevels& levels,
                                  core::PrincipalId provider,
-                                 std::vector<double> prices,
-                                 bool work_conserving)
-    : provider_(provider),
-      prices_(std::move(prices)),
-      work_conserving_(work_conserving) {
+                                 std::vector<double> prices)
+    : provider_(provider), prices_(std::move(prices)) {
   SHAREGRID_EXPECTS(provider < graph.size());
   SHAREGRID_EXPECTS(prices_.size() == graph.size());
   SHAREGRID_EXPECTS(levels.size() == graph.size());
@@ -118,38 +112,35 @@ Plan IncomeScheduler::plan(const std::vector<double>& demand) const {
   out.demand = demand;
   out.rate = Matrix(n, n, 0.0);
 
-  const lp::Solution* final_solution = &s1;
-  lp::Solution s2;
-  if (work_conserving_) {
-    // Stage 2: at the optimal income, maximize total admitted rate so
-    // zero-price demand can use capacity the paying customers leave idle.
-    // The tiny index-graded bonus breaks ties among equal-price principals:
-    // without it the vertex depends on the pivot path, so warm-started and
-    // cold solves can disagree on who gets the idle capacity even though
-    // both are optimal.
-    Problem p2 = build();
+  // Stage 2: at the optimal income, maximize total admitted rate so
+  // zero-price demand can use capacity the paying customers leave idle.
+  // The tiny index-graded bonus breaks ties among equal-price principals:
+  // without it the vertex depends on the pivot path, so warm-started and
+  // cold solves can disagree on who gets the idle capacity even though
+  // both are optimal.
+  Problem p2 = build();
+  for (std::size_t i = 0; i < n; ++i)
+    p2.set_objective(
+        i, 1.0 + 1e-6 * static_cast<double>(n - i) / static_cast<double>(n));
+  std::vector<std::pair<std::size_t, double>> income_terms;
+  for (std::size_t i = 0; i < n; ++i)
+    if (prices_[i] > 0.0) income_terms.emplace_back(i, prices_[i]);
+  if (!income_terms.empty()) {
+    double income_star = 0.0;
     for (std::size_t i = 0; i < n; ++i)
-      p2.set_objective(
-          i, 1.0 + 1e-6 * static_cast<double>(n - i) / static_cast<double>(n));
-    std::vector<std::pair<std::size_t, double>> income_terms;
-    for (std::size_t i = 0; i < n; ++i)
-      if (prices_[i] > 0.0) income_terms.emplace_back(i, prices_[i]);
-    if (!income_terms.empty()) {
-      double income_star = 0.0;
-      for (std::size_t i = 0; i < n; ++i)
-        income_star += prices_[i] * s1.values[i];
-      p2.add_constraint(std::move(income_terms), Relation::kGreaterEq,
-                        income_star * (1.0 - 1e-9) - 1e-9);
-    }
-    s2 = stage2_context_.solve(p2, solver_options_);
-    if (s2.status == lp::Status::kIterationLimit) {
-      // Stage 1 already maximized income; degrade to its solution (giving
-      // up only work conservation) but still flag the window.
-      out.lp_fallback = true;
-    } else {
-      SHAREGRID_ENSURES(s2.optimal());
-      final_solution = &s2;
-    }
+      income_star += prices_[i] * s1.values[i];
+    p2.add_constraint(std::move(income_terms), Relation::kGreaterEq,
+                      income_star * (1.0 - 1e-9) - 1e-9);
+  }
+  const lp::Solution s2 = stage2_context_.solve(p2, solver_options_);
+  const lp::Solution* final_solution = &s2;
+  if (s2.status == lp::Status::kIterationLimit) {
+    // Stage 1 already maximized income; degrade to its solution (giving
+    // up only work conservation) but still flag the window.
+    out.lp_fallback = true;
+    final_solution = &s1;
+  } else {
+    SHAREGRID_ENSURES(s2.optimal());
   }
 
   for (std::size_t i = 0; i < n; ++i)

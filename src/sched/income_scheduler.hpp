@@ -7,6 +7,10 @@
 // admission rates x_i maximizing sum_i p_i * (x_i - MC_i) subject to
 // aggregate capacity and the agreement bounds, then spreads each customer's
 // admitted rate across the provider's servers in proportion to capacity.
+// A second lexicographic stage maximizes total admitted rate at the optimal
+// income, so zero-price traffic soaks up capacity the paying customers leave
+// idle (serving it costs the provider nothing and helps the community
+// metric).
 #pragma once
 
 #include <vector>
@@ -28,14 +32,9 @@ class IncomeScheduler final : public Scheduler {
   /// @param provider  id of the resource-owning provider.
   /// @param prices    price per extra request, indexed by principal id; the
   ///                  provider's own entry is ignored.
-  /// @param work_conserving  when true (default), a second lexicographic
-  ///                  stage maximizes total admitted rate at the optimal
-  ///                  income, so zero-price traffic soaks up capacity the
-  ///                  paying customers leave idle (serving it costs the
-  ///                  provider nothing and helps the community metric).
   IncomeScheduler(const core::AgreementGraph& graph,
                   core::AccessLevels levels, core::PrincipalId provider,
-                  std::vector<double> prices, bool work_conserving = true);
+                  std::vector<double> prices);
 
   /// Tag selecting the per-server entitlement columns as the bound source.
   struct EntitlementColumns {};
@@ -47,7 +46,7 @@ class IncomeScheduler final : public Scheduler {
   /// without any server being promised twice (DESIGN.md D1).
   IncomeScheduler(EntitlementColumns, const core::AgreementGraph& graph,
                   const core::AccessLevels& levels, core::PrincipalId provider,
-                  std::vector<double> prices, bool work_conserving = true);
+                  std::vector<double> prices);
 
   Plan plan(const std::vector<double>& demand) const override;
   std::size_t size() const override { return prices_.size(); }
@@ -70,7 +69,6 @@ class IncomeScheduler final : public Scheduler {
 
   core::PrincipalId provider_;
   std::vector<double> prices_;
-  bool work_conserving_;
   std::vector<double> mandatory_;  // MC_i
   std::vector<double> optional_;   // OC_i
   double provider_capacity_ = 0.0;

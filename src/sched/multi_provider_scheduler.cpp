@@ -2,30 +2,23 @@
 
 #include <utility>
 
-#include "audit/invariant_auditor.hpp"
 #include "util/assert.hpp"
 
 namespace sharegrid::sched {
 
 MultiProviderScheduler::MultiProviderScheduler(
     const core::AgreementGraph& graph, const core::AccessLevels& levels,
-    std::vector<core::PrincipalId> providers, std::vector<double> prices,
-    std::shared_ptr<WorkerPool> pool, bool work_conserving)
-    : providers_(std::move(providers)), pool_(std::move(pool)) {
+    std::vector<core::PrincipalId> providers, std::vector<double> prices)
+    : providers_(std::move(providers)) {
   const std::size_t n = graph.size();
   const std::size_t count = providers_.size();
   SHAREGRID_EXPECTS(count > 0);
   SHAREGRID_EXPECTS(prices.size() == n);
   per_provider_.reserve(count);
-  shadow_.reserve(count);
   for (const core::PrincipalId k : providers_) {
     SHAREGRID_EXPECTS(k < n);
     per_provider_.push_back(std::make_unique<IncomeScheduler>(
-        IncomeScheduler::EntitlementColumns{}, graph, levels, k, prices,
-        work_conserving));
-    shadow_.push_back(std::make_unique<IncomeScheduler>(
-        IncomeScheduler::EntitlementColumns{}, graph, levels, k, prices,
-        work_conserving));
+        IncomeScheduler::EntitlementColumns{}, graph, levels, k, prices));
   }
 
   // Split each customer's demand by its entitlement share at each provider;
@@ -52,7 +45,6 @@ void MultiProviderScheduler::set_solver_options(
     const lp::SolverOptions& options) {
   const util::MutexLock lock(mutex_);
   for (auto& scheduler : per_provider_) scheduler->set_solver_options(options);
-  for (auto& scheduler : shadow_) scheduler->set_solver_options(options);
 }
 
 lp::SolveStats MultiProviderScheduler::solver_stats() const {
@@ -68,43 +60,17 @@ Plan MultiProviderScheduler::plan(const std::vector<double>& demand) const {
   SHAREGRID_EXPECTS(demand.size() == n);
   const util::MutexLock lock(mutex_);
 
-  std::vector<std::vector<double>> split(count,
-                                         std::vector<double>(n, 0.0));
-  for (std::size_t p = 0; p < count; ++p)
-    for (std::size_t i = 0; i < n; ++i)
-      split[p][i] = demand[i] * weights_(i, p);
-
-  // Fan out: each solve touches only its own slot, its scheduler's own
-  // warm-start contexts, and its own read-only demand vector.
-  std::vector<Plan> results(count);
-  auto solve = [&](std::size_t p) {
-    results[p] = per_provider_[p]->plan(split[p]);
-  };
-  if (pool_ != nullptr) {
-    pool_->run_indexed(count, solve);
-  } else {
-    for (std::size_t p = 0; p < count; ++p) solve(p);
-  }
-
-  // The shadow solve replays the identical window on serial contexts; both
-  // pipelines are deterministic (DESIGN.md D7), so the plans must match
-  // bitwise — any drift means the pooled solves leaked state across threads.
-  SHAREGRID_AUDIT_HOOK([&] {
-    for (std::size_t p = 0; p < count; ++p)
-      audit::audit_parallel_plan_match(results[p], shadow_[p]->plan(split[p]),
-                                       p);
-  }());
-
-  // Merge in provider index order: each per-provider plan fills only its own
-  // column, so the merged plan is independent of solve completion order.
+  // Solve in provider order; each plan fills only its provider's column.
   Plan out;
   out.demand = demand;
   out.rate = Matrix(n, n, 0.0);
+  std::vector<double> split(n, 0.0);
   for (std::size_t p = 0; p < count; ++p) {
+    for (std::size_t i = 0; i < n; ++i) split[i] = demand[i] * weights_(i, p);
+    const Plan result = per_provider_[p]->plan(split);
     const core::PrincipalId k = providers_[p];
-    for (std::size_t i = 0; i < n; ++i)
-      out.rate(i, k) = results[p].rate(i, k);
-    out.lp_fallback = out.lp_fallback || results[p].lp_fallback;
+    for (std::size_t i = 0; i < n; ++i) out.rate(i, k) = result.rate(i, k);
+    out.lp_fallback = out.lp_fallback || result.lp_fallback;
   }
   return out;
 }

@@ -1,21 +1,20 @@
 // Multi-provider plan assembly: several resource owners, one plan (§3.1.2
-// scaled out; ROADMAP "parallel multi-server plan solves", DESIGN.md D8).
+// scaled out, DESIGN.md D8).
 //
 // Each provider's income LP is independent of the others': its bounds come
 // from the entitlement decomposition columns EM(·, k) / EO(·, k), which
 // partition every server's capacity across principals (DESIGN.md D1), and
 // its objective touches only its own admission variables. So the per-window
 // solve decomposes exactly — one IncomeScheduler per provider, each with its
-// own warm-start SolveContext — and the per-provider solves can run
-// concurrently on a WorkerPool without changing any result.
+// own warm-start SolveContext — solved one after another in provider order.
+// (Fanning the solves out on a worker pool was measured 1.4–3.6x slower
+// than this serial loop at 2–8 providers: each solve takes microseconds, so
+// the hand-off costs more than it saves; DESIGN.md D8.)
 //
-// Determinism contract: customer demand is split across providers by fixed
-// entitlement-share weights, each provider solves the same LP sequence it
-// would solve alone, and the per-provider plans are merged column-by-column
-// in provider index order. Completion order never influences the output, so
-// serial and parallel runs (and runs on pools of different sizes) produce
-// bitwise-identical plans; the SHAREGRID_AUDIT build re-solves every window
-// serially on shadow contexts and asserts exact equality.
+// Customer demand is split across providers by fixed entitlement-share
+// weights, each provider solves the same LP sequence it would solve alone,
+// and the per-provider plans are merged column-by-column in provider index
+// order.
 #pragma once
 
 #include <memory>
@@ -27,12 +26,10 @@
 #include "sched/scheduler.hpp"
 #include "util/matrix.hpp"
 #include "util/thread_annotations.hpp"
-#include "util/worker_pool.hpp"
 
 namespace sharegrid::sched {
 
-/// Income maximization across several providers, one LP per provider,
-/// optionally fanned out on a worker pool.
+/// Income maximization across several providers, one LP per provider.
 class MultiProviderScheduler final : public Scheduler {
  public:
   /// @param graph      agreement graph; capacities give each provider's pool.
@@ -40,15 +37,10 @@ class MultiProviderScheduler final : public Scheduler {
   /// @param providers  ids of the resource-owning providers (each with
   ///                   capacity > 0); plans fill exactly these columns.
   /// @param prices     price per extra request, indexed by principal id.
-  /// @param pool       worker pool for the per-provider solves; nullptr runs
-  ///                   them serially. Shared so scheduler rebuilds (capacity
-  ///                   events) reuse the same threads.
   MultiProviderScheduler(const core::AgreementGraph& graph,
                          const core::AccessLevels& levels,
                          std::vector<core::PrincipalId> providers,
-                         std::vector<double> prices,
-                         std::shared_ptr<WorkerPool> pool = nullptr,
-                         bool work_conserving = true);
+                         std::vector<double> prices);
 
   Plan plan(const std::vector<double>& demand) const override
       SHAREGRID_EXCLUDES(mutex_);
@@ -72,12 +64,8 @@ class MultiProviderScheduler final : public Scheduler {
   std::vector<core::PrincipalId> providers_;
   /// The per-provider solvers hold their own warm-start state behind their
   /// own mutexes; mutex_ additionally serializes whole windows (below), so
-  /// the unique_ptr vectors themselves are read-only after construction.
+  /// the unique_ptr vector itself is read-only after construction.
   std::vector<std::unique_ptr<IncomeScheduler>> per_provider_;
-  /// Serial shadow solvers fed the identical window sequence; audit builds
-  /// compare their plans bitwise against the pooled ones.
-  std::vector<std::unique_ptr<IncomeScheduler>> shadow_;
-  std::shared_ptr<WorkerPool> pool_;
   /// weights_(i, p): fraction of customer i's demand offered to provider p —
   /// i's entitlement share at that provider, fixed at construction.
   Matrix weights_;

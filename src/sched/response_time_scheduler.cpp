@@ -173,32 +173,29 @@ Plan ResponseTimeScheduler::plan(const std::vector<double>& raw_demand) const {
   const double theta = s1.values[theta_var];
   out.theta = theta;
 
-  const lp::Solution* final_solution = &s1;
-  lp::Solution s2;
-  if (options_.work_conserving) {
-    // Stage 2: at fixed theta, maximize the total admitted rate so spare
-    // capacity flows to whoever can still use it. The tiny bonus on local
-    // placement (x_ii) breaks ties among the many total-rate-equal routings:
-    // without it the chosen vertex depends on the pivot path, so a
-    // warm-started solve can land on a different alternate optimum than a
-    // cold one and closed-loop simulations stop being reproducible. 1e-6 is
-    // far above the solver tolerance and costs at most 1e-6 of a request of
-    // total admitted rate.
-    Problem p2 = build(floors);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t k = 0; k < n; ++k)
-        p2.set_objective(var(i, k), k == i ? 1.0 + 1e-6 : 1.0);
-    // Tiny slack below theta guards against round-off infeasibility.
-    p2.set_bounds(theta_var, std::max(0.0, theta - 1e-9), 1.0);
-    s2 = stage2_context_.solve(p2, solver_options_);
-    if (s2.status == lp::Status::kIterationLimit) {
-      // Stage 1 already produced a feasible max-min plan; degrade to it
-      // (giving up only work conservation) but still flag the window.
-      out.lp_fallback = true;
-    } else {
-      SHAREGRID_ENSURES(s2.optimal());
-      final_solution = &s2;
-    }
+  // Stage 2: at fixed theta, maximize the total admitted rate so spare
+  // capacity flows to whoever can still use it. The tiny bonus on local
+  // placement (x_ii) breaks ties among the many total-rate-equal routings:
+  // without it the chosen vertex depends on the pivot path, so a
+  // warm-started solve can land on a different alternate optimum than a
+  // cold one and closed-loop simulations stop being reproducible. 1e-6 is
+  // far above the solver tolerance and costs at most 1e-6 of a request of
+  // total admitted rate.
+  Problem p2 = build(floors);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t k = 0; k < n; ++k)
+      p2.set_objective(var(i, k), k == i ? 1.0 + 1e-6 : 1.0);
+  // Tiny slack below theta guards against round-off infeasibility.
+  p2.set_bounds(theta_var, std::max(0.0, theta - 1e-9), 1.0);
+  const lp::Solution s2 = stage2_context_.solve(p2, solver_options_);
+  const lp::Solution* final_solution = &s2;
+  if (s2.status == lp::Status::kIterationLimit) {
+    // Stage 1 already produced a feasible max-min plan; degrade to it
+    // (giving up only work conservation) but still flag the window.
+    out.lp_fallback = true;
+    final_solution = &s1;
+  } else {
+    SHAREGRID_ENSURES(s2.optimal());
   }
 
   for (std::size_t i = 0; i < n; ++i)

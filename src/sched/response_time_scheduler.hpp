@@ -24,8 +24,6 @@ struct ResponseTimeOptions {
   /// Per-server locality caps c_k (requests/sec a redirector may push to
   /// server k per window); empty = unlimited (the paper's base model).
   std::vector<double> locality_caps;
-  /// Run the work-conserving second stage (on by default).
-  bool work_conserving = true;
 };
 
 /// Max-min fairness over agreement entitlements via two-stage LP.

@@ -52,7 +52,14 @@ std::optional<std::string> IniSection::get_string(
     const std::string& key) const {
   const auto it = values.find(key);
   if (it == values.end()) return std::nullopt;
-  return it->second;
+  it->second.read = true;
+  return it->second.text;
+}
+
+std::optional<std::string> IniSection::unread_key() const {
+  for (const auto& [key, value] : values)
+    if (!value.read) return key;
+  return std::nullopt;
 }
 
 std::optional<double> IniSection::get_double(const std::string& key) const {
@@ -140,7 +147,7 @@ IniDocument parse_ini(const std::string& text) {
     if (key.empty()) fail("empty key", line_no);
     if (current->values.count(key) > 0)
       fail("duplicate key '" + key + "'", line_no);
-    current->values[key] = value;
+    current->values[key] = {value};
   }
   return doc;
 }

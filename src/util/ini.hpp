@@ -19,13 +19,23 @@
 
 namespace sharegrid {
 
+/// One `key = value` entry. The typed getters set `read` when they return
+/// the value, so a loader can find the keys it never asked for.
+struct IniValue {
+  std::string text;
+  mutable bool read = false;
+};
+
 /// One `[section]` instance with its key/value pairs.
 struct IniSection {
   std::string name;
   std::size_t line = 0;  ///< line number of the header (1-based)
-  std::map<std::string, std::string> values;
+  std::map<std::string, IniValue> values;
 
   bool has(const std::string& key) const { return values.count(key) > 0; }
+
+  /// The first key (in key order) that no getter has returned yet.
+  std::optional<std::string> unread_key() const;
 
   /// Typed getters: nullopt when the key is absent; throws
   /// ContractViolation when present but malformed.

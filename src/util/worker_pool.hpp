@@ -1,15 +1,15 @@
-// Small persistent worker pool for the parallel per-provider plan solves
-// (DESIGN.md D8, ROADMAP "parallel multi-server plan solves").
+// Small persistent worker pool for the sharded simulator's lanes
+// (sim/sharded_simulator.hpp, DESIGN.md D13).
 //
 // Deliberately minimal: one kind of job (run fn(i) for every index in a
 // range), the caller participates so a pool of zero threads degrades to a
-// plain serial loop, and runs are serialized — the schedulers that use it
-// issue one fan-out per window, so queueing sophistication would buy
-// nothing. Determinism matters more than throughput here: results are
-// written by index into caller-owned slots, and when callables throw, the
-// exception rethrown is always the one from the *lowest* index, independent
-// of thread interleaving, so a failing window fails identically in serial
-// and parallel runs.
+// plain serial loop, and runs are serialized — the engine issues one
+// fan-out per epoch, so queueing sophistication would buy nothing.
+// Determinism matters more than throughput here: results are written by
+// index into caller-owned slots, and when callables throw, the exception
+// rethrown is always the one from the *lowest* index, independent of
+// thread interleaving, so a failing epoch fails identically in serial and
+// parallel runs.
 #pragma once
 
 #include <cstdint>

@@ -145,8 +145,8 @@ std::uint64_t result_hash(const ScenarioConfig& config) {
   return fnv1a64(digest(run_scenario(config)));
 }
 
-/// Two providers own every server and sell to two customers; the
-/// per-provider income LPs solve on a two-thread pool.
+/// Two providers own every server and sell to two customers, one income LP
+/// per provider.
 ScenarioConfig two_provider_config() {
   ScenarioConfig c;
   c.graph.add_principal("S1", 0.0);
@@ -160,7 +160,6 @@ ScenarioConfig two_provider_config() {
   c.scheduler = SchedulerKind::kIncome;
   c.providers = {"S1", "S2"};
   c.prices = {0.0, 0.0, 2.0, 1.0};
-  c.plan_solver_threads = 2;
   c.redirector_count = 2;
   c.servers = {{"S1", 150.0}, {"S2", 120.0}};
   ClientSpec a;
@@ -208,7 +207,7 @@ TEST(ScenarioDigest, Figure10Income) {
 /// Figure 10 for 25 s: each 400 req/s machine cycles through its 4,096 L4
 /// source ports about twice, so new connections meet affinity hints left
 /// by earlier ones, and provider S owns two servers for a hint to choose
-/// between. The 6 s cut above hashes the same with use_affinity off.
+/// between. In the 6 s cut above, no hint changes a pick.
 TEST(ScenarioDigest, Figure10IncomePortReuse) {
   ScenarioConfig c = figure10().config;
   c.duration_sec = 25.0;
@@ -216,7 +215,7 @@ TEST(ScenarioDigest, Figure10IncomePortReuse) {
   EXPECT_EQ(result_hash(c), 0x4e96fb6a1644ada1ull);
 }
 
-TEST(ScenarioDigest, TwoProviderIncomeOnAPool) {
+TEST(ScenarioDigest, TwoProviderIncome) {
   EXPECT_EQ(result_hash(two_provider_config()), 0x52556748d76db263ull);
 }
 

@@ -122,10 +122,8 @@ TEST(ControlPlane, SimAndWallClockDriversRunTheSamePath) {
   coord::InProcessTransport wall_transport(2, 2);
   wall_plane.connect(&wall_transport);
   wall_transport.start();
-  coord::WallClockDriver::Options wall_options;
-  wall_options.window_usec = kWindow;  // SimTime ticks are microseconds
-  coord::WallClockDriver wall_driver(&wall_plane, &wall_transport,
-                                     wall_options);
+  // SimTime ticks are microseconds.
+  coord::WallClockDriver wall_driver(&wall_plane, &wall_transport, kWindow);
 
   for (int k = 1; k <= kWindows; ++k) {
     // Identical offered load, uneven across members so the proportional
@@ -193,9 +191,7 @@ TEST(ControlPlane, ConservativeStartupPinsOneOverROnBothDrivers) {
   // Wall-clock driver, null transport.
   coord::ControlPlane wall_plane(&scheduler, config);
   for (int m = 0; m < 4; ++m) wall_plane.add_member();
-  coord::WallClockDriver::Options options;
-  options.window_usec = kWindow;
-  coord::WallClockDriver driver(&wall_plane, nullptr, options);
+  coord::WallClockDriver driver(&wall_plane, nullptr, kWindow);
   EXPECT_EQ(driver.poll(0), 1);  // the first poll always opens a window
   for (std::size_t m = 0; m < 4; ++m) {
     const coord::ControlPlane::Member* member = wall_plane.member(m);
@@ -220,61 +216,53 @@ TEST(ControlPlane, ConservativeStartupPinsOneOverROnBothDrivers) {
 }
 
 // ---------------------------------------------------------------------------
-// Demand-spike fast path budget (satellite of D10): at most
-// spike_replan_limit re-plans per member per window, fractional limits
-// error-carried, suppressed attempts counted per member.
+// Demand-spike fast path budget (satellite of D10): at most one re-plan per
+// member per window and none before the first window, suppressed attempts
+// counted per member.
 // ---------------------------------------------------------------------------
 
 TEST(ControlPlane, SpikeReplanBudgetBoundsTheFastPath) {
   const test::FixedRateScheduler scheduler({100.0});
   coord::ControlPlaneConfig config;
   config.window = kWindow;
-  config.spike_replan_limit = 1.0;
   coord::ControlPlane plane(&scheduler, config);
   coord::ControlPlane::Member* member = plane.add_member();
 
+  EXPECT_FALSE(member->spike_replan());  // no window has begun
   member->advance_window(0);
   EXPECT_TRUE(member->spike_replan());
   EXPECT_FALSE(member->spike_replan());  // budget exhausted this window
   EXPECT_FALSE(member->spike_replan());
   EXPECT_EQ(member->spike_replans(), 1u);
-  EXPECT_EQ(member->replans_suppressed(), 2u);
+  EXPECT_EQ(member->replans_suppressed(), 3u);
 
   member->advance_window(kWindow);  // budget refills at the boundary
   EXPECT_TRUE(member->spike_replan());
   EXPECT_EQ(member->spike_replans(), 2u);
 }
 
-TEST(ControlPlane, FractionalReplanLimitAlternatesViaErrorCarry) {
+// ---------------------------------------------------------------------------
+// The wall-clock driver keeps window boundaries on the grid reset() set: a
+// late poll opens the window it finds due without moving the next boundary,
+// and an idle gap rolls at most 16 windows.
+// ---------------------------------------------------------------------------
+
+TEST(ControlPlane, WallClockWindowsStayOnTheirGrid) {
   const test::FixedRateScheduler scheduler({100.0});
   coord::ControlPlaneConfig config;
   config.window = kWindow;
-  config.spike_replan_limit = 0.5;  // one re-plan every other window
   coord::ControlPlane plane(&scheduler, config);
-  coord::ControlPlane::Member* member = plane.add_member();
-
-  member->advance_window(0);
-  EXPECT_FALSE(member->spike_replan());  // carry 0.5: nothing released yet
-  member->advance_window(kWindow);
-  EXPECT_TRUE(member->spike_replan());  // carry reached 1.0
-  EXPECT_FALSE(member->spike_replan());
-  member->advance_window(2 * kWindow);
-  EXPECT_FALSE(member->spike_replan());
-  EXPECT_EQ(member->spike_replans(), 1u);
-}
-
-TEST(ControlPlane, ZeroReplanLimitDisablesTheFastPath) {
-  const test::FixedRateScheduler scheduler({100.0});
-  coord::ControlPlaneConfig config;
-  config.window = kWindow;
-  config.spike_replan_limit = 0.0;
-  coord::ControlPlane plane(&scheduler, config);
-  coord::ControlPlane::Member* member = plane.add_member();
-  for (int w = 0; w < 3; ++w) {
-    member->advance_window(w * kWindow);
-    EXPECT_FALSE(member->spike_replan());
-  }
-  EXPECT_EQ(member->spike_replans(), 0u);
+  plane.add_member();
+  coord::WallClockDriver driver(&plane, nullptr, kWindow);
+  driver.reset(0);
+  const std::int64_t w = kWindow;
+  EXPECT_EQ(driver.poll(0), 1);           // the first poll opens a window
+  EXPECT_EQ(driver.poll(19 * w / 10), 1);  // boundary W, polled late
+  EXPECT_EQ(driver.poll(21 * w / 10), 1);  // boundary 2W is still 2W
+  EXPECT_EQ(driver.poll(100 * w), 16);     // 98 due, clamped to 16
+  EXPECT_EQ(driver.poll(100 * w + 1), 0);  // the grid moved by all 98
+  EXPECT_EQ(driver.poll(101 * w), 1);
+  EXPECT_EQ(driver.windows_begun(), 20u);
 }
 
 // ---------------------------------------------------------------------------
@@ -306,18 +294,6 @@ TEST(ControlPlane, ConfigValidationRejectsPoisonValues) {
   reject(config);
   config = {};
   config.redirector_count = 0;
-  reject(config);
-  config = {};
-  config.estimator_alpha = std::numeric_limits<double>::quiet_NaN();
-  reject(config);
-  config = {};
-  config.estimator_alpha = 1.5;
-  reject(config);
-  config = {};
-  config.spike_replan_limit = -1.0;
-  reject(config);
-  config = {};
-  config.spike_replan_limit = std::numeric_limits<double>::infinity();
   reject(config);
   EXPECT_NO_THROW(coord::ControlPlane(&scheduler, coord::ControlPlaneConfig{}));
 }
@@ -499,26 +475,23 @@ TEST(ControlPlaneAudit, SliceSumConservationAcrossTheFleet) {
 }
 
 // ---------------------------------------------------------------------------
-// The live facade: multiple redirectors in one process share one plane and
-// exchange snapshots in-process.
+// The live facade: one member, whose own demand comes back to it through the
+// one-member in-process exchange after every window.
 // ---------------------------------------------------------------------------
 
-TEST(WallClockAdmission, MultiMemberFacadeSharesOnePlane) {
+TEST(WallClockAdmission, SingleMemberFacadeExchangesEveryWindow) {
   const test::FixedRateScheduler scheduler({1000.0});
-  live::WallClockAdmission::Config config;
-  config.window_usec = 100000;
-  config.redirector_count = 2;
-  live::WallClockAdmission admission(&scheduler, config);
-  EXPECT_EQ(admission.member_count(), 2u);
+  live::WallClockAdmission admission(&scheduler, /*window_usec=*/100000);
+  admission.reset_clock();
 
-  const auto first = admission.try_admit(/*member_index=*/0, /*principal=*/0);
+  const auto first = admission.try_admit(/*principal=*/0);
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(*first, 0u);
-  EXPECT_TRUE(admission.try_admit(/*member_index=*/1, /*principal=*/0)
-                  .has_value());
+  EXPECT_TRUE(admission.try_admit(/*principal=*/0).has_value());
   EXPECT_GE(admission.windows_begun(), 1u);
-  EXPECT_GE(admission.snapshot_rounds(), 1u);
-  EXPECT_EQ(admission.plane().member_count(), 2u);
+  EXPECT_EQ(admission.snapshot_rounds(), admission.windows_begun());
+  ASSERT_EQ(admission.plane().member_count(), 1u);
+  EXPECT_TRUE(admission.plane().member(0)->global().valid);
 }
 
 }  // namespace

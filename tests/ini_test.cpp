@@ -1,6 +1,7 @@
 // Unit tests for the INI reader and the scenario-file loader.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -212,7 +213,6 @@ TEST(ScenarioIni, RejectsNumbersTheirIntegersCannotHold) {
     bool whole;  // counts, indices and the seed
   };
   const Key keys[] = {
-      {"", "plan_solver_threads", true},
       {"", "redirectors", true},
       {"", "clusters", true},
       {"", "sim_shards", true},
@@ -258,16 +258,46 @@ TEST(ScenarioIni, RejectsNumbersTheirIntegersCannotHold) {
       IniSection* section = &doc.global;
       for (IniSection& s : doc.sections)
         if (s.name == k.section) section = &s;
-      section->values[k.key] = value;
+      section->values[k.key] = {value};
       expect_rejected(doc, k.key, value);
     }
   }
   for (const char* range : {"nan-5", "0-nan", "0-1e30"}) {
     IniDocument doc = parse_ini(text);
     for (IniSection& s : doc.sections)
-      if (s.name == "client") s.values["active"] = range;
+      if (s.name == "client") s.values["active"] = {range};
     expect_rejected(doc, "active", range);
   }
+}
+
+TEST(ScenarioIni, RejectsUnknownKeysAndSections) {
+  using namespace experiments;
+  ASSERT_NO_THROW(scenario_from_ini(parse_ini(kMinimalScenario)));
+  // A key or section the loader never reads would otherwise leave its
+  // setting at the default in silence; the error names it and, inside a
+  // section, the section's line.
+  const auto expect_rejected = [](const std::string& text,
+                                  const std::string& named) {
+    try {
+      scenario_from_ini(parse_ini(text));
+      ADD_FAILURE() << "accepted: " << named;
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
+          << e.what();
+    }
+  };
+  const std::string minimal = kMinimalScenario;
+  expect_rejected("tree_link_dealy = 5\n" + minimal, "tree_link_dealy");
+  expect_rejected("plan_solver_threads = 2\n" + minimal,
+                  "plan_solver_threads");
+  // A third [server] block, opening on the line after the minimal text.
+  const std::string server_line =
+      std::to_string(std::count(minimal.begin(), minimal.end(), '\n') + 1);
+  expect_rejected(minimal + "[server]\nowner = A\ncapacity = 320\n"
+                            "capactiy = 20\n",
+                  "server.capactiy (line " + server_line + ")");
+  expect_rejected(minimal + "[controlplane]\ntree_fanout = 2\n",
+                  "[controlplane]");
 }
 
 TEST(ScenarioIni, ControlPlaneMembershipKnobs) {

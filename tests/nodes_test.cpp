@@ -772,47 +772,42 @@ TEST(L4Redirector, CountsWindowsBegunOnFallbackPlans) {
 // 2 (b). The first connection goes to b, which pick() prefers while a is
 // busy. The second comes from the same client machine with an id 4096
 // higher, so from the same source port, while b is the busy one. Its hint
-// names b by pool index; without affinity it goes to pick()'s choice, a.
+// names b by pool index, so it goes back to b where pick() would choose a.
 TEST(L4Redirector, AffinityHintNamesTheLastServerByPoolIndex) {
-  for (const bool use_affinity : {true, false}) {
-    SCOPED_TRACE(use_affinity ? "use_affinity" : "no affinity");
-    sim::Simulator sim;
-    RequestSlab requests;
-    Metrics metrics(2);
-    FixedRateScheduler scheduler({1000.0, 1000.0});
-    coord::ControlPlane plane(&scheduler, coord::ControlPlaneConfig{});
-    Server other(&sim, &requests, &metrics, {"other", 1, 1000.0});
-    Server a(&sim, &requests, &metrics, {"a", 0, 1000.0});
-    Server b(&sim, &requests, &metrics, {"b", 0, 1000.0});
-    ServerPool pool;
-    pool.add(&other);
-    pool.add(&a);
-    pool.add(&b);
-    L4Redirector::Config rc;
-    rc.use_affinity = use_affinity;
-    L4Redirector redirector(&sim, &requests, &metrics, &pool,
-                            plane.add_member(), rc);
-    coord::SimWindowDriver driver(&sim, &plane);
-    driver.start(100 * kMillisecond);
-    CountingSource source;
-    sim.run_until(seconds(0.15));  // the first window granted quota
-    // One filler request makes @p busy the more backlogged machine.
-    const auto connect = [&](Server& busy, std::uint64_t id) {
-      busy.submit(requests.acquire(make_request(0, 0, sim.now()), nullptr),
-                  nullptr);
-      redirector.on_client_request(
-          requests.acquire(make_request(0, id, sim.now(), 3), &source));
-      sim.run_until(sim.now() + 50 * kMillisecond);
-    };
-    connect(a, 5);
-    EXPECT_EQ(b.units_served(), 1.0);
-    connect(b, 5 + 4096);
-    driver.stop();
-    EXPECT_EQ(source.calls, 2);
-    EXPECT_EQ(redirector.connections().flows(), 1u);
-    EXPECT_EQ(a.units_served(), use_affinity ? 1.0 : 2.0);
-    EXPECT_EQ(b.units_served(), use_affinity ? 3.0 : 2.0);
-  }
+  sim::Simulator sim;
+  RequestSlab requests;
+  Metrics metrics(2);
+  FixedRateScheduler scheduler({1000.0, 1000.0});
+  coord::ControlPlane plane(&scheduler, coord::ControlPlaneConfig{});
+  Server other(&sim, &requests, &metrics, {"other", 1, 1000.0});
+  Server a(&sim, &requests, &metrics, {"a", 0, 1000.0});
+  Server b(&sim, &requests, &metrics, {"b", 0, 1000.0});
+  ServerPool pool;
+  pool.add(&other);
+  pool.add(&a);
+  pool.add(&b);
+  L4Redirector redirector(&sim, &requests, &metrics, &pool,
+                          plane.add_member(), L4Redirector::Config{});
+  coord::SimWindowDriver driver(&sim, &plane);
+  driver.start(100 * kMillisecond);
+  CountingSource source;
+  sim.run_until(seconds(0.15));  // the first window granted quota
+  // One filler request makes @p busy the more backlogged machine.
+  const auto connect = [&](Server& busy, std::uint64_t id) {
+    busy.submit(requests.acquire(make_request(0, 0, sim.now()), nullptr),
+                nullptr);
+    redirector.on_client_request(
+        requests.acquire(make_request(0, id, sim.now(), 3), &source));
+    sim.run_until(sim.now() + 50 * kMillisecond);
+  };
+  connect(a, 5);
+  EXPECT_EQ(b.units_served(), 1.0);
+  connect(b, 5 + 4096);
+  driver.stop();
+  EXPECT_EQ(source.calls, 2);
+  EXPECT_EQ(redirector.connections().flows(), 1u);
+  EXPECT_EQ(a.units_served(), 1.0);
+  EXPECT_EQ(b.units_served(), 3.0);
 }
 
 }  // namespace

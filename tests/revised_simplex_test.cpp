@@ -107,12 +107,12 @@ DensePhase dense_simplex(DenseTableau& t, const std::vector<double>& costs,
   dense_reduced_costs(t, costs, d);
   col.resize(t.rows());
   for (std::size_t iter = 0; iter < opt.max_iterations; ++iter) {
-    const bool bland = iter >= opt.bland_after;
+    const bool bland = iter >= kBlandAfter;
     std::size_t enter = kNone;
-    double best = opt.tolerance;
+    double best = kTolerance;
     for (std::size_t j = 0; j < col_limit; ++j) {
       const double gain = t.at_upper[j] ? -d[j] : d[j];
-      if (gain <= opt.tolerance || t.upper[j] == 0.0) continue;
+      if (gain <= kTolerance || t.upper[j] == 0.0) continue;
       if (bland) {
         enter = j;
         break;
@@ -131,7 +131,7 @@ DensePhase dense_simplex(DenseTableau& t, const std::vector<double>& costs,
       col_max = std::max(col_max, std::abs(col[i]));
     }
 
-    const double drop = opt.tolerance * col_max;
+    const double drop = kTolerance * col_max;
     std::size_t leave = kNone;
     bool leave_at_upper = false;
     double best_ratio = t.upper[enter];

@@ -3,6 +3,7 @@
 // acceptance of garbage.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "core/flow.hpp"
@@ -99,9 +100,8 @@ TEST(Robustness, SimplexSurvivesDegenerateCoefficients) {
 
 TEST(Robustness, FlowAnalysisOnDenseCyclicGraphTerminates) {
   // A fully-connected 8-principal graph with cycles everywhere: simple-path
-  // enumeration is exponential but bounded; the parallel variant must agree
-  // with the serial one bit-for-bit (disjoint row writes + deterministic
-  // per-row accumulation order).
+  // enumeration is exponential but bounded, and every level it returns is a
+  // finite number.
   core::AgreementGraph g;
   for (int i = 0; i < 8; ++i)
     g.add_principal("P" + std::to_string(i), 100.0);
@@ -109,40 +109,11 @@ TEST(Robustness, FlowAnalysisOnDenseCyclicGraphTerminates) {
     for (core::PrincipalId j = 0; j < 8; ++j)
       if (i != j) g.set_agreement(i, j, 0.1, 0.2);
 
-  const core::AccessLevels serial = core::compute_access_levels(g);
-  core::FlowOptions parallel;
-  parallel.num_threads = 4;
-  const core::AccessLevels threaded = core::compute_access_levels(g, parallel);
+  const core::AccessLevels levels = core::compute_access_levels(g);
+  ASSERT_EQ(levels.size(), 8u);
   for (core::PrincipalId i = 0; i < 8; ++i) {
-    EXPECT_DOUBLE_EQ(serial.mandatory_capacity[i],
-                     threaded.mandatory_capacity[i]);
-    EXPECT_DOUBLE_EQ(serial.optional_capacity[i],
-                     threaded.optional_capacity[i]);
-  }
-}
-
-TEST(Robustness, ParallelFlowMatchesSerialOnRandomGraphs) {
-  Rng rng(31);
-  for (int trial = 0; trial < 10; ++trial) {
-    core::AgreementGraph g;
-    const std::size_t n = 3 + rng.bounded(6);
-    for (std::size_t i = 0; i < n; ++i)
-      g.add_principal("P" + std::to_string(i), rng.uniform(1.0, 100.0));
-    for (core::PrincipalId i = 0; i < n; ++i) {
-      double budget = 1.0;
-      for (core::PrincipalId j = 0; j < n; ++j) {
-        if (i == j || !rng.chance(0.4)) continue;
-        const double lb = rng.uniform(0.0, budget * 0.4);
-        g.set_agreement(i, j, lb, rng.uniform(lb, 1.0));
-        budget -= lb;
-      }
-    }
-    core::FlowOptions threaded;
-    threaded.num_threads = 0;  // hardware concurrency
-    const auto serial = core::compute_access_levels(g);
-    const auto parallel = core::compute_access_levels(g, threaded);
-    EXPECT_EQ(serial.mandatory_transfer, parallel.mandatory_transfer);
-    EXPECT_EQ(serial.optional_transfer, parallel.optional_transfer);
+    EXPECT_TRUE(std::isfinite(levels.mandatory_capacity[i])) << i;
+    EXPECT_TRUE(std::isfinite(levels.optional_capacity[i])) << i;
   }
 }
 

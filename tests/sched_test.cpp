@@ -7,6 +7,7 @@
 #include "core/flow.hpp"
 #include "sched/endpoint_enforcer.hpp"
 #include "sched/income_scheduler.hpp"
+#include "sched/multi_provider_scheduler.hpp"
 #include "sched/response_time_scheduler.hpp"
 #include "util/rng.hpp"
 
@@ -115,17 +116,6 @@ TEST(ResponseTimeScheduler, LocalityCapsLimitPerServerPush) {
                         .plan({200.0, 0.0});
   EXPECT_LE(plan.server_load(b), 30.0 + 1e-6);
   EXPECT_NEAR(plan.admitted(a), 130.0, 1e-6);
-}
-
-TEST(ResponseTimeScheduler, WorkConservationCanBeDisabled) {
-  const auto g = two_customer_graph(320.0, 0.2, 1.0, 0.8, 1.0);
-  ResponseTimeOptions opt;
-  opt.work_conserving = false;
-  const Plan plan = ResponseTimeScheduler(g, core::compute_access_levels(g),
-                                          opt)
-                        .plan({0.0, 270.0, 135.0});
-  // Theta itself is unchanged; only the surplus distribution may differ.
-  EXPECT_NEAR(plan.theta, 185.0 / 270.0, 1e-6);
 }
 
 TEST(ResponseTimeScheduler, RejectsWrongDemandSize) {
@@ -240,19 +230,6 @@ TEST(IncomeScheduler, WorkConservationServesFreeTraffic) {
   EXPECT_NEAR(loaded.admitted(2), 128.0, 1e-4);
 }
 
-TEST(IncomeScheduler, NonWorkConservingLeavesFreeTrafficAtFloor) {
-  const auto g = two_customer_graph(640.0, 0.5, 0.8, 0.2, 0.4);
-  const IncomeScheduler scheduler(g, core::compute_access_levels(g), 0,
-                                  {0.0, 2.0, 1.0},
-                                  /*work_conserving=*/false);
-  const Plan plan = scheduler.plan({300.0, 0.0, 0.0});
-  // Provider's own zero-price traffic gains nothing beyond its floor.
-  EXPECT_NEAR(plan.admitted(0), std::min(300.0,
-                                         core::compute_access_levels(g)
-                                             .mandatory_capacity[0]),
-              1e-5);
-}
-
 TEST(IncomeScheduler, IncomeComputation) {
   const auto g = two_customer_graph(640.0, 0.8, 1.0, 0.2, 1.0);
   const core::AccessLevels levels = core::compute_access_levels(g);
@@ -317,6 +294,36 @@ TEST(IncomeScheduler, IncomeAtLeastMatchesGreedyBaseline) {
     EXPECT_GE(scheduler.income(plan),
               greedy_income - 1e-4 * (1.0 + greedy_income));
   }
+}
+
+// --- MultiProviderScheduler ------------------------------------------------
+
+TEST(MultiProviderScheduler, PlansRespectEntitlementColumns) {
+  // Two providers, three customers, asymmetric agreements and prices. No
+  // provider may admit beyond its own capacity, and plans only fill
+  // provider columns.
+  core::AgreementGraph graph;
+  const auto s1 = graph.add_principal("S1", 300.0);
+  const auto s2 = graph.add_principal("S2", 500.0);
+  const auto a = graph.add_principal("A", 0.0);
+  const auto b = graph.add_principal("B", 0.0);
+  const auto c = graph.add_principal("C", 0.0);
+  graph.set_agreement(s1, a, 0.3, 0.6);
+  graph.set_agreement(s1, b, 0.2, 0.7);
+  graph.set_agreement(s2, b, 0.4, 0.8);
+  graph.set_agreement(s2, c, 0.3, 0.5);
+  const MultiProviderScheduler scheduler(graph,
+                                         core::compute_access_levels(graph),
+                                         {s1, s2}, {0.0, 0.0, 2.0, 1.0, 3.0});
+  const Plan plan = scheduler.plan({0.0, 0.0, 500.0, 500.0, 500.0});
+  EXPECT_LE(plan.server_load(s1), graph.capacity(s1) + 1e-7);
+  EXPECT_LE(plan.server_load(s2), graph.capacity(s2) + 1e-7);
+  for (std::size_t i = 0; i < plan.rate.rows(); ++i)
+    for (std::size_t k = 2; k < plan.rate.cols(); ++k)
+      EXPECT_EQ(plan.rate(i, k), 0.0);
+  // With saturated paying demand both pools should fill completely.
+  EXPECT_NEAR(plan.server_load(s1) + plan.server_load(s2),
+              graph.capacity(s1) + graph.capacity(s2), 1e-6);
 }
 
 // --- EndpointEnforcer -------------------------------------------------------

@@ -94,11 +94,11 @@ if [[ "${SHAREGRID_CI_SKIP_TSAN:-0}" == "1" ]]; then
   echo "=== [debug-tsan] skipped (SHAREGRID_CI_SKIP_TSAN=1) ==="
 else
   run_stage debug-tsan     # TSan, SHAREGRID_AUDIT=ON
-  # The worker-pool plan solves are the one truly multi-threaded subsystem:
-  # rerun them standalone so a TSan report can't hide in the big ctest log.
-  echo "=== [debug-tsan] parallel plan solves (worker pool) ==="
-  ./build-tsan/tests/sharegrid_tests \
-    --gtest_filter='MultiProviderScheduler.*:WorkerPool.*:AuditParallelPlanMatch.*'
+  # The worker pool runs the sharded simulator's lanes (the lane tests
+  # below): rerun its own tests standalone so a TSan report can't hide in
+  # the big ctest log.
+  echo "=== [debug-tsan] worker pool ==="
+  ./build-tsan/tests/sharegrid_tests --gtest_filter='WorkerPool.*'
   # The unified control plane is the other concurrency surface: the live
   # L4/L7 services drive it through the mutex-guarded WallClockAdmission
   # facade, and the SocketTransport runs background receive threads feeding
