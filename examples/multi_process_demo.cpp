@@ -48,11 +48,9 @@
 #include "coord/control_plane.hpp"
 #include "coord/snapshot_transport.hpp"
 #include "coord/socket_transport.hpp"
-#include "core/flow.hpp"
 #include "experiments/scenario.hpp"
 #include "experiments/scenario_ini.hpp"
 #include "net/tcp.hpp"
-#include "sched/response_time_scheduler.hpp"
 #include "util/assert.hpp"
 #include "util/metrics_registry.hpp"
 #include "util/time.hpp"
@@ -72,26 +70,11 @@ std::int64_t now_usec() {
 }
 
 /// The scheduler run_scenario would build for this config: capacities come
-/// from the declared machines, then one ResponseTimeScheduler over the
-/// analyzed access levels. The demo keeps to the response-time objective —
-/// the transport under test is indifferent to the LP on top of it.
+/// from the declared machines, one replica each.
 std::unique_ptr<sharegrid::sched::Scheduler> build_scheduler(
-    const ScenarioConfig& config, sharegrid::core::AgreementGraph* graph_out) {
-  SHAREGRID_EXPECTS(config.scheduler ==
-                    sharegrid::experiments::SchedulerKind::kResponseTime);
-  sharegrid::core::AgreementGraph graph = config.graph;
-  for (sharegrid::core::PrincipalId p = 0; p < graph.size(); ++p)
-    graph.set_capacity(p, 0.0);
-  for (const auto& spec : config.servers) {
-    const sharegrid::core::PrincipalId owner = graph.find(spec.owner);
-    SHAREGRID_EXPECTS(owner != sharegrid::core::kNoPrincipal);
-    graph.set_capacity(owner, graph.capacity(owner) + spec.capacity);
-  }
-  *graph_out = graph;
-  sharegrid::sched::ResponseTimeOptions options;
-  if (!config.locality_caps.empty()) options.locality_caps = config.locality_caps;
-  return std::make_unique<sharegrid::sched::ResponseTimeScheduler>(
-      *graph_out, sharegrid::core::compute_access_levels(*graph_out), options);
+    const ScenarioConfig& config) {
+  return sharegrid::experiments::scheduler_factory(config)(
+      sharegrid::experiments::planning_graph(config, 1));
 }
 
 sharegrid::coord::ControlPlaneConfig plane_config(const ScenarioConfig& config) {
@@ -177,14 +160,13 @@ std::vector<std::vector<WindowRecord>> run_baseline(
     const ScenarioConfig& config) {
   const std::size_t r = config.redirector_count;
   sharegrid::coord::InProcessTransport transport(r, config.graph.size());
-  std::vector<sharegrid::core::AgreementGraph> graphs(r);
   std::vector<std::unique_ptr<sharegrid::sched::Scheduler>> schedulers;
   std::vector<std::unique_ptr<sharegrid::coord::ControlPlane>> planes;
   std::vector<sharegrid::coord::ControlPlane::Member*> members;
   std::vector<OffsetTransport> adapters;
   adapters.reserve(r);
   for (std::size_t m = 0; m < r; ++m) {
-    schedulers.push_back(build_scheduler(config, &graphs[m]));
+    schedulers.push_back(build_scheduler(config));
     planes.push_back(std::make_unique<sharegrid::coord::ControlPlane>(
         schedulers[m].get(), plane_config(config)));
     members.push_back(planes[m]->add_member());
@@ -242,8 +224,7 @@ void print_socket_metrics(std::size_t index) {
 int run_child(const ScenarioConfig& config,
               const std::vector<std::string>& peers, std::size_t index,
               Phase phase, std::uint64_t incarnation) {
-  sharegrid::core::AgreementGraph graph;
-  const auto scheduler = build_scheduler(config, &graph);
+  const auto scheduler = build_scheduler(config);
   sharegrid::coord::ControlPlane plane(scheduler.get(), plane_config(config));
   sharegrid::coord::ControlPlane::Member* member = plane.add_member();
 
@@ -302,7 +283,7 @@ int run_child(const ScenarioConfig& config,
   };
 
   sharegrid::coord::SocketTransport transport(
-      /*local_member_count=*/1, graph.size(), std::move(options));
+      /*local_member_count=*/1, config.graph.size(), std::move(options));
   plane.connect(&transport);
   transport.start();
 

@@ -425,12 +425,4 @@ void audit_control_plane_slice_sum(const Matrix& slice_sum,
   }
 }
 
-void audit_quota_carry(double carry) {
-  require(carry >= 0.0 && carry < 1.0, "window.carry-range", [&] {
-    return "integer-quota error carry is " + num(carry) +
-           ", outside [0, 1); the floor/remainder bookkeeping drifted and "
-           "long-run admitted counts will diverge from the plan";
-  });
-}
-
 }  // namespace sharegrid::audit

@@ -4,7 +4,7 @@
 // conservation through the transitive MI/OI/MT/OT computation (§3.1.1,
 // Formulae 1-4), the entitlement decomposition partitioning server capacity
 // (DESIGN.md D1), LP solutions being primal feasible, and per-window quota +
-// error-carry conservation (§3.1.2, DESIGN.md D5). This module checks them
+// debt conservation (§3.1.2, DESIGN.md D5). This module checks them
 // mechanically at runtime.
 //
 // Two layers:
@@ -251,7 +251,7 @@ void audit_lp_solution(const Problem& problem, const Solution& solution,
 }
 
 // ---------------------------------------------------------------------------
-// sched/window_scheduler: quota + error-carry conservation (DESIGN.md D5).
+// sched/window_scheduler: quota + debt conservation (DESIGN.md D5).
 // ---------------------------------------------------------------------------
 
 /// Per-window conservation: for every (principal, server) cell the window
@@ -261,10 +261,6 @@ void audit_lp_solution(const Problem& problem, const Solution& solution,
 void audit_window_conservation(const Matrix& quota, const Matrix& consumed,
                                const Matrix& debt, const Matrix& slices,
                                double tol);
-
-/// The integer-quota error carry must stay in [0, 1): anything else breaks
-/// the "long-run admitted == planned within 1 request" guarantee.
-void audit_quota_carry(double carry);
 
 // ---------------------------------------------------------------------------
 // coord/control_plane: snapshot ordering and cross-redirector quota safety.

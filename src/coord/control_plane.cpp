@@ -115,8 +115,8 @@ void ControlPlane::Member::record_arrival(core::PrincipalId principal,
 }
 
 std::optional<core::PrincipalId> ControlPlane::Member::try_admit(
-    core::PrincipalId principal, double weight) {
-  return window_.try_admit(principal, weight);
+    core::PrincipalId principal) {
+  return window_.try_admit(principal);
 }
 
 bool ControlPlane::Member::spike_replan() {

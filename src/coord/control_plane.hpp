@@ -17,7 +17,7 @@
 // record_arrival / try_admit / advance_window / receive_global calls. The
 // DES SimWindowDriver and the steady-clock WallClockDriver (window_driver.hpp)
 // are thin shims that decide *when* those calls happen, so the simulator and
-// the live L4/L7 services execute the same code path and the D4 determinism
+// the live L7 service execute the same code path and the D4 determinism
 // contract survives the sharing.
 #pragma once
 
@@ -71,8 +71,7 @@ class ControlPlane {
     void record_arrival(core::PrincipalId principal, double amount);
 
     /// Attempts to admit one request; see WindowScheduler::try_admit.
-    std::optional<core::PrincipalId> try_admit(core::PrincipalId principal,
-                                               double weight = 1.0);
+    std::optional<core::PrincipalId> try_admit(core::PrincipalId principal);
 
     /// Demand-spike fast path: re-plans the current window against demand
     /// including the arrivals seen so far, at most once per window. Returns
@@ -94,13 +93,9 @@ class ControlPlane {
     void receive_global(std::uint64_t round,
                         const std::vector<double>& aggregate);
 
-    /// Drops back to the no-snapshot regime (SnapshotTransport stale
-    /// handler): the next begin_window plans against the conservative 1/R
-    /// share until a fresh aggregate arrives. Round-monotonicity state is
-    /// kept, so a late aggregate from before the fallback still audits.
-    void invalidate_global() { global_.valid = false; }
-
-    /// Rejoin-safe stale handler: invalidate_global() plus a reset of the
+    /// Stale handler (SnapshotTransport): drops back to the no-snapshot
+    /// regime, so the next begin_window plans against the conservative 1/R
+    /// share until a fresh aggregate arrives, and resets the
     /// round-monotonicity fence. A member that lost its control plane may be
     /// re-admitted under a different transport epoch (a restarted process,
     /// or a newly elected root); it plans conservatively (1/R) until the

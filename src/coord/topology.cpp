@@ -58,15 +58,6 @@ TreeTopology TreeTopology::star(std::size_t n) {
   return t;
 }
 
-TreeTopology TreeTopology::chain(std::size_t n) {
-  SHAREGRID_EXPECTS(n >= 1);
-  TreeTopology t;
-  t.parent.resize(n);
-  t.parent[0] = kNoParent;
-  for (std::size_t i = 1; i < n; ++i) t.parent[i] = i - 1;
-  return t;
-}
-
 TreeTopology TreeTopology::balanced(std::size_t n, std::size_t fanout) {
   SHAREGRID_EXPECTS(n >= 1 && fanout >= 1);
   TreeTopology t;

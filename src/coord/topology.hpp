@@ -31,9 +31,8 @@ struct TreeTopology {
 
   /// Node 0 is the root; every other node is its direct child.
   static TreeTopology star(std::size_t n);
-  /// Node 0 is the root; node i's parent is i-1.
-  static TreeTopology chain(std::size_t n);
-  /// Complete @p fanout-ary tree: node i's parent is (i-1)/fanout.
+  /// Complete @p fanout-ary tree: node i's parent is (i-1)/fanout (a
+  /// fanout of 1 is a chain).
   static TreeTopology balanced(std::size_t n, std::size_t fanout);
 };
 

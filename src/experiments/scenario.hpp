@@ -4,12 +4,15 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/agreement_graph.hpp"
 #include "nodes/l7_redirector.hpp"
 #include "nodes/metrics.hpp"
+#include "sched/scheduler.hpp"
 #include "util/table.hpp"
 #include "util/time.hpp"
 
@@ -142,7 +145,6 @@ struct ScenarioConfig {
   std::size_t max_outstanding = 128;
 
   nodes::L7Redirector::Mode l7_mode = nodes::L7Redirector::Mode::kCreditBased;
-  bool weighted_admission = false;
   sched::StalePolicy stale_policy = sched::StalePolicy::kConservative;
   /// Record one WindowTrace row per redirector per window (see
   /// ScenarioResult::window_trace).
@@ -196,5 +198,21 @@ ScenarioResult run_scenario(const ScenarioConfig& config);
 /// tree_link_delay > 0, tree_fanout == 0 and no capacity events; see
 /// ScenarioConfig::clusters.
 ScenarioResult run_clustered_scenario(const ScenarioConfig& config);
+
+/// The graph the schedulers plan against: config.graph with each owner's
+/// capacity set to its declared machines' sum times @p replicas — 1 for
+/// the classic domain, `clusters` for the partitioned run, where every
+/// cluster hosts one replica and each member plans a 1/clusters slice.
+core::AgreementGraph planning_graph(const ScenarioConfig& config,
+                                    std::size_t replicas);
+
+/// Builds the configured scheduler against a planning graph. Re-invoked
+/// whenever capacities change at runtime (agreements are interpreted
+/// dynamically, §2.2).
+using SchedulerFactory = std::function<std::unique_ptr<sched::Scheduler>(
+    const core::AgreementGraph&)>;
+
+/// The factory for @p config, which must outlive it.
+SchedulerFactory scheduler_factory(const ScenarioConfig& config);
 
 }  // namespace sharegrid::experiments

@@ -96,7 +96,6 @@ Domain::Domain(const ScenarioConfig& config,
       nodes::L7Redirector::Config rc;
       rc.name = "l7-" + suffix;
       rc.mode = config.l7_mode;
-      rc.weighted_admission = config.weighted_admission;
       rc.trace = trace_ptr;
       l7s.push_back(std::make_unique<nodes::L7Redirector>(
           sim, &requests, &metrics, &pool, member, rc));
@@ -104,7 +103,6 @@ Domain::Domain(const ScenarioConfig& config,
     } else {
       nodes::L4Redirector::Config rc;
       rc.name = "l4-" + suffix;
-      rc.weighted_admission = config.weighted_admission;
       rc.trace = trace_ptr;
       l4s.push_back(std::make_unique<nodes::L4Redirector>(
           sim, &requests, &metrics, &pool, member, rc));
@@ -132,7 +130,6 @@ void Domain::add_clients(const ScenarioConfig& config,
     fc.first_index = next_index;
     fc.rate = spec.rate;
     fc.max_outstanding = config.max_outstanding;
-    fc.weighted_requests = config.weighted_admission;
     machine_streams.clear();
     for (std::size_t m = 0; m < config.client_scale; ++m)
       machine_streams.push_back(streams.split());

@@ -7,13 +7,12 @@
 // (scenario.cpp) wires one Domain of R redirectors to a plain
 // sim::Simulator and a SimTreeTransport; run_clustered_scenario
 // (sharded_scenario.cpp) wires one single-redirector Domain per cluster to
-// the ShardedSimulator and a ShardedStarTransport. The planning graph, the
-// scheduler factory, the domain builder and the result step below exist
-// once, for both.
+// the ShardedSimulator and a ShardedStarTransport. The domain builder and
+// the result step below, with planning_graph and scheduler_factory
+// (scenario.hpp), exist once, for both.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -40,22 +39,6 @@ namespace sharegrid::experiments {
 /// Resolves a principal name, failing loudly on typos in scenario specs.
 core::PrincipalId resolve(const core::AgreementGraph& graph,
                           const std::string& name);
-
-/// The graph the schedulers plan against: config.graph with each owner's
-/// capacity set to its declared machines' sum times @p replicas — 1 for
-/// the classic domain, `clusters` for the partitioned run, where every
-/// cluster hosts one replica and each member plans a 1/clusters slice.
-core::AgreementGraph planning_graph(const ScenarioConfig& config,
-                                    std::size_t replicas);
-
-/// Builds the configured scheduler against a planning graph. Re-invoked
-/// whenever capacities change at runtime (agreements are interpreted
-/// dynamically, §2.2).
-using SchedulerFactory = std::function<std::unique_ptr<sched::Scheduler>(
-    const core::AgreementGraph&)>;
-
-/// The factory for @p config, which must outlive it.
-SchedulerFactory scheduler_factory(const ScenarioConfig& config);
 
 /// One simulation domain. Everything here is touched only by events of the
 /// domain's own simulator, so the lanes of a sharded engine never share

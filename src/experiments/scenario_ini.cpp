@@ -159,8 +159,6 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
     config.seed = whole_number(*seed, "seed");
   if (const auto cap = g.get_double("max_outstanding"))
     config.max_outstanding = whole_number(*cap, "max_outstanding", 1.0);
-  if (const auto weighted = g.get_bool("weighted_admission"))
-    config.weighted_admission = *weighted;
 
   // --- Control plane ---------------------------------------------------------
   // Optional [control_plane] section: coordination knobs for the unified

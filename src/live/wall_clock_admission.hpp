@@ -1,4 +1,4 @@
-// Wall-clock admission facade shared by the live L7 service and L4 proxy.
+// Wall-clock admission facade behind the live L7 service.
 //
 // The window loop itself — demand estimators, snapshot exchange, plan solve,
 // proportional slices, integer quotas — is coord::ControlPlane, the same

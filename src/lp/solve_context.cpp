@@ -1180,8 +1180,6 @@ Solution SolveContext::solve(const Problem& problem,
   return impl_->run(problem, options);
 }
 
-void SolveContext::invalidate() { impl_->valid = false; }
-
 const SolveStats& SolveContext::stats() const { return impl_->stats; }
 
 Solution solve(const Problem& problem, const SolverOptions& options) {

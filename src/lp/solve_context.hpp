@@ -225,9 +225,6 @@ class SolveContext {
   /// optimum at a different vertex).
   Solution solve(const Problem& problem, const SolverOptions& options = {});
 
-  /// Drops the cached basis; the next solve runs cold.
-  void invalidate();
-
   const SolveStats& stats() const;
 
  private:

@@ -10,7 +10,7 @@
 // timeout so tests can never hang on a stuck peer.
 //
 // This is the bottom networking layer (below both `live` and `coord` in the
-// include DAG, see tools/analyze/include_graph.hpp): the live L4/L7 services
+// include DAG, see tools/analyze/include_graph.hpp): the live L7 service
 // and the cross-process snapshot transport share these sockets without the
 // control plane having to depend on the data plane.
 #pragma once

@@ -85,14 +85,8 @@ void ClientFleet::emit(std::size_t m) {
   req.principal = config_.principal;
   req.created = sim_->now();
   req.client = index;
-  if (sizes_ != nullptr) {
-    const workload::SampledRequest sample = sizes_->sample(machine.rng);
-    req.reply_bytes = sample.reply_bytes;
-    // By default the scheduling weight stays 1 (capacities are calibrated
-    // in requests of the standard mix); weighted mode treats large requests
-    // as multiple small ones (§4).
-    if (config_.weighted_requests) req.weight = sample.weight;
-  }
+  if (sizes_ != nullptr)
+    req.reply_bytes = sizes_->sample(machine.rng).reply_bytes;
   ++machine.outstanding;
   metrics_->on_offered(req.principal, sim_->now());
   send_to_redirector(requests_->acquire(req, this));

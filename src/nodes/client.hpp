@@ -69,10 +69,6 @@ class ClientFleet final : public RequestSource {
     std::size_t max_outstanding = 64;  ///< per-machine closed-loop bound
     bool exponential_arrivals = true;  ///< Poisson vs evenly spaced issue
     SimDuration net_delay = 500;       ///< one-way hop delay (usec)
-    /// When a reply-size distribution is attached, also use the sampled
-    /// size as the request's scheduling weight (size/mean units); otherwise
-    /// sizes only feed bandwidth accounting and every request costs 1 unit.
-    bool weighted_requests = false;
   };
 
   /// One machine's closed-loop state: the only per-machine memory.

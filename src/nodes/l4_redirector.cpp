@@ -88,8 +88,7 @@ void L4Redirector::on_client_request(RequestHandle handle) {
   request.created = sim_->now();
   request.reply_bytes = Request{}.reply_bytes;
 
-  member_->record_arrival(
-      p, config_.weighted_admission ? request.weight : 1.0);
+  member_->record_arrival(p, 1.0);
 
   if (try_forward(handle)) return;
 
@@ -106,8 +105,7 @@ void L4Redirector::on_client_request(RequestHandle handle) {
 
 bool L4Redirector::try_forward(RequestHandle handle) {
   const Request& request = (*requests_)[handle];
-  const double weight = config_.weighted_admission ? request.weight : 1.0;
-  const auto owner = member_->try_admit(request.principal, weight);
+  const auto owner = member_->try_admit(request.principal);
   if (!owner) return false;
 
   const l4::Endpoint client = client_of(request);
@@ -164,32 +162,18 @@ void L4Redirector::flush_metrics() {
 void L4Redirector::on_window_begun(SimTime now) {
   flush_metrics();
   SHAREGRID_AUDIT_HOOK(table_.audit(queues_.size(), servers_->size()));
-  const std::size_t n = queues_.size();
-  const sched::WindowScheduler& window = member_->window_scheduler();
-  if (window.last_plan().lp_fallback) metrics_->on_plan_fallback();
-  if (config_.trace != nullptr) {
-    WindowTrace::Row row;
-    row.window_start = now;
-    row.redirector = config_.name;
-    row.local_demand = member_->last_local_demand();
-    if (member_->global().valid) row.global_demand = member_->global().demand;
-    row.theta = window.last_plan().theta;
-    for (std::size_t i = 0; i < n; ++i)
-      row.planned_rate.push_back(window.last_plan().admitted(i));
-    config_.trace->record(std::move(row));
-  }
+  if (member_->window_scheduler().last_plan().lp_fallback)
+    metrics_->on_plan_fallback();
+  if (config_.trace != nullptr)
+    config_.trace->record_window(now, config_.name, *member_);
 
   // Reinject queued SYNs in FIFO order while quota lasts.
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < queues_.size(); ++i) {
     while (!queues_[i].empty()) {
       if (!try_forward(queues_[i].front())) break;
       queues_[i].pop_front();
     }
   }
-}
-
-std::vector<double> L4Redirector::local_demand() const {
-  return member_->local_demand();
 }
 
 std::size_t L4Redirector::queue_length(core::PrincipalId p) const {

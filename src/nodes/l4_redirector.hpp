@@ -46,7 +46,6 @@ class L4Redirector final : public RedirectorBase {
     std::string name;
     SimDuration net_delay = 500;  ///< one-way per-hop delay (usec)
     std::size_t max_queue = 1 << 16;  ///< kernel queue bound per principal
-    bool weighted_admission = false;
     /// Optional per-window decision log (not owned; may be shared).
     WindowTrace* trace = nullptr;
   };
@@ -66,9 +65,6 @@ class L4Redirector final : public RedirectorBase {
 
   // RedirectorBase: admits or queues the connection the request opens.
   void on_client_request(RequestHandle request) override;
-
-  /// Local demand estimate; delegates to the control plane (kept for tests).
-  std::vector<double> local_demand() const;
 
   std::size_t queue_length(core::PrincipalId p) const;
   std::uint64_t drops() const { return drops_; }

@@ -37,19 +37,10 @@ L7Redirector::L7Redirector(sim::Simulator* sim, RequestSlab* requests,
 }
 
 void L7Redirector::on_window_begun(SimTime now) {
-  const sched::WindowScheduler& window = member_->window_scheduler();
-  if (window.last_plan().lp_fallback) metrics_->on_plan_fallback();
-  if (config_.trace != nullptr) {
-    WindowTrace::Row row;
-    row.window_start = now;
-    row.redirector = config_.name;
-    row.local_demand = member_->last_local_demand();
-    if (member_->global().valid) row.global_demand = member_->global().demand;
-    row.theta = window.last_plan().theta;
-    for (std::size_t i = 0; i < held_.size(); ++i)
-      row.planned_rate.push_back(window.last_plan().admitted(i));
-    config_.trace->record(std::move(row));
-  }
+  if (member_->window_scheduler().last_plan().lp_fallback)
+    metrics_->on_plan_fallback();
+  if (config_.trace != nullptr)
+    config_.trace->record_window(now, config_.name, *member_);
 
   if (config_.mode == Mode::kExplicitQueue) {
     // Release queued requests in a batch — intentionally bunchy (§4.1's
@@ -57,9 +48,7 @@ void L7Redirector::on_window_begun(SimTime now) {
     for (std::size_t i = 0; i < held_.size(); ++i) {
       while (!held_[i].empty()) {
         const RequestHandle request = held_[i].front();
-        const double weight =
-            config_.weighted_admission ? (*requests_)[request].weight : 1.0;
-        const auto owner = member_->try_admit(i, weight);
+        const auto owner = member_->try_admit(i);
         if (!owner) break;
         held_[i].pop_front();
         admit_and_redirect(request, *owner);
@@ -69,18 +58,16 @@ void L7Redirector::on_window_begun(SimTime now) {
 }
 
 void L7Redirector::on_client_request(RequestHandle handle) {
-  const Request& request = (*requests_)[handle];
-  const core::PrincipalId p = request.principal;
+  const core::PrincipalId p = (*requests_)[handle].principal;
   SHAREGRID_EXPECTS(p < held_.size());
-  const double weight = config_.weighted_admission ? request.weight : 1.0;
-  member_->record_arrival(p, weight);
+  member_->record_arrival(p, 1.0);
 
   if (config_.mode == Mode::kExplicitQueue) {
     held_[p].push_back(handle);
     return;
   }
 
-  if (const auto owner = member_->try_admit(p, weight)) {
+  if (const auto owner = member_->try_admit(p)) {
     admit_and_redirect(handle, *owner);
     return;
   }
@@ -105,10 +92,6 @@ void L7Redirector::admit_and_redirect(RequestHandle request,
                          requests_->source(request)->on_redirect_to_server(
                              request, server);
                        });
-}
-
-std::vector<double> L7Redirector::local_demand() const {
-  return member_->local_demand();
 }
 
 }  // namespace sharegrid::nodes

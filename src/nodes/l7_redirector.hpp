@@ -42,8 +42,6 @@ class L7Redirector final : public RedirectorBase {
     std::string name;
     Mode mode = Mode::kCreditBased;
     SimDuration net_delay = 500;  ///< one-way redirector->client hop (usec)
-    /// Admit requests by their sampled weight instead of 1 unit each.
-    bool weighted_admission = false;
     /// Optional per-window decision log (not owned; may be shared).
     WindowTrace* trace = nullptr;
   };
@@ -60,11 +58,6 @@ class L7Redirector final : public RedirectorBase {
 
   // RedirectorBase:
   void on_client_request(RequestHandle request) override;
-
-  /// This node's current local demand estimate (requests/sec per principal):
-  /// the member's estimator rates plus held-request backlog. Delegates to the
-  /// control plane; kept on the node for tests and benches.
-  std::vector<double> local_demand() const;
 
   const sched::WindowScheduler& window_scheduler() const {
     return member_->window_scheduler();

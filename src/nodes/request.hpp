@@ -21,10 +21,8 @@ struct Request {
   /// Organization owning the target URL; decides whose queue/agreement the
   /// request is charged against.
   core::PrincipalId principal = core::kNoPrincipal;
-  /// Scheduling units (reply size / mean reply size; §4 "large requests are
-  /// treated as multiple small ones").
-  double weight = 1.0;
-  /// Modeled reply size, for bandwidth accounting.
+  /// Modeled reply size, for bandwidth accounting only: every request takes
+  /// 1/C of its server's time.
   double reply_bytes = 6144.0;
   /// When the client first issued the request (for latency accounting;
   /// retries keep the original timestamp).
@@ -46,7 +44,7 @@ struct RequestHandle {
 
 /// In-flight requests of one simulation domain, from the source's
 /// acquire() to its release() when the response arrives. The event
-/// closures of the request path carry a 4-byte handle instead of a 48-byte
+/// closures of the request path carry a 4-byte handle instead of a 40-byte
 /// Request, so they fit sim::Callback's inline buffer, and a slot is reused
 /// as soon as its request completes: the request path allocates only while
 /// the number of requests in flight reaches a new high, one chunk of

@@ -22,13 +22,12 @@ Server::Server(sim::Simulator* sim, RequestSlab* requests, Metrics* metrics,
 }
 
 void Server::submit(RequestHandle request, sim::Callback on_complete) {
-  const double weight = (*requests_)[request].weight;
-  SHAREGRID_EXPECTS(weight > 0.0);
   const SimTime start = std::max(sim_->now(), next_free_);
+  // 1.0 / C * kSecond, not kSecond / C: the two round differently.
   const auto service = static_cast<SimDuration>(
-      weight / config_.capacity * static_cast<double>(kSecond));
+      1.0 / config_.capacity * static_cast<double>(kSecond));
   next_free_ = start + std::max<SimDuration>(1, service);
-  units_served_ += weight;
+  ++requests_submitted_;
 
   pending_.push_back(std::move(on_complete));
   sim_->schedule_at(next_free_, [this, alive = alive_, request] {

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -16,8 +17,8 @@
 namespace sharegrid::nodes {
 
 /// A single server machine: processes requests in FIFO order at a fixed
-/// capacity (weight units per second). Completion time for a request of
-/// weight w arriving when the server frees at time f is max(now, f) + w/C.
+/// capacity (requests per second). Completion time for a request arriving
+/// when the server frees at time f is max(now, f) + 1/C.
 /// That time only grows from one submission to the next, so completions
 /// fire in submission order and the pending completion callbacks wait in a
 /// FIFO; each completion event carries only the server and a handle.
@@ -26,7 +27,7 @@ class Server {
   struct Config {
     std::string name;
     core::PrincipalId owner = core::kNoPrincipal;  ///< resource owner
-    double capacity = 320.0;                       ///< units (requests)/sec
+    double capacity = 320.0;                       ///< requests/sec
   };
 
   /// @param sim      owns the node's liveness flag; it must outlive the node.
@@ -47,8 +48,8 @@ class Server {
   /// completion schedule.
   void set_capacity(double capacity);
 
-  /// Total weight units served so far.
-  double units_served() const { return units_served_; }
+  /// Requests submitted so far.
+  std::uint64_t requests_submitted() const { return requests_submitted_; }
 
   const Config& config() const { return config_; }
 
@@ -62,7 +63,7 @@ class Server {
   Metrics* metrics_;
   Config config_;
   SimTime next_free_ = 0;
-  double units_served_ = 0.0;
+  std::uint64_t requests_submitted_ = 0;
   util::RingQueue<sim::Callback> pending_;  ///< completions, in due order
   // Completion events may still sit in the simulator queue when a server is
   // destroyed mid-run; the flag makes them inert instead of dangling.

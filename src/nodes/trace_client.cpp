@@ -41,7 +41,6 @@ void TraceClient::issue(std::size_t entry) {
   req.id = (static_cast<std::uint64_t>(config_.index) << 32) | issued_;
   ++issued_;
   req.principal = arrival.principal;
-  req.weight = arrival.weight;
   req.reply_bytes = arrival.reply_bytes;
   req.created = sim_->now();
   req.client = config_.index;

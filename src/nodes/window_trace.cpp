@@ -1,34 +1,21 @@
 #include "nodes/window_trace.hpp"
 
-#include "util/table.hpp"
+#include <utility>
 
 namespace sharegrid::nodes {
 
-void WindowTrace::write_csv(
-    std::ostream& os, const std::vector<std::string>& principal_names) const {
-  std::vector<std::string> headers{"time_s", "redirector", "theta"};
-  for (const auto& name : principal_names) {
-    headers.push_back(name + "_local");
-    headers.push_back(name + "_global");
-    headers.push_back(name + "_planned");
-  }
-  TextTable table(std::move(headers));
-
-  for (const Row& row : rows_) {
-    std::vector<std::string> cells{TextTable::num(to_seconds(row.window_start), 3),
-                                   row.redirector,
-                                   TextTable::num(row.theta, 3)};
-    for (std::size_t p = 0; p < principal_names.size(); ++p) {
-      cells.push_back(TextTable::num(
-          p < row.local_demand.size() ? row.local_demand[p] : 0.0));
-      cells.push_back(TextTable::num(
-          p < row.global_demand.size() ? row.global_demand[p] : 0.0));
-      cells.push_back(TextTable::num(
-          p < row.planned_rate.size() ? row.planned_rate[p] : 0.0));
-    }
-    table.add_row(std::move(cells));
-  }
-  table.print_csv(os);
+void WindowTrace::record_window(SimTime now, const std::string& redirector,
+                                const coord::ControlPlane::Member& member) {
+  const sched::Plan& plan = member.window_scheduler().last_plan();
+  Row row;
+  row.window_start = now;
+  row.redirector = redirector;
+  row.local_demand = member.last_local_demand();
+  if (member.global().valid) row.global_demand = member.global().demand;
+  row.theta = plan.theta;
+  for (std::size_t i = 0; i < member.size(); ++i)
+    row.planned_rate.push_back(plan.admitted(i));
+  record(std::move(row));
 }
 
 }  // namespace sharegrid::nodes

@@ -8,10 +8,10 @@
 #pragma once
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
+#include "coord/control_plane.hpp"
 #include "util/time.hpp"
 
 namespace sharegrid::nodes {
@@ -41,6 +41,12 @@ class WindowTrace {
     rows_.push_back(std::move(row));
   }
 
+  /// Records the window @p member began at @p now: its local demand, the
+  /// global snapshot it planned against (if any), theta and the planned
+  /// admitted rate of each principal.
+  void record_window(SimTime now, const std::string& redirector,
+                     const coord::ControlPlane::Member& member);
+
   /// Appends @p other's rows (this trace's cap applies) and adds its
   /// dropped count.
   void merge_from(const WindowTrace& other) {
@@ -50,11 +56,6 @@ class WindowTrace {
 
   const std::vector<Row>& rows() const { return rows_; }
   std::uint64_t dropped() const { return dropped_; }
-
-  /// CSV export: time_s,redirector,theta,<name>_local,<name>_global,
-  /// <name>_planned per principal.
-  void write_csv(std::ostream& os,
-                 const std::vector<std::string>& principal_names) const;
 
  private:
   std::size_t max_rows_;

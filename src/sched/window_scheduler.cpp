@@ -8,16 +8,6 @@
 
 namespace sharegrid::sched {
 
-std::uint64_t QuotaCarry::take(double amount) {
-  SHAREGRID_EXPECTS(amount >= 0.0);
-  carry_ += amount;
-  const double whole = std::floor(carry_ + 1e-9);
-  carry_ -= whole;
-  if (carry_ < 0.0) carry_ = 0.0;
-  SHAREGRID_AUDIT_HOOK(audit::audit_quota_carry(carry_));
-  return static_cast<std::uint64_t>(whole);
-}
-
 ArrivalEstimator::ArrivalEstimator(double alpha) : alpha_(alpha) {
   SHAREGRID_EXPECTS(std::isfinite(alpha));
   SHAREGRID_EXPECTS(alpha > 0.0 && alpha <= 1.0);
@@ -114,7 +104,7 @@ void WindowScheduler::begin_window(const std::vector<double>& local_demand,
   const std::size_t n = scheduler_->size();
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t k = 0; k < n; ++k) {
-      // Debt from a large borrowed request reduces this window's quota;
+      // Debt from an overdrawn slice reduces this window's quota;
       // unused positive quota does NOT accumulate (window semantics).
       debt_(i, k) = std::min(0.0, quota_(i, k));
       consumed_(i, k) = 0.0;
@@ -139,9 +129,8 @@ void WindowScheduler::replan(const std::vector<double>& local_demand,
 }
 
 std::optional<core::PrincipalId> WindowScheduler::try_admit(
-    core::PrincipalId i, double weight) {
+    core::PrincipalId i) {
   SHAREGRID_EXPECTS(i < quota_.rows());
-  SHAREGRID_EXPECTS(weight > 0.0);
   // Send to the server with the most remaining quota: a cheap balance
   // heuristic that keeps per-window placement close to the plan's ratios.
   // The threshold is well above LP solver noise so a column whose true
@@ -155,8 +144,8 @@ std::optional<core::PrincipalId> WindowScheduler::try_admit(
     }
   }
   if (best == quota_.cols()) return std::nullopt;
-  quota_(i, best) -= weight;
-  consumed_(i, best) += weight;
+  quota_(i, best) -= 1.0;
+  consumed_(i, best) += 1.0;
   SHAREGRID_AUDIT_HOOK(audit::audit_window_conservation(
       quota_, consumed_, debt_, slices_, /*tol=*/1e-9));
   return best;

@@ -6,9 +6,10 @@
 //      and its own local queues;
 //   2. asks the shared Scheduler for a plan on that global estimate;
 //   3. takes its proportional slice (local_i / global_i, §3.2) of each
-//      plan cell and converts it to an integer quota with error-carrying
-//      accumulators so long-run admitted rates match the plan exactly
-//      (DESIGN.md D5).
+//      plan cell as that cell's quota, plus any debt carried in: requests
+//      are admitted while the quota is above 1e-3, each deducting one, so
+//      a fractional slice may overdraw by up to one request and the next
+//      window repays it; positive leftovers are dropped (DESIGN.md D5).
 //
 // When no snapshot has arrived yet the driver is *conservative* (paper §5.1,
 // Figure 8 phase 1): it assumes every principal is saturated — pinning each
@@ -28,23 +29,6 @@
 #include "util/time.hpp"
 
 namespace sharegrid::sched {
-
-/// Integer-quota accumulator: take(x) returns floor(carry + x) and retains
-/// the fractional remainder, so sum(take(x_t)) tracks sum(x_t) within 1.
-class QuotaCarry {
- public:
-  std::uint64_t take(double amount);
-
-  /// Drops the banked fraction. Call whenever the quantity being integerized
-  /// is superseded — e.g. across a mid-window replan(): fractional credit
-  /// earned against the old plan must not combine with the new plan's
-  /// fractions, or the two could round up to an extra admission the LP never
-  /// granted (take(0.6), replan, take(0.6) must yield 0 + 0, not 0 + 1).
-  void reset() { carry_ = 0.0; }
-
- private:
-  double carry_ = 0.0;
-};
 
 /// EWMA estimator of per-principal offered load (requests/sec), used in the
 /// credit-based L7 mode where queues are implicit (§4.1, DESIGN.md D3).
@@ -112,22 +96,20 @@ class WindowScheduler {
   void replan(const std::vector<double>& local_demand,
               const GlobalDemand& global);
 
-  /// Attempts to admit one request of principal @p i costing @p weight
-  /// scheduling units (large requests are treated as multiple small ones,
-  /// §4). On success returns the id of the principal whose server should
-  /// process it. Admission requires strictly positive remaining quota; the
-  /// full weight is then deducted, possibly borrowing from the next window
-  /// (negative quota carries over), so long-run rates match the plan.
-  std::optional<core::PrincipalId> try_admit(core::PrincipalId i,
-                                             double weight = 1.0);
+  /// Attempts to admit one request of principal @p i. On success returns
+  /// the id of the principal whose server should process it. Admission
+  /// requires a remaining quota above 1e-3; one request is then deducted,
+  /// possibly borrowing from the next window (negative quota carries
+  /// over), so long-run rates match the plan.
+  std::optional<core::PrincipalId> try_admit(core::PrincipalId i);
 
-  /// Remaining admission quota (scheduling units) for principal i in this
-  /// window; can be negative after a large borrow.
+  /// Remaining admission quota (requests) for principal i in this window;
+  /// can be negative after a borrow.
   double remaining_quota(core::PrincipalId i) const;
 
   SimDuration window() const { return window_; }
   const Plan& last_plan() const { return plan_; }
-  /// This window's plan slices in scheduling units (quota + consumed ==
+  /// This window's plan slices in requests (quota + consumed ==
   /// slices + debt); exposed for the control-plane conservation audits.
   const Matrix& slices() const { return slices_; }
 

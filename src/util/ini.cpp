@@ -77,17 +77,6 @@ std::optional<bool> IniSection::get_bool(const std::string& key) const {
                           "'");
 }
 
-std::optional<std::vector<double>> IniSection::get_double_list(
-    const std::string& key) const {
-  const auto raw = get_string(key);
-  if (!raw) return std::nullopt;
-  std::vector<double> out;
-  std::stringstream ss(*raw);
-  std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(parse_double(item, key));
-  return out;
-}
-
 std::string IniSection::require_string(const std::string& key) const {
   const auto v = get_string(key);
   if (!v)
@@ -107,15 +96,6 @@ std::vector<const IniSection*> IniDocument::all(const std::string& name) const {
   for (const auto& s : sections)
     if (s.name == name) out.push_back(&s);
   return out;
-}
-
-const IniSection* IniDocument::unique(const std::string& name) const {
-  const auto matches = all(name);
-  if (matches.empty()) return nullptr;
-  if (matches.size() > 1)
-    throw ContractViolation("ini: section [" + name +
-                            "] appears more than once");
-  return matches.front();
 }
 
 IniDocument parse_ini(const std::string& text) {

@@ -5,8 +5,7 @@
 //   - `[section]` headers; repeated section names are allowed and create
 //     separate section instances, in file order (used for [client] blocks)
 //   - `key = value` pairs; whitespace around keys/values is trimmed
-//   - values can be read as string, double, bool (true/false/1/0), or a
-//     comma-separated list of doubles
+//   - values can be read as string, double or bool (true/false/1/0)
 //
 // Parse errors carry line numbers so scenario-file typos are diagnosable.
 #pragma once
@@ -42,8 +41,6 @@ struct IniSection {
   std::optional<std::string> get_string(const std::string& key) const;
   std::optional<double> get_double(const std::string& key) const;
   std::optional<bool> get_bool(const std::string& key) const;
-  std::optional<std::vector<double>> get_double_list(
-      const std::string& key) const;
 
   /// Required-field variants: throw with a helpful message when absent.
   std::string require_string(const std::string& key) const;
@@ -58,10 +55,6 @@ struct IniDocument {
 
   /// All sections with the given name, in file order.
   std::vector<const IniSection*> all(const std::string& name) const;
-
-  /// The single section with the given name; nullopt when absent, throws
-  /// when duplicated.
-  const IniSection* unique(const std::string& name) const;
 };
 
 /// Parses INI text. Throws ContractViolation (with a line number) on

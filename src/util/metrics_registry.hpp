@@ -36,17 +36,10 @@ class MetricCounter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-written level (queue depth, shard count, ...). set() overwrites;
-/// set_max() ratchets upward for high-water marks.
+/// Last-written level (queue depth, shard count, ...).
 class MetricGauge {
  public:
   void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void set_max(std::int64_t v) {
-    std::int64_t seen = value_.load(std::memory_order_relaxed);
-    while (seen < v &&
-           !value_.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
-    }
-  }
   std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
   void reset() { value_.store(0, std::memory_order_relaxed); }
 

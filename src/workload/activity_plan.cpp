@@ -1,7 +1,5 @@
 #include "workload/activity_plan.hpp"
 
-#include <algorithm>
-
 #include "util/assert.hpp"
 
 namespace sharegrid::workload {
@@ -24,30 +22,10 @@ void ActivityPlan::always_active(std::size_t client, SimTime horizon) {
   add_interval(client, 0, horizon);
 }
 
-void ActivityPlan::add_phase(std::string name, SimTime start, SimTime end) {
-  SHAREGRID_EXPECTS(end > start);
-  SHAREGRID_EXPECTS(phases_.empty() || phases_.back().end <= start);
-  phases_.push_back({std::move(name), start, end});
-}
-
 const std::vector<ActiveInterval>& ActivityPlan::intervals(
     std::size_t client) const {
   SHAREGRID_EXPECTS(client < intervals_.size());
   return intervals_[client];
-}
-
-bool ActivityPlan::active_at(std::size_t client, SimTime t) const {
-  for (const auto& iv : intervals(client))
-    if (t >= iv.start && t < iv.end) return true;
-  return false;
-}
-
-SimTime ActivityPlan::horizon() const {
-  SimTime latest = 0;
-  for (const auto& list : intervals_)
-    for (const auto& iv : list) latest = std::max(latest, iv.end);
-  for (const auto& ph : phases_) latest = std::max(latest, ph.end);
-  return latest;
 }
 
 }  // namespace sharegrid::workload

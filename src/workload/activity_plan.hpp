@@ -2,12 +2,10 @@
 //
 // Every experiment in the paper runs in phases — client machines switch on
 // and off at known times and the figures show how admission adapts. An
-// ActivityPlan holds per-client active intervals plus named phase boundaries
-// used for reporting per-phase averages.
+// ActivityPlan holds per-client active intervals.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "util/time.hpp"
@@ -20,14 +18,7 @@ struct ActiveInterval {
   SimTime end = 0;
 };
 
-/// A named reporting phase [start, end).
-struct Phase {
-  std::string name;
-  SimTime start = 0;
-  SimTime end = 0;
-};
-
-/// Per-client on/off schedule plus reporting phases.
+/// Per-client on/off schedule.
 class ActivityPlan {
  public:
   explicit ActivityPlan(std::size_t client_count);
@@ -39,23 +30,11 @@ class ActivityPlan {
   /// Convenience: active for the whole experiment [0, horizon).
   void always_active(std::size_t client, SimTime horizon);
 
-  /// Appends a reporting phase; phases must be added in time order.
-  void add_phase(std::string name, SimTime start, SimTime end);
-
   std::size_t client_count() const { return intervals_.size(); }
   const std::vector<ActiveInterval>& intervals(std::size_t client) const;
-  const std::vector<Phase>& phases() const { return phases_; }
-
-  /// True when @p client is active at time @p t.
-  bool active_at(std::size_t client, SimTime t) const;
-
-  /// Latest end time across all intervals and phases (the experiment
-  /// horizon).
-  SimTime horizon() const;
 
  private:
   std::vector<std::vector<ActiveInterval>> intervals_;
-  std::vector<Phase> phases_;
 };
 
 }  // namespace sharegrid::workload

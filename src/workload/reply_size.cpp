@@ -50,7 +50,6 @@ SampledRequest ReplySizeDistribution::sample(Rng& rng) const {
                           : RequestClass::kStatic;
   out.reply_bytes =
       rng.bounded_pareto(spec_.min_bytes, spec_.max_bytes, alpha_);
-  out.weight = std::max(0.1, out.reply_bytes / spec_.mean_bytes);
   return out;
 }
 

@@ -35,10 +35,6 @@ double solve_pareto_alpha(double lo, double hi, double mean);
 struct SampledRequest {
   RequestClass request_class = RequestClass::kStatic;
   double reply_bytes = 0.0;
-  /// Scheduling weight: reply size relative to the mean, so a 500 KB reply
-  /// counts as ~85 small requests ("large requests are treated as multiple
-  /// small ones", §4). Clamped below so tiny replies still cost something.
-  double weight = 1.0;
 };
 
 /// Samples reply sizes / classes; deterministic given the Rng stream.

@@ -10,7 +10,7 @@ RequestTrace RequestTrace::synthesize(
     const ActivityPlan& plan,
     const std::vector<core::PrincipalId>& client_principals,
     const std::vector<double>& rates, const ReplySizeDistribution& sizes,
-    std::uint64_t seed, bool weighted) {
+    std::uint64_t seed) {
   SHAREGRID_EXPECTS(client_principals.size() == plan.client_count());
   SHAREGRID_EXPECTS(rates.size() == plan.client_count());
 
@@ -28,9 +28,7 @@ RequestTrace RequestTrace::synthesize(
         TraceEntry entry;
         entry.time = t;
         entry.principal = client_principals[c];
-        const SampledRequest sample = sizes.sample(rng);
-        entry.reply_bytes = sample.reply_bytes;
-        entry.weight = weighted ? sample.weight : 1.0;
+        entry.reply_bytes = sizes.sample(rng).reply_bytes;
         all.push_back(entry);
       }
     }

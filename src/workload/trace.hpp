@@ -23,7 +23,6 @@ namespace sharegrid::workload {
 struct TraceEntry {
   SimTime time = 0;
   core::PrincipalId principal = core::kNoPrincipal;
-  double weight = 1.0;
   double reply_bytes = 6144.0;
 };
 
@@ -32,13 +31,13 @@ class RequestTrace {
  public:
   /// Synthesizes a Poisson open-loop trace: each client c of
   /// @p client_principals generates at @p rates[c] req/s while
-  /// @p plan marks it active. Sizes come from @p sizes (weight kept at 1
-  /// unless @p weighted). Deterministic in @p seed.
+  /// @p plan marks it active. Sizes come from @p sizes. Deterministic in
+  /// @p seed.
   static RequestTrace synthesize(const ActivityPlan& plan,
                                  const std::vector<core::PrincipalId>& client_principals,
                                  const std::vector<double>& rates,
                                  const ReplySizeDistribution& sizes,
-                                 std::uint64_t seed, bool weighted = false);
+                                 std::uint64_t seed);
 
   /// Appends an entry; must not go backwards in time.
   void append(TraceEntry entry);

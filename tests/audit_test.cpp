@@ -460,17 +460,6 @@ TEST(AuditWindow, PositiveDebtCarryFires) {
   EXPECT_NE(msg.find("window.positive-debt"), std::string::npos);
 }
 
-TEST(AuditWindow, CarryRange) {
-  EXPECT_NO_THROW(audit::audit_quota_carry(0.0));
-  EXPECT_NO_THROW(audit::audit_quota_carry(0.999));
-  EXPECT_NE(violation_message([] { audit::audit_quota_carry(1.5); })
-                .find("window.carry-range"),
-            std::string::npos);
-  EXPECT_NE(violation_message([] { audit::audit_quota_carry(-0.1); })
-                .find("window.carry-range"),
-            std::string::npos);
-}
-
 // ---------------------------------------------------------------------------
 // l4/connection_table
 // ---------------------------------------------------------------------------

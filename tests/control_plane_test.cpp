@@ -298,19 +298,6 @@ TEST(ControlPlane, ConfigValidationRejectsPoisonValues) {
   EXPECT_NO_THROW(coord::ControlPlane(&scheduler, coord::ControlPlaneConfig{}));
 }
 
-TEST(ControlPlane, QuotaCarryResetDropsBankedFraction) {
-  // Across a replan() the fractional credit earned against the superseded
-  // plan must not combine with the new plan's fractions.
-  sched::QuotaCarry with_reset;
-  EXPECT_EQ(with_reset.take(0.6), 0u);
-  with_reset.reset();
-  EXPECT_EQ(with_reset.take(0.6), 0u);
-
-  sched::QuotaCarry without_reset;
-  EXPECT_EQ(without_reset.take(0.6), 0u);
-  EXPECT_EQ(without_reset.take(0.6), 1u);  // 1.2 banked -> one released
-}
-
 // ---------------------------------------------------------------------------
 // Transport seam.
 // ---------------------------------------------------------------------------

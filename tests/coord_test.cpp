@@ -20,7 +20,7 @@ TEST(TreeTopology, StarShape) {
 }
 
 TEST(TreeTopology, ChainShape) {
-  const TreeTopology t = TreeTopology::chain(4);
+  const TreeTopology t = TreeTopology::balanced(4, 1);
   EXPECT_TRUE(t.valid());
   EXPECT_EQ(t.depth(), 3u);
   EXPECT_EQ(t.children()[2], (std::vector<std::size_t>{3}));
@@ -136,7 +136,7 @@ TEST(CombiningTree, OverlappingRoundsStayConsistent) {
   // Lag (2 * 4 = 8... depth 2 chain) exceeds the period: several rounds in
   // flight at once must not mix their sums.
   TreeConfig cfg{.period = 3, .link_delay = 4, .vector_size = 1};
-  CombiningTree tree(&sim, TreeTopology::chain(3), cfg);
+  CombiningTree tree(&sim, TreeTopology::balanced(3, 1), cfg);
   std::vector<Participant> parts(3);
   for (auto& p : parts) p.local = {1.0};
   attach_all(tree, sim, parts, 0);

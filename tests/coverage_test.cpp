@@ -1,6 +1,6 @@
 // Additional end-to-end and property coverage for paths the module tests
-// exercise only lightly: weighted admission under heavy-tailed sizes,
-// explicit-queue L7 with coordination, and ticket round-trip sweeps.
+// exercise only lightly: explicit-queue L7 with coordination, and ticket
+// round-trip sweeps.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,42 +14,6 @@
 
 namespace sharegrid {
 namespace {
-
-TEST(WeightedAdmission, HeavyTailedWeightsPreserveUnitShares) {
-  // With weighted admission, agreements govern capacity *units*; a
-  // principal sending many huge replies gets fewer requests, not more
-  // units. Both principals draw from the same size distribution here, so
-  // their unit shares (and hence approximate request shares) must still
-  // land on the agreement split.
-  core::AgreementGraph g;
-  g.add_principal("S", 0.0);
-  g.add_principal("A", 0.0);
-  g.add_principal("B", 0.0);
-  g.set_agreement(0, 1, 0.75, 0.75);
-  g.set_agreement(0, 2, 0.25, 0.25);
-
-  experiments::ScenarioConfig c;
-  c.graph = g;
-  c.layer = experiments::Layer::kL4;
-  c.weighted_admission = true;
-  c.servers = {{"S", 320.0}};
-  c.clients = {{"A1", "A", 0, 400.0, {{0.0, 60.0}}},
-               {"A2", "A", 0, 400.0, {{0.0, 60.0}}},
-               {"B1", "B", 0, 400.0, {{0.0, 60.0}}}};
-  c.phases = {{"steady", 15.0, 58.0}};
-  c.duration_sec = 60.0;
-
-  const auto result = experiments::run_scenario(c);
-  const double a = result.phase_served(0, 1);
-  const double b = result.phase_served(0, 2);
-  // Request-rate split tracks the 3:1 unit split within heavy-tail noise.
-  EXPECT_NEAR(a / (a + b), 0.75, 0.08);
-  // Weighted service is slower in request terms (mean weight ~1, but
-  // borrow/debt and the tail cost throughput); still the server must be
-  // well utilized in unit terms: total request rate below 320 is expected,
-  // far below would mean units are being lost.
-  EXPECT_GT(a + b, 180.0);
-}
 
 TEST(ExplicitQueueL7, CoordinatesAcrossRedirectorsLikeCreditMode) {
   // The ablation compares throughput; this checks *correctness*: the

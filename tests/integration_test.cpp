@@ -68,17 +68,6 @@ TEST(Integration, DistributedMatchesCentralized) {
   }
 }
 
-TEST(Integration, WeightedAdmissionStillRespectsShares) {
-  // Turn on reply-size weighted admission: agreement shares now govern
-  // capacity units rather than request counts, but B's mandatory floor must
-  // still hold in request terms within a generous band.
-  FigureExperiment figure = figure9();
-  figure.config.weighted_admission = true;
-  const ScenarioResult result = run_scenario(figure.config);
-  // Phase 2 (A off): B still gets the whole server.
-  EXPECT_NEAR(result.phase_served(1, 1), 320.0, 48.0);
-}
-
 TEST(Integration, ScenarioValidatesItsInputs) {
   ScenarioConfig config;  // empty: no servers/clients
   EXPECT_THROW(run_scenario(config), ContractViolation);

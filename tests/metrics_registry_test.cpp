@@ -40,9 +40,6 @@ TEST(MetricsRegistry, GaugeSetAndRatchet) {
   EXPECT_EQ(g.value(), 5);
   g.set(3);
   EXPECT_EQ(g.value(), 3);
-  g.set_max(10);
-  g.set_max(2);  // lower value does not ratchet down
-  EXPECT_EQ(g.value(), 10);
 }
 
 TEST(MetricsRegistry, ReportInRegistrationOrder) {

@@ -62,21 +62,7 @@ TEST(Server, ServesAtConfiguredCapacity) {
   EXPECT_NEAR(completions, 25, 1);
   sim.run_until(seconds(1.0));
   EXPECT_EQ(completions, 50);
-  EXPECT_DOUBLE_EQ(server.units_served(), 50.0);
-}
-
-TEST(Server, WeightScalesServiceTime) {
-  sim::Simulator sim;
-  RequestSlab requests;
-  Metrics metrics(1);
-  Server server(&sim, &requests, &metrics, {"s", 0, 100.0});
-
-  Request big = make_request(0, 1, 0);
-  big.weight = 10.0;  // a 10x request takes 0.1 s at 100 units/s
-  SimTime done = -1;
-  server.submit(requests.acquire(big, nullptr), [&] { done = sim.now(); });
-  sim.run_all();
-  EXPECT_EQ(done, seconds(0.1));
+  EXPECT_EQ(server.requests_submitted(), 50u);
 }
 
 TEST(Server, BacklogReflectsQueuedWork) {
@@ -109,7 +95,8 @@ TEST(Server, RecordsServedMetrics) {
 
 // Completion callbacks wait in a FIFO beside the events that fire them:
 // each fires once, at its own request's completion, in submission order,
-// across mixed weights, a capacity change and a queue that never drains.
+// across service times that change between submissions and a queue that
+// never drains.
 TEST(Server, CompletionsFireInSubmissionOrder) {
   sim::Simulator sim;
   RequestSlab requests;
@@ -119,15 +106,15 @@ TEST(Server, CompletionsFireInSubmissionOrder) {
   std::vector<SimTime> due;
   SimTime free_at = 0;
   for (std::uint64_t i = 0; i < 40; ++i) {
-    if (i == 20) server.set_capacity(400.0);
-    Request request = make_request(0, i, 0);
-    request.weight = 1.0 + static_cast<double>(i % 3);
-    const RequestHandle handle = requests.acquire(request, nullptr);
+    const double capacity =
+        (i < 20 ? 100.0 : 400.0) / static_cast<double>(1 + i % 3);
+    server.set_capacity(capacity);
+    const RequestHandle handle =
+        requests.acquire(make_request(0, i, 0), nullptr);
     server.submit(handle, [&, handle] {
       done.emplace_back(requests[handle].id, sim.now());
     });
-    free_at += static_cast<SimDuration>(request.weight /
-                                        (i < 20 ? 100.0 : 400.0) *
+    free_at += static_cast<SimDuration>(1.0 / capacity *
                                         static_cast<double>(kSecond));
     due.push_back(free_at);
     // Submissions interleave with completions: the FIFO wraps around.
@@ -452,7 +439,7 @@ TEST(ClientFleet, DestructionIsSafeWithPendingEvents) {
   EXPECT_FALSE(sim.idle());
   sim.run_until(seconds(5.0));
   EXPECT_EQ(redirector.requests.size(), seen);
-  EXPECT_EQ(server.units_served(), 0.0);
+  EXPECT_EQ(server.requests_submitted(), 0u);
   EXPECT_EQ(metrics.latency(0).count(), 0u);
 }
 
@@ -546,7 +533,7 @@ TEST(L7Redirector, LocalDemandTracksArrivals) {
   L7Fixture f({200.0, 0.0});
   f.client->set_active(true);
   f.sim.run_until(seconds(5.0));
-  const std::vector<double> demand = f.redirector->local_demand();
+  const std::vector<double> demand = f.redirector->member()->local_demand();
   EXPECT_NEAR(demand[0], 100.0, 10.0);
   EXPECT_NEAR(demand[1], 0.0, 1e-9);
 }
@@ -801,13 +788,13 @@ TEST(L4Redirector, AffinityHintNamesTheLastServerByPoolIndex) {
     sim.run_until(sim.now() + 50 * kMillisecond);
   };
   connect(a, 5);
-  EXPECT_EQ(b.units_served(), 1.0);
+  EXPECT_EQ(b.requests_submitted(), 1u);
   connect(b, 5 + 4096);
   driver.stop();
   EXPECT_EQ(source.calls, 2);
   EXPECT_EQ(redirector.connections().flows(), 1u);
-  EXPECT_EQ(a.units_served(), 1.0);
-  EXPECT_EQ(b.units_served(), 3.0);
+  EXPECT_EQ(a.requests_submitted(), 1u);
+  EXPECT_EQ(b.requests_submitted(), 3u);
 }
 
 }  // namespace

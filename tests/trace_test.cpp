@@ -49,7 +49,6 @@ TEST(RequestTrace, EntriesAreTimeOrderedAndInsideIntervals) {
     EXPECT_GE(e.time, last);
     EXPECT_GE(e.time, seconds(5));
     EXPECT_LT(e.time, seconds(15));
-    EXPECT_EQ(e.weight, 1.0);  // unweighted by default
     last = e.time;
   }
 }
@@ -69,10 +68,10 @@ TEST(RequestTrace, DeterministicInSeed) {
 
 TEST(RequestTrace, AppendValidatesOrder) {
   RequestTrace trace;
-  trace.append({seconds(1), 0, 1.0, 100.0});
-  EXPECT_THROW(trace.append({seconds(0.5), 0, 1.0, 100.0}),
+  trace.append({seconds(1), 0, 100.0});
+  EXPECT_THROW(trace.append({seconds(0.5), 0, 100.0}),
                ContractViolation);
-  EXPECT_THROW(trace.append({seconds(2), core::kNoPrincipal, 1.0, 100.0}),
+  EXPECT_THROW(trace.append({seconds(2), core::kNoPrincipal, 100.0}),
                ContractViolation);
   EXPECT_EQ(trace.size(), 1u);
 }
@@ -131,7 +130,7 @@ TEST(TraceClient, DestructionIsSafeWithPendingEvents) {
   CountingRedirector redirector;
   RequestTrace trace;
   for (int i = 1; i <= 100; ++i)
-    trace.append({i * 10 * kMillisecond, 0, 1.0, 100.0});
+    trace.append({i * 10 * kMillisecond, 0, 100.0});
   auto client = std::make_unique<nodes::TraceClient>(
       &sim, &requests, &metrics, &redirector, &trace,
       nodes::TraceClient::Config{}, Rng(3));
@@ -148,7 +147,7 @@ TEST(TraceClient, DestructionIsSafeWithPendingEvents) {
   client.reset();
   sim.run_all();
   EXPECT_EQ(redirector.requests, seen);
-  EXPECT_EQ(server.units_served(), 0.0);
+  EXPECT_EQ(server.requests_submitted(), 0u);
   EXPECT_EQ(metrics.latency(0).count(), 0u);
 }
 

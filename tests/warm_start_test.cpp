@@ -208,20 +208,6 @@ TEST(SolveContext, ZeroRefreshIntervalDisablesWarmStarts) {
   EXPECT_EQ(context.stats().cold_solves, 5u);
 }
 
-TEST(SolveContext, InvalidateForcesColdSolve) {
-  constexpr std::size_t kVars = 4;
-  std::vector<double> hi(kVars, 25.0);
-  std::vector<double> prices(kVars, 1.0);
-  SolveContext context;
-  const Problem p = make_window_problem(kVars, 80.0, 5.0, hi, 150.0, prices);
-  ASSERT_TRUE(context.solve(p).optimal());
-  ASSERT_TRUE(context.solve(p).warm_started);
-  context.invalidate();
-  const Solution after = context.solve(p);
-  ASSERT_TRUE(after.optimal());
-  EXPECT_FALSE(after.warm_started);
-}
-
 TEST(SolveContext, IterationLimitReportedGracefully) {
   // A pivot budget of zero cannot certify optimality; the solver must report
   // kIterationLimit instead of asserting (the old behaviour crashed).

@@ -1,5 +1,6 @@
-// Unit tests for the per-redirector window driver: quota accounting, weight
-// borrowing, demand estimation, and the conservative no-snapshot policy.
+// Unit tests for the per-redirector window driver: quota accounting,
+// borrowing on fractional slices, demand estimation, and the conservative
+// no-snapshot policy.
 #include <gtest/gtest.h>
 
 #include "core/agreement_graph.hpp"
@@ -30,26 +31,6 @@ class FixedRateScheduler final : public Scheduler {
  private:
   std::vector<double> rates_;
 };
-
-TEST(QuotaCarry, AccumulatesFractions) {
-  QuotaCarry carry;
-  std::uint64_t total = 0;
-  for (int i = 0; i < 10; ++i) total += carry.take(0.3);
-  EXPECT_EQ(total, 3u);  // 10 * 0.3 = 3.0
-}
-
-TEST(QuotaCarry, WholeAmountsPassThrough) {
-  QuotaCarry carry;
-  EXPECT_EQ(carry.take(5.0), 5u);
-  EXPECT_EQ(carry.take(0.0), 0u);
-}
-
-TEST(QuotaCarry, LongRunRateIsExact) {
-  QuotaCarry carry;
-  std::uint64_t total = 0;
-  for (int i = 0; i < 1000; ++i) total += carry.take(1.7);
-  EXPECT_NEAR(static_cast<double>(total), 1700.0, 1.0);
-}
 
 TEST(ArrivalEstimator, FirstObservationPrimes) {
   ArrivalEstimator est(0.3);
@@ -93,20 +74,26 @@ TEST(WindowScheduler, AdmitReturnsOwningServer) {
 }
 
 TEST(WindowScheduler, LargeWeightBorrowsFromFutureWindows) {
-  FixedRateScheduler fixed({100.0});
+  // 15 req/s over 100 ms windows: a slice of 1.5 requests per window.
+  FixedRateScheduler fixed({15.0});
   WindowScheduler ws(&fixed, 100 * kMillisecond, 1);
-  GlobalDemand global{{100.0}, true};
+  GlobalDemand global{{15.0}, true};
 
-  ws.begin_window({100.0}, global);
-  // Quota per window = 10 units. A weight-25 request is admitted (quota is
-  // positive) and drives the balance negative...
-  EXPECT_TRUE(ws.try_admit(0, 25.0).has_value());
+  ws.begin_window({15.0}, global);
+  // The second request is admitted on the 0.5 left (quota is positive) and
+  // drives the balance negative...
+  EXPECT_TRUE(ws.try_admit(0).has_value());
+  EXPECT_TRUE(ws.try_admit(0).has_value());
   EXPECT_FALSE(ws.try_admit(0).has_value());
-  // ...which the next windows repay before admitting anything else.
-  ws.begin_window({100.0}, global);
-  EXPECT_FALSE(ws.try_admit(0).has_value());  // still -5 after +10
-  ws.begin_window({100.0}, global);
-  EXPECT_TRUE(ws.try_admit(0).has_value());  // +5 now
+  EXPECT_NEAR(ws.remaining_quota(0), -0.5, 1e-9);
+  // ...which the next window repays: one request instead of two.
+  ws.begin_window({15.0}, global);
+  EXPECT_NEAR(ws.remaining_quota(0), 1.0, 1e-9);
+  EXPECT_TRUE(ws.try_admit(0).has_value());
+  EXPECT_FALSE(ws.try_admit(0).has_value());
+  // Debt repaid: the whole slice is back.
+  ws.begin_window({15.0}, global);
+  EXPECT_NEAR(ws.remaining_quota(0), 1.5, 1e-9);
 }
 
 TEST(WindowScheduler, UnusedQuotaDoesNotAccumulate) {
@@ -199,14 +186,17 @@ TEST(WindowScheduler, ReplanCannotRegrantConsumedQuota) {
 }
 
 TEST(WindowScheduler, ReplanPreservesBorrowDebt) {
-  FixedRateScheduler fixed({100.0});
+  FixedRateScheduler fixed({15.0});  // a 1.5-request slice per window
   WindowScheduler ws(&fixed, 100 * kMillisecond, 1);
-  GlobalDemand global{{100.0}, true};
-  ws.begin_window({100.0}, global);
-  EXPECT_TRUE(ws.try_admit(0, 25.0).has_value());  // deep borrow
-  ws.begin_window({100.0}, global);                // debt -15 + slice 10
-  ws.replan({100.0}, global);
-  EXPECT_FALSE(ws.try_admit(0).has_value());  // still repaying
+  GlobalDemand global{{15.0}, true};
+  ws.begin_window({15.0}, global);
+  EXPECT_TRUE(ws.try_admit(0).has_value());
+  EXPECT_TRUE(ws.try_admit(0).has_value());  // overdraws to -0.5
+  ws.begin_window({15.0}, global);           // debt -0.5 + slice 1.5
+  ws.replan({15.0}, global);
+  EXPECT_NEAR(ws.remaining_quota(0), 1.0, 1e-9);
+  EXPECT_TRUE(ws.try_admit(0).has_value());
+  EXPECT_FALSE(ws.try_admit(0).has_value());  // the debt is still repaid
 }
 
 TEST(WindowScheduler, RejectsMalformedInput) {
@@ -215,7 +205,6 @@ TEST(WindowScheduler, RejectsMalformedInput) {
   EXPECT_THROW(ws.begin_window({1.0, 2.0}, {}), ContractViolation);
   ws.begin_window({100.0}, {{100.0}, true});
   EXPECT_THROW(ws.try_admit(5), ContractViolation);
-  EXPECT_THROW(ws.try_admit(0, -1.0), ContractViolation);
 }
 
 }  // namespace

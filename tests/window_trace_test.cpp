@@ -1,8 +1,6 @@
 // Tests for the per-window decision trace.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "experiments/paper_figures.hpp"
 #include "experiments/scenario.hpp"
 #include "nodes/window_trace.hpp"
@@ -20,26 +18,6 @@ TEST(WindowTrace, RecordsAndCaps) {
   }
   EXPECT_EQ(trace.rows().size(), 3u);
   EXPECT_EQ(trace.dropped(), 2u);
-}
-
-TEST(WindowTrace, CsvHasOneLinePerRowPlusHeader) {
-  WindowTrace trace;
-  WindowTrace::Row row;
-  row.window_start = seconds(1.5);
-  row.redirector = "l7-0";
-  row.local_demand = {10.0, 20.0};
-  row.global_demand = {30.0, 40.0};
-  row.planned_rate = {5.0, 15.0};
-  row.theta = 0.5;
-  trace.record(row);
-
-  std::ostringstream os;
-  trace.write_csv(os, {"A", "B"});
-  const std::string csv = os.str();
-  EXPECT_NE(csv.find("A_local"), std::string::npos);
-  EXPECT_NE(csv.find("B_planned"), std::string::npos);
-  EXPECT_NE(csv.find("l7-0"), std::string::npos);
-  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 2);
 }
 
 TEST(WindowTrace, ScenarioPopulatesTrace) {

@@ -42,7 +42,6 @@ TEST(ReplySizeDistribution, SizesStayInRange) {
     const auto s = dist.sample(rng);
     EXPECT_GE(s.reply_bytes, 200.0 - 1e-9);
     EXPECT_LE(s.reply_bytes, 500.0 * 1024.0 + 1e-6);
-    EXPECT_GE(s.weight, 0.1);
   }
 }
 
@@ -58,29 +57,20 @@ TEST(ReplySizeDistribution, DynamicFractionIsRespected) {
   EXPECT_NEAR(static_cast<double>(dynamic) / samples, 0.3, 0.02);
 }
 
-TEST(ReplySizeDistribution, WeightIsSizeRelativeToMean) {
-  const ReplySizeDistribution dist;
-  Rng rng(11);
-  for (int i = 0; i < 1000; ++i) {
-    const auto s = dist.sample(rng);
-    if (s.reply_bytes > 614.4) {  // above the 0.1 weight clamp
-      EXPECT_NEAR(s.weight, s.reply_bytes / 6144.0, 1e-9);
-    }
-  }
-}
-
 TEST(ActivityPlan, IntervalsAndQueries) {
   ActivityPlan plan(2);
   plan.add_interval(0, seconds(0), seconds(10));
   plan.add_interval(0, seconds(20), seconds(30));
   plan.always_active(1, seconds(30));
 
-  EXPECT_TRUE(plan.active_at(0, seconds(5)));
-  EXPECT_FALSE(plan.active_at(0, seconds(15)));
-  EXPECT_TRUE(plan.active_at(0, seconds(25)));
-  EXPECT_FALSE(plan.active_at(0, seconds(30)));  // half-open
-  EXPECT_TRUE(plan.active_at(1, seconds(29)));
-  EXPECT_EQ(plan.horizon(), seconds(30));
+  EXPECT_EQ(plan.client_count(), 2u);
+  ASSERT_EQ(plan.intervals(0).size(), 2u);
+  EXPECT_EQ(plan.intervals(0)[0].end, seconds(10));
+  EXPECT_EQ(plan.intervals(0)[1].start, seconds(20));
+  ASSERT_EQ(plan.intervals(1).size(), 1u);
+  EXPECT_EQ(plan.intervals(1)[0].start, 0);
+  EXPECT_EQ(plan.intervals(1)[0].end, seconds(30));
+  EXPECT_THROW(plan.intervals(2), ContractViolation);
 }
 
 TEST(ActivityPlan, RejectsOverlapsAndDisorder) {
@@ -93,17 +83,6 @@ TEST(ActivityPlan, RejectsOverlapsAndDisorder) {
   EXPECT_THROW(plan.add_interval(0, seconds(30), seconds(30)),
                ContractViolation);
   EXPECT_THROW(plan.add_interval(5, 0, seconds(1)), ContractViolation);
-}
-
-TEST(ActivityPlan, PhasesTrackHorizon) {
-  ActivityPlan plan(1);
-  plan.add_interval(0, 0, seconds(10));
-  plan.add_phase("warm", 0, seconds(5));
-  plan.add_phase("steady", seconds(5), seconds(15));
-  EXPECT_THROW(plan.add_phase("bad", seconds(10), seconds(12)),
-               ContractViolation);
-  EXPECT_EQ(plan.phases().size(), 2u);
-  EXPECT_EQ(plan.horizon(), seconds(15));
 }
 
 }  // namespace

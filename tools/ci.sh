@@ -100,7 +100,7 @@ else
   echo "=== [debug-tsan] worker pool ==="
   ./build-tsan/tests/sharegrid_tests --gtest_filter='WorkerPool.*'
   # The unified control plane is the other concurrency surface: the live
-  # L4/L7 services drive it through the mutex-guarded WallClockAdmission
+  # L7 service drives it through the mutex-guarded WallClockAdmission
   # facade, and the SocketTransport runs background receive threads feeding
   # a mutex-guarded inbox drained by poll(). Rerun the control-plane,
   # live-service, socket-transport, and TCP tests standalone under TSan so a
