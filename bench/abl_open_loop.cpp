@@ -1,13 +1,16 @@
-// Ablation A4: end-to-end scheduler comparison on an identical open-loop
-// trace.
+// Ablation A4: end-to-end scheduler comparison on identical open-loop
+// input.
 //
 // abl_baselines compares plans in isolation; this bench drives the full L4
-// node stack — redirector, kernel queues, servers — with the *same*
-// precomputed request trace (open loop: the workload cannot adapt to the
-// scheduler), so measured service rates isolate exactly the admission
-// policy. SLA: A [0.8, 1.0], B [0.2, 1.0] on a 320 req/s provider; offered
-// load A 200 req/s (one fifth of its guarantee's worth of pressure) and
-// B 600 req/s (flooding).
+// node stack — redirector, kernel queues, servers — with the *same* offered
+// load for every scheduler. One WebBench machine per principal issues at its
+// fixed rate from its own seeded stream, and its outstanding bound is out of
+// reach, so the load is open loop: it cannot adapt to the scheduler, and
+// measured service rates isolate exactly the admission policy. On L4 a
+// machine draws nothing but arrival gaps and reply sizes, so every scheduler
+// sees the same arrivals. SLA: A [0.8, 1.0], B [0.2, 1.0] on a 320 req/s
+// provider; offered load A 200 req/s (one fifth of its guarantee's worth of
+// pressure) and B 600 req/s (flooding).
 //
 // Agreement enforcement serves all of A (its 200 req/s offer is under its
 // 256 req/s floor) and hands B the remainder; equal-weight fair sharing
@@ -15,18 +18,19 @@
 // below its contractual guarantee.
 #include <cstdlib>
 #include <iostream>
-#include <memory>
+#include <limits>
 
 #include "coord/control_plane.hpp"
+#include "coord/snapshot_transport.hpp"
 #include "coord/window_driver.hpp"
 #include "core/flow.hpp"
+#include "nodes/client.hpp"
 #include "nodes/l4_redirector.hpp"
 #include "nodes/server.hpp"
-#include "nodes/trace_client.hpp"
 #include "sched/response_time_scheduler.hpp"
 #include "sched/weighted_fair_scheduler.hpp"
 #include "util/table.hpp"
-#include "workload/trace.hpp"
+#include "workload/reply_size.hpp"
 
 using namespace sharegrid;
 
@@ -37,9 +41,20 @@ struct Outcome {
   double b_served = 0.0;
 };
 
-/// Runs the trace through an L4 stack with the given scheduler.
-Outcome run_with(const sched::Scheduler* scheduler,
-                 const workload::RequestTrace& trace) {
+/// One machine of @p principal issuing at @p rate req/s, open loop: no 40 s
+/// run fills its outstanding bound.
+nodes::ClientFleet::Config open_loop(core::PrincipalId principal,
+                                     std::size_t index, double rate) {
+  nodes::ClientFleet::Config config;
+  config.principal = principal;
+  config.first_index = index;
+  config.rate = rate;
+  config.max_outstanding = std::numeric_limits<std::size_t>::max();
+  return config;
+}
+
+/// Drives the open-loop load through an L4 stack with the given scheduler.
+Outcome run_with(const sched::Scheduler* scheduler) {
   sim::Simulator sim;
   nodes::RequestSlab requests;
   nodes::Metrics metrics(3);
@@ -47,23 +62,32 @@ Outcome run_with(const sched::Scheduler* scheduler,
   nodes::ServerPool pool;
   pool.add(&server);
   coord::ControlPlane plane(scheduler, {});
-  coord::ControlPlane::Member* member = plane.add_member();
-  nodes::L4Redirector redirector(&sim, &requests, &metrics, &pool, member,
-                                 {});
+  nodes::L4Redirector redirector(&sim, &requests, &metrics, &pool,
+                                 plane.add_member(), {});
   coord::SimWindowDriver driver(&sim, &plane);
   driver.start(100 * kMillisecond);
-  // A lone redirector still needs its aggregation feedback (normally the
-  // combining tree): without a snapshot it stays conservative forever.
-  std::uint64_t round = 0;
-  sim::PeriodicTask aggregator(&sim, 50 * kMillisecond, 100 * kMillisecond,
-                               [member, &round] {
-                                 member->receive_global(
-                                     round++, member->local_demand());
-                               });
+  // A lone redirector still needs its aggregation feedback: without a
+  // snapshot it stays conservative forever. Rounds fall halfway between
+  // windows.
+  coord::SimTreeTransport::Options tree;
+  tree.first_round = 50 * kMillisecond;
+  coord::SimTreeTransport transport(&sim, 1, scheduler->size(), tree);
+  plane.connect(&transport);
+  transport.start();
 
-  nodes::TraceClient client(&sim, &requests, &metrics, &redirector, &trace,
-                            {}, Rng(9));
-  client.start();
+  // Every run splits the same two streams, A's first.
+  Rng streams(2026);
+  const workload::ReplySizeDistribution sizes;
+  nodes::ClientFleet a(&sim, &requests, &metrics, &redirector,
+                       open_loop(1, 0, 200.0), {streams.split()}, &sizes);
+  nodes::ClientFleet b(&sim, &requests, &metrics, &redirector,
+                       open_loop(2, 1, 600.0), {streams.split()}, &sizes);
+  a.set_active(true);
+  b.set_active(true);
+  sim.schedule_at(seconds(40), [&a, &b] {
+    a.set_active(false);
+    b.set_active(false);
+  });
   sim.run_until(seconds(40));
 
   return {metrics.served(1).average_rate(seconds(10), seconds(38)),
@@ -84,19 +108,11 @@ int main() {
   g.set_agreement(0, 1, 0.8, 1.0);
   g.set_agreement(0, 2, 0.2, 1.0);
 
-  workload::ActivityPlan plan(2);
-  plan.always_active(0, seconds(40));
-  plan.always_active(1, seconds(40));
-  const workload::ReplySizeDistribution sizes;
-  const workload::RequestTrace trace =
-      workload::RequestTrace::synthesize(plan, {1, 2}, {200.0, 600.0}, sizes,
-                                         2026);
-
   const sched::ResponseTimeScheduler lp(g, core::compute_access_levels(g));
   const sched::WeightedFairScheduler wfq(320.0, {0.0, 0.5, 0.5});
 
-  const Outcome lp_out = run_with(&lp, trace);
-  const Outcome wfq_out = run_with(&wfq, trace);
+  const Outcome lp_out = run_with(&lp);
+  const Outcome wfq_out = run_with(&wfq);
 
   TextTable table({"scheduler", "A served (offers 200)",
                    "B served (floods 600)", "B bounded by agreement?"});
@@ -125,14 +141,14 @@ int main() {
     ok = false;
   }
 
-  // Same trace, B's contract tightened to [0.2, 0.4]: the LP clamps B at
+  // Same load, B's contract tightened to [0.2, 0.4]: the LP clamps B at
   // 128 and leaves capacity idle (the contract is the contract); WFQ cannot
   // express that and still hands B the slack.
   core::AgreementGraph tight = g;
   tight.set_agreement(0, 2, 0.2, 0.4);
   const sched::ResponseTimeScheduler lp_tight(
       tight, core::compute_access_levels(tight));
-  const Outcome tight_out = run_with(&lp_tight, trace);
+  const Outcome tight_out = run_with(&lp_tight);
   std::cout << "With B tightened to [0.2, 0.4]: LP serves B at "
             << TextTable::num(tight_out.b_served)
             << " req/s (contract ceiling 128); fair share has no way to "

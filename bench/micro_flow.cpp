@@ -6,7 +6,7 @@
 // Also home to the connection-table container pair (BM_FlowTable*): the NAT
 // table was migrated from std::map to util::FlatHashMap for the
 // million-client scenarios, and the before/after is recorded in
-// BENCH_sim.json (tools/update_sim_bench.py).
+// BENCH_sim.json (tools/update_bench.py).
 #include <cstdint>
 #include <map>
 #include <utility>

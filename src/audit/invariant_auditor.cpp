@@ -17,62 +17,6 @@ std::string num(double value) {
   return os.str();
 }
 
-void audit_simplex_basis(const Matrix& a, const std::vector<double>& rhs,
-                         const std::vector<std::size_t>& basis,
-                         const std::vector<double>& upper, double tol) {
-  const std::size_t m = rhs.size();
-  require(a.rows() == m && basis.size() == m, "simplex.tableau-shape", [&] {
-    return "tableau has " + std::to_string(a.rows()) + " rows, " +
-           std::to_string(rhs.size()) + " rhs entries, and " +
-           std::to_string(basis.size()) + " basis entries";
-  });
-  require(upper.empty() || upper.size() == a.cols(), "simplex.tableau-shape",
-          [&] {
-            return "upper-bound vector has " + std::to_string(upper.size()) +
-                   " entries for a tableau with " + std::to_string(a.cols()) +
-                   " columns (pass an empty vector for all-unbounded)";
-          });
-  // Feasibility tolerance must scale with the data: conservative-mode LPs
-  // carry saturated demands around 1e9, where rounding dwarfs any absolute
-  // epsilon.
-  double scale = 1.0;
-  for (const double r : rhs) scale = std::max(scale, std::abs(r));
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::size_t col = basis[i];
-    require(col < a.cols(), "simplex.basis-column-range", [&] {
-      return "row " + std::to_string(i) + " claims basic column " +
-             std::to_string(col) + " of " + std::to_string(a.cols());
-    });
-    for (std::size_t r = 0; r < m; ++r) {
-      const double expected = r == i ? 1.0 : 0.0;
-      require(std::abs(a(r, col) - expected) <= tol, "simplex.basis-not-unit",
-              [&] {
-                return "basic column " + std::to_string(col) + " has a(" +
-                       std::to_string(r) + ", col) = " + num(a(r, col)) +
-                       " (expected " + num(expected) +
-                       "); a pivot failed to eliminate the column and the "
-                       "basic solution read off the rhs is meaningless";
-              });
-    }
-    require(rhs[i] >= -tol * scale, "simplex.primal-infeasible-rhs", [&] {
-      return "rhs[" + std::to_string(i) + "] = " + num(rhs[i]) +
-             " went negative mid-solve; the ratio test admitted a pivot "
-             "that left the basic solution infeasible";
-    });
-    if (!upper.empty()) {
-      const double ub = upper[col];
-      require(!std::isfinite(ub) || rhs[i] <= ub + tol * scale,
-              "simplex.primal-above-upper", [&] {
-                return "rhs[" + std::to_string(i) + "] = " + num(rhs[i]) +
-                       " exceeds the basic variable's upper bound " + num(ub) +
-                       "; the bounded ratio test missed the upper-bound "
-                       "leaving candidate and the basic solution violates a "
-                       "box constraint";
-              });
-    }
-  }
-}
-
 void audit_bland_progress(double objective_before, double objective_after,
                           double tol) {
   require(objective_after >=
@@ -84,56 +28,6 @@ void audit_bland_progress(double objective_before, double objective_after,
                    "negative-gain pivot, so termination is no longer "
                    "guaranteed";
           });
-}
-
-void audit_reduced_costs(const Matrix& a, const std::vector<std::size_t>& basis,
-                         const std::vector<double>& costs,
-                         const std::vector<double>& incremental, double tol) {
-  require(incremental.size() == costs.size() && costs.size() == a.cols(),
-          "simplex.reduced-cost-shape", [&] {
-            return "maintained reduced costs have " +
-                   std::to_string(incremental.size()) + " entries, costs " +
-                   std::to_string(costs.size()) + ", tableau " +
-                   std::to_string(a.cols()) + " columns";
-          });
-  // Scale the comparison by the magnitudes involved: income LPs price
-  // columns in currency units that can dwarf the rate-scale tolerances, and
-  // degenerate-coefficient problems produce reduced costs around 1e12 whose
-  // from-scratch recomputation itself carries relative rounding error.
-  double scale = 1.0;
-  for (const double c : costs) scale = std::max(scale, std::abs(c));
-  for (std::size_t j = 0; j < costs.size(); ++j) {
-    double exact = costs[j];
-    double column_scale = scale;
-    for (std::size_t i = 0; i < a.rows(); ++i) {
-      const double term = costs[basis[i]] * a(i, j);
-      exact -= term;
-      column_scale = std::max(column_scale, std::abs(term));
-    }
-    require(std::abs(exact - incremental[j]) <= tol * column_scale,
-            "simplex.reduced-cost-drift", [&] {
-              return "column " + std::to_string(j) +
-                     ": maintained reduced cost " + num(incremental[j]) +
-                     " but recomputation gives " + num(exact) +
-                     "; the per-pivot eta update diverged from the tableau "
-                     "and pricing decisions are no longer trustworthy";
-            });
-  }
-}
-
-void audit_warm_start_entry(const Matrix& a, const std::vector<double>& rhs,
-                            const std::vector<std::size_t>& basis,
-                            const std::vector<double>& upper,
-                            std::size_t first_artificial, double tol) {
-  for (std::size_t i = 0; i < basis.size(); ++i) {
-    require(basis[i] < first_artificial, "simplex.warm-artificial-basic", [&] {
-      return "row " + std::to_string(i) + " enters a warm start with basic "
-             "column " + std::to_string(basis[i]) + " >= first artificial " +
-             std::to_string(first_artificial) +
-             "; the cached basis was not clean and must not be reused";
-    });
-  }
-  audit_simplex_basis(a, rhs, basis, upper, tol);
 }
 
 void audit_basic_values(const std::vector<double>& rhs,

@@ -68,61 +68,21 @@ inline void require(bool ok, const char* invariant, MessageFn&& message) {
 std::string num(double value);
 
 // ---------------------------------------------------------------------------
-// lp/simplex: tableau consistency and anti-cycling progress.
+// lp/solve_context: revised-simplex (eta-file) consistency and anti-cycling
+// progress. The solver stores no tableau: basis coherence is checked one
+// FTRAN image at a time, and the product-form inverse is cross-checked
+// against a from-scratch rebuild at every refactorization.
 // ---------------------------------------------------------------------------
-
-/// Checks that the tableau is in proper basic form: every basic column is a
-/// unit column (1 in its own row, 0 elsewhere) and every basic value lies
-/// within its variable's bounds — at least 0, and with the bounded-variable
-/// simplex also at most upper[basis[i]], i.e. the current basic solution
-/// stays primal feasible on *both* sides. @p upper holds the per-column
-/// shifted upper bounds (kInfinity when unbounded); an empty vector means
-/// all-infinite, which preserves the historical rhs >= 0 check. Invoked
-/// after tableau construction and after every pivot/bound flip. The check
-/// scales its tolerance by the largest |rhs| entry: conservative-mode LPs
-/// carry saturated demands around 1e9, where rounding dwarfs any absolute
-/// epsilon.
-void audit_simplex_basis(const Matrix& a, const std::vector<double>& rhs,
-                         const std::vector<std::size_t>& basis,
-                         const std::vector<double>& upper, double tol);
 
 /// Bland's rule guarantees the objective never regresses even on degenerate
 /// pivots; a decrease means the anti-cycling pricing is broken (or the
-/// tableau lost numerical coherence) and the solver may loop forever.
+/// basis lost numerical coherence) and the solver may loop forever.
 void audit_bland_progress(double objective_before, double objective_after,
                           double tol);
 
-/// Checks the incrementally-maintained reduced costs against a from-scratch
-/// recomputation d_j = c_j - sum_i c_basis[i] * a(i, j). The solver applies
-/// an O(cols) eta update per pivot instead of the full O(rows * cols)
-/// recompute; drift here silently mis-prices entering columns, which can
-/// stall the solve or terminate it at a non-optimal vertex.
-void audit_reduced_costs(const Matrix& a, const std::vector<std::size_t>& basis,
-                         const std::vector<double>& costs,
-                         const std::vector<double>& incremental, double tol);
-
-/// Warm-start entry: the cached basis re-applied to a new window's data must
-/// form a proper primal-feasible basic tableau (delegates to
-/// audit_simplex_basis) and must not keep any artificial column basic —
-/// artificials are meaningless outside phase 1, and a basic artificial means
-/// the solver is about to optimize a point that never satisfied the original
-/// constraints.
-void audit_warm_start_entry(const Matrix& a, const std::vector<double>& rhs,
-                            const std::vector<std::size_t>& basis,
-                            const std::vector<double>& upper,
-                            std::size_t first_artificial, double tol);
-
-// ---------------------------------------------------------------------------
-// lp/solve_context: revised-simplex (eta-file) consistency. These mirror the
-// tableau checks above for a solver that stores no tableau: basis coherence
-// is checked one FTRAN image at a time, and the product-form inverse is
-// cross-checked against a from-scratch rebuild at every refactorization.
-// ---------------------------------------------------------------------------
-
 /// Checks that every basic value lies within its variable's bounds: at least
-/// 0, and at most upper[basis[i]] where finite — the primal-feasibility half
-/// of the old tableau check, usable without any tableau. The tolerance
-/// scales by the largest |rhs| entry (conservative-mode LPs carry saturated
+/// 0, and at most upper[basis[i]] where finite, so the basic solution is
+/// primal feasible on both sides. The tolerance scales by the largest |rhs| entry (conservative-mode LPs carry saturated
 /// demands around 1e9, where rounding dwarfs any absolute epsilon).
 void audit_basic_values(const std::vector<double>& rhs,
                         const std::vector<std::size_t>& basis,

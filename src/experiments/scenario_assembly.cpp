@@ -97,8 +97,8 @@ Domain::Domain(const ScenarioConfig& config,
       rc.name = "l7-" + suffix;
       rc.mode = config.l7_mode;
       rc.trace = trace_ptr;
-      l7s.push_back(std::make_unique<nodes::L7Redirector>(
-          sim, &requests, &metrics, &pool, member, rc));
+      l7s.push_back(std::make_unique<nodes::L7Redirector>(sim, &requests,
+                                                          &pool, member, rc));
       redirectors.push_back(l7s.back().get());
     } else {
       nodes::L4Redirector::Config rc;
@@ -195,8 +195,9 @@ ScenarioResult collect_result(const ScenarioConfig& config,
     }
     for (std::size_t m = 0; m < domain->plane->member_count(); ++m) {
       const coord::ControlPlane::Member* member = domain->plane->member(m);
-      result.metrics.add_replans(member->spike_replans(),
-                                 member->replans_suppressed());
+      result.metrics.add_member_counts(
+          member->window_scheduler().plan_fallbacks(),
+          member->spike_replans(), member->replans_suppressed());
     }
   }
   for (core::PrincipalId p = 0; p < n; ++p)

@@ -97,8 +97,8 @@ struct Domain {
   std::unique_ptr<sim::PeriodicTask> backlog_probe;
 };
 
-/// The report of a finished run: admission totals, the members' spike
-/// re-plan counts, principal names and phase reports, with every domain's
+/// The report of a finished run: admission totals, the members' plan
+/// fallback and spike re-plan counts, principal names and phase reports, with every domain's
 /// Metrics, backlog samples and trace rows merged in domain order. The
 /// fixed order keeps the floating-point latency combination reproducible
 /// and lane-count-invariant; merging a single domain copies it exactly.

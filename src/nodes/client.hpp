@@ -25,9 +25,9 @@
 namespace sharegrid::nodes {
 
 /// What a client looks like to a redirector: the callbacks that complete a
-/// request's life cycle. Implemented by the closed-loop ClientFleet and the
-/// open-loop TraceClient. A source acquires each request it issues in the
-/// domain's RequestSlab and releases it in on_response.
+/// request's life cycle. Implemented by ClientFleet. A source acquires each
+/// request it issues in the domain's RequestSlab and releases it in
+/// on_response.
 class RequestSource {
  public:
   virtual ~RequestSource() = default;
@@ -59,6 +59,13 @@ class RedirectorBase {
 /// closed-loop state. Machine m carries client index `first_index + m` in
 /// its requests, and the RequestSource callbacks find their machine from
 /// Request::client. A fleet of one is a single machine.
+///
+/// A machine whose max_outstanding no run can reach is open loop: it issues
+/// at its rate whatever the redirector admits. On L4 it then draws only
+/// arrival gaps and reply sizes from its stream, so schedulers driven by the
+/// same streams see identical offered load (bench/abl_open_loop). That holds
+/// on L4 only: on L7 every self-redirect draws retry jitter from the same
+/// stream and shifts the machine's later arrivals.
 class ClientFleet final : public RequestSource {
  public:
   struct Config {

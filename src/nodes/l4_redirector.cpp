@@ -162,8 +162,6 @@ void L4Redirector::flush_metrics() {
 void L4Redirector::on_window_begun(SimTime now) {
   flush_metrics();
   SHAREGRID_AUDIT_HOOK(table_.audit(queues_.size(), servers_->size()));
-  if (member_->window_scheduler().last_plan().lp_fallback)
-    metrics_->on_plan_fallback();
   if (config_.trace != nullptr)
     config_.trace->record_window(now, config_.name, *member_);
 

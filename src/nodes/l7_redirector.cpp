@@ -7,17 +7,15 @@
 namespace sharegrid::nodes {
 
 L7Redirector::L7Redirector(sim::Simulator* sim, RequestSlab* requests,
-                           Metrics* metrics, ServerPool* servers,
+                           ServerPool* servers,
                            coord::ControlPlane::Member* member, Config config)
     : sim_(sim),
       requests_(requests),
-      metrics_(metrics),
       servers_(servers),
       member_(member),
       config_(std::move(config)) {
   SHAREGRID_EXPECTS(sim != nullptr);
   SHAREGRID_EXPECTS(requests != nullptr);
-  SHAREGRID_EXPECTS(metrics != nullptr);
   SHAREGRID_EXPECTS(servers != nullptr);
   SHAREGRID_EXPECTS(member != nullptr);
   alive_ = sim_->new_liveness_flag();
@@ -37,8 +35,6 @@ L7Redirector::L7Redirector(sim::Simulator* sim, RequestSlab* requests,
 }
 
 void L7Redirector::on_window_begun(SimTime now) {
-  if (member_->window_scheduler().last_plan().lp_fallback)
-    metrics_->on_plan_fallback();
   if (config_.trace != nullptr)
     config_.trace->record_window(now, config_.name, *member_);
 

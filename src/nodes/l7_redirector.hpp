@@ -26,7 +26,6 @@
 
 #include "coord/control_plane.hpp"
 #include "nodes/client.hpp"
-#include "nodes/metrics.hpp"
 #include "nodes/server.hpp"
 #include "nodes/window_trace.hpp"
 #include "sim/simulator.hpp"
@@ -51,9 +50,8 @@ class L7Redirector final : public RedirectorBase {
   /// @param member   this node's control-plane slice (not owned). The node
   ///                 binds its demand/window hooks in the ctor; a member can
   ///                 belong to exactly one node.
-  L7Redirector(sim::Simulator* sim, RequestSlab* requests, Metrics* metrics,
-               ServerPool* servers, coord::ControlPlane::Member* member,
-               Config config);
+  L7Redirector(sim::Simulator* sim, RequestSlab* requests, ServerPool* servers,
+               coord::ControlPlane::Member* member, Config config);
   ~L7Redirector() override { *alive_ = false; }
 
   // RedirectorBase:
@@ -72,7 +70,6 @@ class L7Redirector final : public RedirectorBase {
 
   sim::Simulator* sim_;
   RequestSlab* requests_;
-  Metrics* metrics_;
   ServerPool* servers_;
   coord::ControlPlane::Member* member_;
   Config config_;

@@ -30,17 +30,16 @@ class Metrics {
   void on_rejected(core::PrincipalId p, SimTime t);
   void on_latency(core::PrincipalId p, double seconds);
   void on_reply_bytes(core::PrincipalId p, SimTime t, double bytes);
-  /// A window began on a stale plan because the LP solver hit its iteration
-  /// budget (Plan::lp_fallback). Rare by construction; a nonzero rate in a
-  /// steady experiment means the solver budget is undersized for the
-  /// principal count.
-  void on_plan_fallback() { ++plan_fallbacks_; }
-  /// Adds one control-plane member's spike re-plan counts
-  /// (ControlPlane::Member::spike_replans / replans_suppressed); a scenario
-  /// copies them in once, when it reports.
-  void add_replans(std::uint64_t taken, std::uint64_t suppressed) {
-    spike_replans_ += taken;
-    replans_suppressed_ += suppressed;
+  /// Adds one control-plane member's window counts: its plan fallbacks
+  /// (sched::WindowScheduler::plan_fallbacks) and its spike re-plans taken
+  /// and suppressed (ControlPlane::Member::spike_replans /
+  /// replans_suppressed). A scenario copies them in once, when it reports.
+  void add_member_counts(std::uint64_t plan_fallbacks,
+                         std::uint64_t spike_replans,
+                         std::uint64_t replans_suppressed) {
+    plan_fallbacks_ += plan_fallbacks;
+    spike_replans_ += spike_replans;
+    replans_suppressed_ += replans_suppressed;
   }
 
   /// Folds another Metrics (same principal count and bin width) into this
@@ -57,7 +56,10 @@ class Metrics {
   const RunningStats& latency(core::PrincipalId p) const;
   /// Reply bytes/sec series (events weighted by size).
   const RateSeries& reply_bytes(core::PrincipalId p) const;
-  /// Windows that started on a stale plan (LP iteration-limit fallbacks).
+  /// Plans that fell back to a stale plan because the LP solver hit its
+  /// iteration budget (Plan::lp_fallback), across the redirector fleet. Rare
+  /// by construction; a nonzero count in a steady experiment means the
+  /// solver budget is undersized for the principal count.
   std::uint64_t plan_fallbacks() const { return plan_fallbacks_; }
   /// Mid-window spike re-plans executed across the redirector fleet.
   std::uint64_t spike_replans() const { return spike_replans_; }

@@ -1,25 +1,19 @@
-// Flat, cache-conscious associative containers for hot-path state.
+// Flat, cache-conscious hash map for hot-path state.
 //
-// The paper-scale experiments keep per-connection and per-round state in
-// node-based std::map, whose every lookup chases red-black-tree pointers and
-// whose every insert/erase allocates. At the million-client scale the
-// ROADMAP targets, those maps dominate the redirector packet path. Two
-// replacements, both with contiguous storage (the shape of Ceph's
-// mini_flat_map.h / bitset_set.h):
+// The paper-scale experiments kept per-connection state in a node-based
+// std::map, whose every lookup chases red-black-tree pointers and whose
+// every insert/erase allocates. At the million-client scale the ROADMAP
+// targets, that map dominated the redirector packet path. FlatHashMap
+// replaces it with contiguous storage (the shape of Ceph's mini_flat_map.h /
+// bitset_set.h): an open-addressing linear-probe hash table with
+// backward-shift deletion (no tombstones), O(1) insert/find/erase with one
+// contiguous allocation. It keys the NAT connection table.
 //
-//  * FlatMap      — a sorted std::vector with binary search. Ordered, zero
-//    per-node overhead, ideal for small maps (registry indexes, config
-//    tables) that are read often and mutated rarely.
-//  * FlatHashMap  — open-addressing linear-probe hash table with
-//    backward-shift deletion (no tombstones). O(1) insert/find/erase with
-//    one contiguous allocation; the NAT connection table's shape.
-//
-// Both are deterministic: behaviour and iteration order depend only on the
+// It is deterministic: behaviour and iteration order depend only on the
 // operation history (and the hash function), never on pointer values or
 // randomized seeds, so simulator runs stay bit-reproducible (DESIGN.md D4).
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -45,81 +39,6 @@ inline std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value) {
   return mix64(seed ^ (value + 0x9e3779b97f4a7c15ull + (seed << 6) +
                        (seed >> 2)));
 }
-
-/// Sorted-vector map: contiguous storage, binary-search lookup, ordered
-/// iteration. Inserts and erases are O(n) moves — intended for small maps
-/// (tens to hundreds of entries) or read-mostly workloads where the cache
-/// behaviour of one flat array beats a pointer-chasing tree.
-template <class Key, class Value, class Compare = std::less<Key>>
-class FlatMap {
- public:
-  using value_type = std::pair<Key, Value>;
-  using iterator = typename std::vector<value_type>::iterator;
-  using const_iterator = typename std::vector<value_type>::const_iterator;
-
-  bool empty() const { return entries_.empty(); }
-  std::size_t size() const { return entries_.size(); }
-  void clear() { entries_.clear(); }
-  void reserve(std::size_t n) { entries_.reserve(n); }
-
-  iterator begin() { return entries_.begin(); }
-  iterator end() { return entries_.end(); }
-  const_iterator begin() const { return entries_.begin(); }
-  const_iterator end() const { return entries_.end(); }
-
-  iterator lower_bound(const Key& key) {
-    return std::lower_bound(entries_.begin(), entries_.end(), key,
-                            [this](const value_type& e, const Key& k) {
-                              return compare_(e.first, k);
-                            });
-  }
-  const_iterator lower_bound(const Key& key) const {
-    return std::lower_bound(entries_.begin(), entries_.end(), key,
-                            [this](const value_type& e, const Key& k) {
-                              return compare_(e.first, k);
-                            });
-  }
-
-  iterator find(const Key& key) {
-    const iterator it = lower_bound(key);
-    return (it != end() && !compare_(key, it->first)) ? it : end();
-  }
-  const_iterator find(const Key& key) const {
-    const const_iterator it = lower_bound(key);
-    return (it != end() && !compare_(key, it->first)) ? it : end();
-  }
-  bool contains(const Key& key) const { return find(key) != end(); }
-
-  /// Inserts or overwrites; returns {iterator, inserted}.
-  std::pair<iterator, bool> insert_or_assign(const Key& key, Value value) {
-    iterator it = lower_bound(key);
-    if (it != end() && !compare_(key, it->first)) {
-      it->second = std::move(value);
-      return {it, false};
-    }
-    it = entries_.insert(it, {key, std::move(value)});
-    return {it, true};
-  }
-
-  Value& operator[](const Key& key) {
-    iterator it = lower_bound(key);
-    if (it == end() || compare_(key, it->first))
-      it = entries_.insert(it, {key, Value{}});
-    return it->second;
-  }
-
-  /// Erases by key; returns how many entries were removed (0 or 1).
-  std::size_t erase(const Key& key) {
-    const iterator it = find(key);
-    if (it == end()) return 0;
-    entries_.erase(it);
-    return 1;
-  }
-
- private:
-  std::vector<value_type> entries_;
-  Compare compare_;
-};
 
 /// Open-addressing hash map: one contiguous slot array, linear probing,
 /// backward-shift deletion. No per-entry allocation, no tombstone decay, and

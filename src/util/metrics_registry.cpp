@@ -14,7 +14,7 @@ MetricsRegistry::Entry& MetricsRegistry::lookup_or_create(
     SHAREGRID_EXPECTS(entry.kind == kind);
     return entry;
   }
-  index_.insert_or_assign(name, entries_.size());
+  index_.emplace(name, entries_.size());
   // Atomics are immovable, so construct in place and fill the metadata.
   Entry& entry = entries_.emplace_back();
   entry.name = name;
@@ -31,11 +31,6 @@ MetricCounter& MetricsRegistry::counter(const std::string& name,
 MetricGauge& MetricsRegistry::gauge(const std::string& name,
                                     const std::string& help) {
   return lookup_or_create(name, help, Kind::kGauge).gauge;
-}
-
-std::size_t MetricsRegistry::size() const {
-  MutexLock lock(mutex_);
-  return entries_.size();
 }
 
 void MetricsRegistry::reset() {

@@ -15,8 +15,8 @@
 #include <deque>
 #include <ostream>
 #include <string>
+#include <unordered_map>  // sharegrid-analyze: allow(no-unordered-iteration)
 
-#include "util/flat_map.hpp"
 #include "util/table.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -66,9 +66,6 @@ class MetricsRegistry {
   MetricGauge& gauge(const std::string& name, const std::string& help = "")
       SHAREGRID_EXCLUDES(mutex_);
 
-  /// Number of registered metrics.
-  std::size_t size() const SHAREGRID_EXCLUDES(mutex_);
-
   /// Zeroes every metric (names stay registered). Scenario runners call this
   /// between runs so totals are per-run.
   void reset() SHAREGRID_EXCLUDES(mutex_);
@@ -96,7 +93,11 @@ class MetricsRegistry {
   // Deque keeps entry addresses stable across registration, so the
   // references handed out by counter()/gauge() outlive later inserts.
   std::deque<Entry> entries_ SHAREGRID_GUARDED_BY(mutex_);
-  FlatMap<std::string, std::size_t> index_ SHAREGRID_GUARDED_BY(mutex_);
+  // Name -> entries_ index, for lookup only: reporting walks entries_ in
+  // registration order and never iterates this map, so its hash order
+  // reaches no output.
+  std::unordered_map<std::string, std::size_t>  // sharegrid-analyze: allow(no-unordered-iteration)
+      index_ SHAREGRID_GUARDED_BY(mutex_);
 };
 
 /// Process-wide registry the simulator/redirector/scheduler hot paths report

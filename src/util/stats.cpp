@@ -1,9 +1,6 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "util/assert.hpp"
 
 namespace sharegrid {
 
@@ -39,19 +36,6 @@ void RunningStats::merge_from(const RunningStats& other) {
 
 double RunningStats::variance() const {
   return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-double percentile(std::vector<double> values, double q) {
-  SHAREGRID_EXPECTS(!values.empty());
-  SHAREGRID_EXPECTS(q >= 0.0 && q <= 1.0);
-  std::sort(values.begin(), values.end());
-  const double pos = q * static_cast<double>(values.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const double frac = pos - static_cast<double>(lo);
-  if (lo + 1 >= values.size()) return values.back();
-  return values[lo] + frac * (values[lo + 1] - values[lo]);
 }
 
 }  // namespace sharegrid

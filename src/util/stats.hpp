@@ -1,8 +1,7 @@
-// Streaming and batch descriptive statistics used by benches and tests.
+// Streaming descriptive statistics used by benches and tests.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace sharegrid {
 
@@ -22,7 +21,6 @@ class RunningStats {
   double mean() const { return n_ > 0 ? mean_ : 0.0; }
   /// Sample variance (n-1 denominator); 0 when fewer than two samples.
   double variance() const;
-  double stddev() const;
   double min() const { return n_ > 0 ? min_ : 0.0; }
   double max() const { return n_ > 0 ? max_ : 0.0; }
 
@@ -33,9 +31,5 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// Percentile of a sample set via linear interpolation; @p q in [0, 1].
-/// Copies and sorts; intended for end-of-run reporting, not hot paths.
-double percentile(std::vector<double> values, double q);
 
 }  // namespace sharegrid

@@ -220,58 +220,6 @@ TEST(AuditLp, NonOptimalSolutionsAreNotAudited) {
   EXPECT_NO_THROW(audit::audit_lp_solution(p, s, 1e-6));
 }
 
-TEST(AuditSimplex, ProperBasisPasses) {
-  Matrix a(2, 3, 0.0);
-  a(0, 0) = 1.0;
-  a(1, 1) = 1.0;
-  a(0, 2) = 4.0;
-  a(1, 2) = 2.0;
-  EXPECT_NO_THROW(
-      audit::audit_simplex_basis(a, {3.0, 1.0}, {0, 1}, {}, /*tol=*/1e-9));
-}
-
-TEST(AuditSimplex, NonUnitBasisColumnFires) {
-  Matrix a(2, 3, 0.0);
-  a(0, 0) = 1.0;
-  a(1, 1) = 1.0;
-  a(0, 1) = 0.5;  // column 1 is basic in row 1 but not eliminated in row 0
-  const std::string msg = violation_message(
-      [&] { audit::audit_simplex_basis(a, {3.0, 1.0}, {0, 1}, {}, 1e-9); });
-  EXPECT_NE(msg.find("simplex.basis-not-unit"), std::string::npos);
-  EXPECT_NE(msg.find("pivot"), std::string::npos);
-}
-
-TEST(AuditSimplex, NegativeRhsFires) {
-  Matrix a(2, 2, 0.0);
-  a(0, 0) = 1.0;
-  a(1, 1) = 1.0;
-  const std::string msg = violation_message(
-      [&] { audit::audit_simplex_basis(a, {-1.0, 2.0}, {0, 1}, {}, 1e-9); });
-  EXPECT_NE(msg.find("simplex.primal-infeasible-rhs"), std::string::npos);
-}
-
-TEST(AuditSimplex, BasicValueWithinBothBoundsPasses) {
-  Matrix a(2, 2, 0.0);
-  a(0, 0) = 1.0;
-  a(1, 1) = 1.0;
-  const std::vector<double> upper = {5.0,
-                                     std::numeric_limits<double>::infinity()};
-  EXPECT_NO_THROW(
-      audit::audit_simplex_basis(a, {5.0, 100.0}, {0, 1}, upper, 1e-9));
-}
-
-TEST(AuditSimplex, BasicValueAboveUpperBoundFires) {
-  Matrix a(2, 2, 0.0);
-  a(0, 0) = 1.0;
-  a(1, 1) = 1.0;
-  const std::vector<double> upper = {5.0,
-                                     std::numeric_limits<double>::infinity()};
-  const std::string msg = violation_message(
-      [&] { audit::audit_simplex_basis(a, {6.0, 2.0}, {0, 1}, upper, 1e-9); });
-  EXPECT_NE(msg.find("simplex.primal-above-upper"), std::string::npos);
-  EXPECT_NE(msg.find("ratio test"), std::string::npos);
-}
-
 TEST(AuditSimplex, ConsistentSolveStatsPass) {
   lp::SolveStats s;
   s.solves = 10;

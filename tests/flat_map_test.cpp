@@ -1,13 +1,9 @@
-// Tests for the flat containers (util/flat_map.hpp): sorted-vector FlatMap
-// semantics, FlatHashMap open-addressing behaviour (growth, probe chains,
-// backward-shift deletion), and a randomized differential check against the
-// standard containers.
+// Tests for util/flat_map.hpp: FlatHashMap open-addressing behaviour
+// (growth, probe chains, backward-shift deletion), and a randomized
+// differential check against the standard containers.
 #include <cstdint>
 #include <map>
-#include <string>
 #include <unordered_map>
-#include <utility>
-#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -16,49 +12,6 @@
 
 namespace sharegrid {
 namespace {
-
-TEST(FlatMap, InsertFindEraseOrdered) {
-  util::FlatMap<int, std::string> m;
-  EXPECT_TRUE(m.empty());
-  EXPECT_EQ(m.find(1), m.end());
-
-  m.insert_or_assign(3, "c");
-  m.insert_or_assign(1, "a");
-  m.insert_or_assign(2, "b");
-  EXPECT_EQ(m.size(), 3u);
-  ASSERT_NE(m.find(2), m.end());
-  EXPECT_EQ(m.find(2)->second, "b");
-  EXPECT_TRUE(m.contains(3));
-  EXPECT_FALSE(m.contains(4));
-
-  // Iteration is sorted by key regardless of insertion order.
-  std::vector<int> keys;
-  for (const auto& [k, v] : m) keys.push_back(k);
-  EXPECT_EQ(keys, (std::vector<int>{1, 2, 3}));
-
-  // insert_or_assign on an existing key overwrites without growing.
-  const auto [it, inserted] = m.insert_or_assign(2, "B");
-  EXPECT_FALSE(inserted);
-  EXPECT_EQ(it->second, "B");
-  EXPECT_EQ(m.size(), 3u);
-
-  EXPECT_EQ(m.erase(2), 1u);
-  EXPECT_EQ(m.erase(2), 0u);
-  EXPECT_EQ(m.size(), 2u);
-  EXPECT_EQ(m.find(2), m.end());
-}
-
-TEST(FlatMap, SubscriptDefaultConstructsAndLowerBound) {
-  util::FlatMap<int, int> m;
-  m[5] = 50;
-  EXPECT_EQ(m[5], 50);
-  EXPECT_EQ(m[7], 0);  // default-constructed
-  EXPECT_EQ(m.size(), 2u);
-
-  EXPECT_EQ(m.lower_bound(4)->first, 5);
-  EXPECT_EQ(m.lower_bound(6)->first, 7);
-  EXPECT_EQ(m.lower_bound(8), m.end());
-}
 
 TEST(FlatHashMap, InsertFindEraseBasics) {
   util::FlatHashMap<std::uint64_t, int> m;

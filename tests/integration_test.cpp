@@ -2,8 +2,14 @@
 // figure, distributed-vs-centralized equivalence, and determinism.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <vector>
+
 #include "experiments/paper_figures.hpp"
 #include "experiments/scenario.hpp"
+#include "experiments/scenario_assembly.hpp"
+#include "test_helpers.hpp"
 
 namespace sharegrid::experiments {
 namespace {
@@ -95,6 +101,29 @@ TEST(Integration, SeriesAndPhaseTablesAreWellFormed) {
   EXPECT_GE(series.row_count(), 149u);
   const TextTable phases = result.phase_table();
   EXPECT_EQ(phases.row_count(), 1u);
+}
+
+// collect_result is the one place a run's LP plan fallbacks are counted: it
+// adds every member's window-scheduler count, from every domain.
+TEST(Integration, ResultCountsEveryMembersPlanFallbacks) {
+  ScenarioConfig config;
+  config.graph.add_principal("A", 0.0);
+  config.servers = {{"A", 100.0}};
+  config.redirector_count = 2;
+  const core::AgreementGraph graph = planning_graph(config, 1);
+  sim::Simulator sim;
+  auto fallback = [] {
+    return std::make_unique<test::FallbackScheduler>(std::vector<double>{50.0});
+  };
+  Domain first(config, graph, &sim, fallback(), std::nullopt);
+  Domain second(config, graph, &sim, fallback(), std::nullopt);
+  first.start_windows();
+  second.start_windows();
+  sim.run_until(seconds(1.0));
+  // Ten windows (0.1 s to 1 s) for each of the four members.
+  const ScenarioResult result =
+      collect_result(config, graph, {&first, &second}, 0);
+  EXPECT_EQ(result.metrics.plan_fallbacks(), 40u);
 }
 
 }  // namespace

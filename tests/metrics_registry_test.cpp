@@ -17,7 +17,7 @@ TEST(MetricsRegistry, CounterLookupOrCreateIsIdempotent) {
   util::MetricCounter& a = registry.counter("sim.events", "events run");
   util::MetricCounter& b = registry.counter("sim.events");
   EXPECT_EQ(&a, &b);  // same name -> same counter
-  EXPECT_EQ(registry.size(), 1u);
+  EXPECT_EQ(registry.to_table().row_count(), 1u);
 
   a.add();
   a.add(41);
@@ -71,7 +71,7 @@ TEST(MetricsRegistry, ResetZeroesValuesButKeepsNames) {
   registry.counter("c").add(9);
   registry.gauge("g").set(4);
   registry.reset();
-  EXPECT_EQ(registry.size(), 2u);
+  EXPECT_EQ(registry.to_table().row_count(), 2u);
   EXPECT_EQ(registry.counter("c").value(), 0u);
   EXPECT_EQ(registry.gauge("g").value(), 0);
 }
@@ -88,7 +88,7 @@ TEST(MetricsRegistry, ConcurrentAddsAreLossless) {
     registry.counter("lane." + std::to_string(lane)).add(lane);
   });
   EXPECT_EQ(registry.counter("shared").value(), kThreads * kPerLane);
-  EXPECT_EQ(registry.size(), 1u + kThreads);
+  EXPECT_EQ(registry.to_table().row_count(), 1u + kThreads);
 }
 
 TEST(MetricsRegistry, GlobalRegistryIsSingleInstance) {

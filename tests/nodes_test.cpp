@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -14,14 +15,14 @@
 #include "nodes/l7_redirector.hpp"
 #include "nodes/metrics.hpp"
 #include "nodes/server.hpp"
-#include "nodes/trace_client.hpp"
 #include "sim/simulator.hpp"
 #include "test_helpers.hpp"
-#include "workload/trace.hpp"
+#include "workload/reply_size.hpp"
 
 namespace sharegrid::nodes {
 namespace {
 
+using test::FallbackScheduler;
 using test::FixedRateScheduler;
 
 Request make_request(core::PrincipalId p, std::uint64_t id, SimTime created,
@@ -481,8 +482,8 @@ struct L7Fixture {
     L7Redirector::Config rc;
     rc.name = "r";
     rc.mode = mode;
-    redirector = std::make_unique<L7Redirector>(&sim, &requests, &metrics,
-                                                &pool, plane->add_member(), rc);
+    redirector = std::make_unique<L7Redirector>(&sim, &requests, &pool,
+                                                plane->add_member(), rc);
     ClientFleet::Config cc;
     cc.principal = 0;
     cc.rate = 100.0;
@@ -553,8 +554,7 @@ TEST(L7Redirector, DestructionIsSafeWithPendingEvents) {
     pool.add(&server);
     CountingSource source;
     auto redirector = std::make_unique<L7Redirector>(
-        &sim, &requests, &metrics, &pool, plane.add_member(),
-        L7Redirector::Config{});
+        &sim, &requests, &pool, plane.add_member(), L7Redirector::Config{});
     for (std::uint64_t i = 0; i < 4; ++i) {
       redirector->on_client_request(
           requests.acquire(make_request(0, i, 0), &source));
@@ -699,40 +699,18 @@ TEST(NodeConstructors, RejectANullSimulator) {
   coord::ControlPlane plane(&scheduler, coord::ControlPlaneConfig{});
   ServerPool pool;
   RecordingRedirector redirector(&requests);
-  const workload::RequestTrace trace;
   EXPECT_THROW(Server(nullptr, &requests, &metrics, {"s", 0, 100.0}),
                ContractViolation);
   EXPECT_THROW(ClientFleet(nullptr, &requests, &metrics, &redirector,
                            client_config(100.0, 10), {Rng(1)}),
                ContractViolation);
-  EXPECT_THROW(TraceClient(nullptr, &requests, &metrics, &redirector, &trace,
-                           TraceClient::Config{}, Rng(1)),
-               ContractViolation);
-  EXPECT_THROW(L7Redirector(nullptr, &requests, &metrics, &pool,
-                            plane.add_member(), L7Redirector::Config{}),
+  EXPECT_THROW(L7Redirector(nullptr, &requests, &pool, plane.add_member(),
+                            L7Redirector::Config{}),
                ContractViolation);
   EXPECT_THROW(L4Redirector(nullptr, &requests, &metrics, &pool,
                             plane.add_member(), L4Redirector::Config{}),
                ContractViolation);
 }
-
-/// Plans like FixedRateScheduler but flags every plan as an LP fallback, as
-/// a scheduler whose solver hit its iteration budget does.
-class FallbackScheduler final : public sched::Scheduler {
- public:
-  explicit FallbackScheduler(std::vector<double> rates)
-      : inner_(std::move(rates)) {}
-
-  sched::Plan plan(const std::vector<double>& demand) const override {
-    sched::Plan p = inner_.plan(demand);
-    p.lp_fallback = true;
-    return p;
-  }
-  std::size_t size() const override { return inner_.size(); }
-
- private:
-  FixedRateScheduler inner_;
-};
 
 TEST(L4Redirector, CountsWindowsBegunOnFallbackPlans) {
   sim::Simulator sim;
@@ -749,10 +727,9 @@ TEST(L4Redirector, CountsWindowsBegunOnFallbackPlans) {
   driver.start(100 * kMillisecond);
   sim.run_until(seconds(1.0));
   driver.stop();
-  // Every window's plan was a fallback, and each one is counted once.
-  EXPECT_GT(redirector.window_scheduler().plan_fallbacks(), 5u);
-  EXPECT_EQ(metrics.plan_fallbacks(),
-            redirector.window_scheduler().plan_fallbacks());
+  // Every window's plan was a fallback, and the member's window scheduler
+  // counts each of the ten windows (0.1 s to 1 s) once.
+  EXPECT_EQ(redirector.window_scheduler().plan_fallbacks(), 10u);
 }
 
 // Machine 0 belongs to another owner; principal 0 owns machines 1 (a) and
@@ -795,6 +772,73 @@ TEST(L4Redirector, AffinityHintNamesTheLastServerByPoolIndex) {
   EXPECT_EQ(redirector.connections().flows(), 1u);
   EXPECT_EQ(a.requests_submitted(), 1u);
   EXPECT_EQ(b.requests_submitted(), 3u);
+}
+
+// --- Open loop -------------------------------------------------------------------
+
+/// One machine of principal 0 issuing at @p rate req/s, behind an L4
+/// redirector whose scheduler grants @p admitted req/s. The machine's
+/// outstanding bound is out of reach, so it is open loop. Offered load is
+/// binned every 100 ms.
+struct OpenLoopL4 {
+  sim::Simulator sim;
+  RequestSlab requests;
+  Metrics metrics{1, 100 * kMillisecond};
+  FixedRateScheduler scheduler;
+  coord::ControlPlane plane{&scheduler, coord::ControlPlaneConfig{}};
+  Server server{&sim, &requests, &metrics, Server::Config{"s", 0, 1000.0}};
+  ServerPool pool;
+  std::unique_ptr<L4Redirector> redirector;
+  coord::SimWindowDriver driver{&sim, &plane};
+  workload::ReplySizeDistribution sizes;
+  std::unique_ptr<ClientFleet> fleet;
+
+  OpenLoopL4(double admitted, double rate) : scheduler({admitted}) {
+    pool.add(&server);
+    redirector = std::make_unique<L4Redirector>(
+        &sim, &requests, &metrics, &pool, plane.add_member(),
+        L4Redirector::Config{});
+    driver.start(100 * kMillisecond);
+    ClientFleet::Config config;
+    config.principal = 0;
+    config.rate = rate;
+    config.max_outstanding = std::numeric_limits<std::size_t>::max();
+    fleet = std::make_unique<ClientFleet>(&sim, &requests, &metrics,
+                                          redirector.get(), config,
+                                          std::vector<Rng>{Rng(11)}, &sizes);
+    fleet->set_active(true);
+  }
+};
+
+// Offered load stays at the machine's rate however little is admitted; the
+// rest waits in the kernel queue, which keeps growing.
+TEST(ClientFleet, RunsOpenLoopThroughL4) {
+  OpenLoopL4 f(/*admitted=*/40.0, /*rate=*/200.0);
+  f.sim.run_until(seconds(10));
+  EXPECT_NEAR(f.metrics.offered(0).average_rate(0, seconds(10)), 200.0, 10.0);
+  EXPECT_NEAR(f.metrics.served(0).average_rate(seconds(2), seconds(10)), 40.0,
+              5.0);
+  const std::size_t queued = f.redirector->queue_length(0);
+  EXPECT_GT(queued, 1000u);
+  f.sim.run_until(seconds(11));
+  EXPECT_GT(f.redirector->queue_length(0), queued + 100);
+}
+
+// The property the open-loop ablation rests on: schedulers admitting 10 and
+// 1000 req/s see the same offered load, bin for bin.
+TEST(ClientFleet, IdenticalInputForDifferentSchedulersOnL4) {
+  auto offered = [](double admitted) {
+    OpenLoopL4 f(admitted, /*rate=*/100.0);
+    f.sim.run_until(seconds(5));
+    std::vector<std::uint64_t> bins;
+    const RateSeries& series = f.metrics.offered(0);
+    for (std::size_t b = 0; b < series.bin_count(); ++b)
+      bins.push_back(series.events_in_bin(b));
+    return bins;
+  };
+  const std::vector<std::uint64_t> slow = offered(10.0);
+  EXPECT_GE(slow.size(), 50u);
+  EXPECT_EQ(slow, offered(1000.0));
 }
 
 }  // namespace

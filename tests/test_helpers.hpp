@@ -2,6 +2,7 @@
 #pragma once
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "sched/scheduler.hpp"
@@ -27,6 +28,24 @@ class FixedRateScheduler final : public sched::Scheduler {
 
  private:
   std::vector<double> rates_;
+};
+
+/// Plans like FixedRateScheduler but flags every plan as an LP fallback, as
+/// a scheduler whose solver hit its iteration budget does.
+class FallbackScheduler final : public sched::Scheduler {
+ public:
+  explicit FallbackScheduler(std::vector<double> rates)
+      : inner_(std::move(rates)) {}
+
+  sched::Plan plan(const std::vector<double>& demand) const override {
+    sched::Plan p = inner_.plan(demand);
+    p.lp_fallback = true;
+    return p;
+  }
+  std::size_t size() const override { return inner_.size(); }
+
+ private:
+  FixedRateScheduler inner_;
 };
 
 }  // namespace sharegrid::test

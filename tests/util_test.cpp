@@ -192,14 +192,6 @@ TEST(RunningStats, EmptyAndSingle) {
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
 }
 
-TEST(Percentile, InterpolatesLinearly) {
-  std::vector<double> v{1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 1.0), 4.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 0.5), 2.5);
-  EXPECT_THROW(percentile({}, 0.5), ContractViolation);
-}
-
 TEST(TimeHelpers, Conversions) {
   EXPECT_EQ(seconds(1.5), 1500000);
   EXPECT_EQ(milliseconds(100.0), 100000);

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "util/rng.hpp"
-#include "workload/activity_plan.hpp"
 #include "workload/reply_size.hpp"
 
 namespace sharegrid::workload {
@@ -55,34 +54,6 @@ TEST(ReplySizeDistribution, DynamicFractionIsRespected) {
   for (int i = 0; i < samples; ++i)
     dynamic += dist.sample(rng).request_class == RequestClass::kDynamic;
   EXPECT_NEAR(static_cast<double>(dynamic) / samples, 0.3, 0.02);
-}
-
-TEST(ActivityPlan, IntervalsAndQueries) {
-  ActivityPlan plan(2);
-  plan.add_interval(0, seconds(0), seconds(10));
-  plan.add_interval(0, seconds(20), seconds(30));
-  plan.always_active(1, seconds(30));
-
-  EXPECT_EQ(plan.client_count(), 2u);
-  ASSERT_EQ(plan.intervals(0).size(), 2u);
-  EXPECT_EQ(plan.intervals(0)[0].end, seconds(10));
-  EXPECT_EQ(plan.intervals(0)[1].start, seconds(20));
-  ASSERT_EQ(plan.intervals(1).size(), 1u);
-  EXPECT_EQ(plan.intervals(1)[0].start, 0);
-  EXPECT_EQ(plan.intervals(1)[0].end, seconds(30));
-  EXPECT_THROW(plan.intervals(2), ContractViolation);
-}
-
-TEST(ActivityPlan, RejectsOverlapsAndDisorder) {
-  ActivityPlan plan(1);
-  plan.add_interval(0, seconds(10), seconds(20));
-  EXPECT_THROW(plan.add_interval(0, seconds(15), seconds(25)),
-               ContractViolation);
-  EXPECT_THROW(plan.add_interval(0, seconds(5), seconds(8)),
-               ContractViolation);
-  EXPECT_THROW(plan.add_interval(0, seconds(30), seconds(30)),
-               ContractViolation);
-  EXPECT_THROW(plan.add_interval(5, 0, seconds(1)), ContractViolation);
 }
 
 }  // namespace

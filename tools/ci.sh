@@ -6,7 +6,7 @@
 #   tools/ci.sh                      # all stages
 #   SHAREGRID_CI_SKIP_TSAN=1 tools/ci.sh   # skip the (slow) TSan stage
 #   SHAREGRID_CI_SKIP_CLANG=1 tools/ci.sh  # skip the Clang -Wthread-safety stage
-#   SHAREGRID_CI_QUICK_BENCH=1 tools/ci.sh # also refresh BENCH_lp.json
+#   SHAREGRID_CI_QUICK_BENCH=1 tools/ci.sh # also refresh BENCH_{lp,sim}.json
 #   SHAREGRID_CI_SKIP_PERFBENCH=1 tools/ci.sh  # skip the perfbench smoke runs
 set -euo pipefail
 
@@ -128,25 +128,21 @@ else
 fi
 
 # Opt-in: refresh the checked-in warm-vs-cold LP re-solve numbers (see
-# docs/lp-performance.md). Off by default — benchmark timings on loaded CI
-# machines are noise, so the stage only runs when explicitly requested.
+# docs/lp-performance.md) and the simulator numbers (docs/sim-performance.md).
+# Off by default — benchmark timings on loaded CI machines are noise, so the
+# stage only runs when explicitly requested.
 if [[ "${SHAREGRID_CI_QUICK_BENCH:-0}" == "1" ]]; then
   echo
   echo "=== [quick-bench] micro_lp warm-vs-cold re-solve ==="
   # Refreshes only the 'current' (implicit-bound engine) section of
   # BENCH_lp.json; the frozen explicit-bound-row 'baseline' section stays for
-  # comparison. update_lp_bench.py fails the stage if the warm-hit rate
-  # regresses below the checked-in baseline.
+  # comparison. The unfiltered BM_LpResolve sweep includes the n = 64 and
+  # n = 128 revised-simplex scaling points.
   LP_JSON="$(mktemp -t lp_bench.XXXXXX.json)"
   TMP_FILES+=("${LP_JSON}")
-  # The unfiltered BM_LpResolve sweep includes the n = 64 and n = 128
-  # revised-simplex scaling points; update_lp_bench.py fails the stage if any
-  # recorded benchmark is missing from the run or a warm-hit rate regresses
-  # below the checked-in sections (baseline *and* previous current).
   ./build-relwithdebinfo/bench/micro_lp \
     --benchmark_filter='BM_LpResolve|BM_LpCold' \
     --benchmark_out="${LP_JSON}" --benchmark_out_format=json
-  python3 tools/update_lp_bench.py "${LP_JSON}" --section current
 
   echo
   echo "=== [quick-bench] LP suite under ASan (eta-file audits armed) ==="
@@ -172,14 +168,20 @@ if [[ "${SHAREGRID_CI_QUICK_BENCH:-0}" == "1" ]]; then
   echo
   echo "=== [quick-bench] micro_flow NAT-table map-vs-flat churn ==="
   # The connection-table container swap (std::map -> open-addressing
-  # FlatHashMap) is recorded in the same section; update_sim_bench.py's
-  # coverage gate keeps both pairs from silently vanishing.
+  # FlatHashMap) is recorded in the same section.
   FLOW_JSON="$(mktemp -t flow_bench.XXXXXX.json)"
   TMP_FILES+=("${FLOW_JSON}")
   ./build-relwithdebinfo/bench/micro_flow \
     --benchmark_filter='BM_FlowTable' \
     --benchmark_out="${FLOW_JSON}" --benchmark_out_format=json
-  python3 tools/update_sim_bench.py "${SIM_JSON}" "${FLOW_JSON}" \
+
+  echo
+  echo "=== [quick-bench] record BENCH_lp.json and BENCH_sim.json ==="
+  # Each run goes to the file its program belongs to. update_bench.py fails
+  # the stage, and writes neither file, if any recorded benchmark is missing
+  # from the runs or a warm-hit rate regresses below the checked-in LP
+  # sections (baseline *and* previous current).
+  python3 tools/update_bench.py "${LP_JSON}" "${SIM_JSON}" "${FLOW_JSON}" \
     --section current
 fi
 
