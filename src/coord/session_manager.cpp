@@ -29,17 +29,6 @@ util::MetricGauge& sessions_gauge() {
 
 }  // namespace
 
-const char* to_string(SessionManager::SessionState state) {
-  switch (state) {
-    case SessionManager::SessionState::kIdle: return "idle";
-    case SessionManager::SessionState::kConnecting: return "connecting";
-    case SessionManager::SessionState::kEstablished: return "established";
-    case SessionManager::SessionState::kLost: return "lost";
-    case SessionManager::SessionState::kRejoining: return "rejoining";
-  }
-  return "unknown";
-}
-
 SessionManager::PeerAddr SessionManager::parse_peer(const std::string& peer,
                                                     bool allow_nonlocal) {
   const std::size_t colon = peer.find_last_of(':');

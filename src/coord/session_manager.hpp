@@ -259,6 +259,4 @@ class SessionManager {
   std::vector<Event> events_;
 };
 
-const char* to_string(SessionManager::SessionState state);
-
 }  // namespace sharegrid::coord

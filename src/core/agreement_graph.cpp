@@ -48,12 +48,6 @@ const Principal& AgreementGraph::principal(PrincipalId id) const {
   return principals_[id];
 }
 
-double AgreementGraph::total_capacity() const {
-  double total = 0.0;
-  for (const auto& p : principals_) total += p.capacity;
-  return total;
-}
-
 void AgreementGraph::set_capacity(PrincipalId id, double capacity) {
   check_id(id);
   SHAREGRID_EXPECTS(capacity >= 0.0);

@@ -46,9 +46,6 @@ class AgreementGraph {
   const std::string& name(PrincipalId id) const { return principal(id).name; }
   double capacity(PrincipalId id) const { return principal(id).capacity; }
 
-  /// Total physical capacity across all principals.
-  double total_capacity() const;
-
   /// Adjusts a principal's physical capacity (agreements are interpreted
   /// dynamically, §2.2: changed resource levels flow through to others).
   void set_capacity(PrincipalId id, double capacity);

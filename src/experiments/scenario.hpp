@@ -62,14 +62,12 @@ struct ScenarioConfig {
   core::AgreementGraph graph;  ///< capacities are overwritten from `servers`
   Layer layer = Layer::kL4;
   SchedulerKind scheduler = SchedulerKind::kResponseTime;
-  /// Income scheduler inputs (ignored for response-time).
-  std::string provider;
-  std::vector<double> prices;
-  /// Multi-provider income mode: when non-empty, each named principal runs
-  /// its own per-window income LP over its entitlement columns and the plans
-  /// are merged (src/sched/multi_provider_scheduler.hpp); `provider` is then
-  /// ignored.
+  /// Income scheduler inputs (ignored for response-time): the providers,
+  /// each of which runs its own per-window income LP over its entitlement
+  /// columns (src/sched/income_scheduler.hpp), and the price per extra
+  /// request of every principal.
   std::vector<std::string> providers;
+  std::vector<double> prices;
 
   /// Locality caps c_k (§3.1.2 extension): at most this many requests/sec
   /// may be pushed to principal k's servers per window, modeling forwarding

@@ -5,7 +5,6 @@
 
 #include "core/flow.hpp"
 #include "sched/income_scheduler.hpp"
-#include "sched/multi_provider_scheduler.hpp"
 #include "sched/response_time_scheduler.hpp"
 #include "util/assert.hpp"
 
@@ -47,16 +46,12 @@ SchedulerFactory scheduler_factory(const ScenarioConfig& config) {
                                                             options);
     }
     SHAREGRID_EXPECTS(config.prices.size() == n);
-    if (!config.providers.empty()) {
-      std::vector<core::PrincipalId> providers;
-      providers.reserve(config.providers.size());
-      for (const std::string& name : config.providers)
-        providers.push_back(resolve(graph, name));
-      return std::make_unique<sched::MultiProviderScheduler>(
-          graph, levels, std::move(providers), config.prices);
-    }
+    std::vector<core::PrincipalId> providers;
+    providers.reserve(config.providers.size());
+    for (const std::string& name : config.providers)
+      providers.push_back(resolve(graph, name));
     return std::make_unique<sched::IncomeScheduler>(
-        graph, levels, resolve(graph, config.provider), config.prices);
+        graph, levels, std::move(providers), config.prices);
   };
 }
 

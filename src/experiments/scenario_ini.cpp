@@ -105,8 +105,6 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
     else
       fail("scheduler must be 'response_time' or 'income'");
   }
-  if (const auto provider = g.get_string("provider"))
-    config.provider = *provider;
   // Comma-separated principal names, e.g. "providers = S1, S2"; names are
   // validated against the [principal] sections below.
   if (const auto providers = g.get_string("providers")) {
@@ -332,6 +330,8 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
   if (const auto key = g.unread_key()) fail("unknown key " + named(g, *key));
   for (const IniSection& s : doc.sections)
     if (const auto key = s.unread_key()) fail("unknown key " + named(s, *key));
+  if (config.scheduler == SchedulerKind::kIncome && config.providers.empty())
+    fail("scheduler = income requires providers");
 
   return config;
 }

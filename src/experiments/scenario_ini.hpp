@@ -6,7 +6,7 @@
 //
 //   layer = l4                    # l4 | l7
 //   scheduler = response_time     # response_time | income
-//   provider = S                  # income scheduler only
+//   providers = S1, S2            # income scheduler only
 //   duration = 120                # seconds
 //   window_ms = 100
 //   redirectors = 2

@@ -13,65 +13,59 @@ using lp::Relation;
 using lp::Sense;
 
 IncomeScheduler::IncomeScheduler(const core::AgreementGraph& graph,
-                                 core::AccessLevels levels,
-                                 core::PrincipalId provider,
-                                 std::vector<double> prices)
-    : provider_(provider), prices_(std::move(prices)) {
-  SHAREGRID_EXPECTS(provider < graph.size());
-  SHAREGRID_EXPECTS(prices_.size() == graph.size());
-  SHAREGRID_EXPECTS(levels.size() == graph.size());
-  for (double p : prices_) SHAREGRID_EXPECTS(p >= 0.0);
-  mandatory_ = levels.mandatory_capacity;
-  optional_ = levels.optional_capacity;
-  provider_capacity_ = graph.capacity(provider);
-  SHAREGRID_EXPECTS(provider_capacity_ > 0.0);
-}
-
-IncomeScheduler::IncomeScheduler(EntitlementColumns,
-                                 const core::AgreementGraph& graph,
                                  const core::AccessLevels& levels,
-                                 core::PrincipalId provider,
+                                 std::vector<core::PrincipalId> providers,
                                  std::vector<double> prices)
-    : provider_(provider), prices_(std::move(prices)) {
-  SHAREGRID_EXPECTS(provider < graph.size());
-  SHAREGRID_EXPECTS(prices_.size() == graph.size());
-  SHAREGRID_EXPECTS(levels.size() == graph.size());
-  for (double p : prices_) SHAREGRID_EXPECTS(p >= 0.0);
+    : prices_(std::move(prices)) {
   const std::size_t n = graph.size();
-  mandatory_.resize(n);
-  optional_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    mandatory_[i] = levels.mandatory_entitlement(i, provider);
-    optional_[i] = levels.optional_entitlement(i, provider);
+  const std::size_t count = providers.size();
+  SHAREGRID_EXPECTS(count > 0);
+  SHAREGRID_EXPECTS(prices_.size() == n);
+  SHAREGRID_EXPECTS(levels.size() == n);
+  for (double p : prices_) SHAREGRID_EXPECTS(p >= 0.0);
+  for (const core::PrincipalId k : providers) SHAREGRID_EXPECTS(k < n);
+
+  // Split each customer's demand by its entitlement share at each provider;
+  // a customer entitled nowhere offers its demand evenly (it can still be
+  // admitted through a provider's optional headroom stage).
+  std::vector<double> total(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i)
+    for (const core::PrincipalId k : providers)
+      total[i] += levels.mandatory_entitlement(i, k) +
+                  levels.optional_entitlement(i, k);
+  Plan empty;
+  empty.rate = Matrix(n, n, 0.0);
+  providers_.reserve(count);
+  lps_.reserve(count);
+  for (const core::PrincipalId k : providers) {
+    Provider provider;
+    provider.id = k;
+    provider.capacity = graph.capacity(k);
+    SHAREGRID_EXPECTS(provider.capacity > 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double em = levels.mandatory_entitlement(i, k);
+      const double eo = levels.optional_entitlement(i, k);
+      provider.mandatory.push_back(em);
+      provider.optional.push_back(eo);
+      provider.share.push_back(total[i] > 0.0
+                                   ? (em + eo) / total[i]
+                                   : 1.0 / static_cast<double>(count));
+    }
+    providers_.push_back(std::move(provider));
+    lps_.emplace_back(empty);
   }
-  provider_capacity_ = graph.capacity(provider);
-  SHAREGRID_EXPECTS(provider_capacity_ > 0.0);
 }
 
 void IncomeScheduler::set_solver_options(const lp::SolverOptions& options) {
   const util::MutexLock lock(mutex_);
-  solver_options_ = options;
+  for (StagedLp& lp : lps_) lp.set_options(options);
 }
 
 lp::SolveStats IncomeScheduler::solver_stats() const {
   const util::MutexLock lock(mutex_);
-  lp::SolveStats total = stage1_context_.stats();
-  total += stage2_context_.stats();
+  lp::SolveStats total;
+  for (const StagedLp& lp : lps_) total += lp.stats();
   return total;
-}
-
-/// No fresh plan this window: reuse the previous window's allocation (an
-/// empty one if no window ever succeeded) against the current demand.
-Plan IncomeScheduler::fallback_plan(std::vector<double> demand) const {
-  Plan out;
-  if (has_last_plan_) {
-    out = last_plan_;
-  } else {
-    out.rate = Matrix(prices_.size(), prices_.size(), 0.0);
-  }
-  out.demand = std::move(demand);
-  out.lp_fallback = true;
-  return out;
 }
 
 Plan IncomeScheduler::plan(const std::vector<double>& demand) const {
@@ -79,6 +73,27 @@ Plan IncomeScheduler::plan(const std::vector<double>& demand) const {
   SHAREGRID_EXPECTS(demand.size() == n);
   for (double d : demand) SHAREGRID_EXPECTS(d >= 0.0);
   const util::MutexLock lock(mutex_);
+
+  // Solve in provider order; each provider's plan fills only its column.
+  Plan out;
+  out.demand = demand;
+  out.rate = Matrix(n, n, 0.0);
+  std::vector<double> split(n, 0.0);
+  for (std::size_t p = 0; p < providers_.size(); ++p) {
+    const Provider& provider = providers_[p];
+    for (std::size_t i = 0; i < n; ++i)
+      split[i] = demand[i] * provider.share[i];
+    const Plan column = plan_column(provider, lps_[p], split);
+    for (std::size_t i = 0; i < n; ++i)
+      out.rate(i, provider.id) = column.rate(i, provider.id);
+    out.lp_fallback = out.lp_fallback || column.lp_fallback;
+  }
+  return out;
+}
+
+Plan IncomeScheduler::plan_column(const Provider& provider, StagedLp& lp,
+                                  const std::vector<double>& demand) const {
+  const std::size_t n = prices_.size();
 
   // One variable per principal: the rate admitted to the provider's pool.
   auto build = [&] {
@@ -88,29 +103,25 @@ Plan IncomeScheduler::plan(const std::vector<double>& demand) const {
       // the agreement upper bound. The boxes are implicit (DESIGN.md D9), so
       // this whole program is a single capacity row regardless of n, and
       // per-window demand drift only rewrites bound data — no re-prepare.
-      const double lo = std::min(mandatory_[i], demand[i]);
-      const double hi =
-          std::min(mandatory_[i] + optional_[i], std::max(lo, demand[i]));
+      const double lo = std::min(provider.mandatory[i], demand[i]);
+      const double hi = std::min(provider.mandatory[i] + provider.optional[i],
+                                 std::max(lo, demand[i]));
       p.set_bounds(i, lo, hi);
     }
     std::vector<std::pair<std::size_t, double>> cap_terms;
     for (std::size_t i = 0; i < n; ++i) cap_terms.emplace_back(i, 1.0);
     p.add_constraint(std::move(cap_terms), Relation::kLessEq,
-                     provider_capacity_);
+                     provider.capacity);
     return p;
   };
 
-  // Stage 1: maximize income. The objective is sum p_i * (x_i - MC_i); the
-  // -p_i*MC_i terms are constant and do not affect the argmax.
-  Problem p1 = build();
-  for (std::size_t i = 0; i < n; ++i) p1.set_objective(i, prices_[i]);
-  const lp::Solution s1 = stage1_context_.solve(p1, solver_options_);
-  if (s1.status == lp::Status::kIterationLimit) return fallback_plan(demand);
-  SHAREGRID_ENSURES(s1.optimal());
-
-  Plan out;
-  out.demand = demand;
-  out.rate = Matrix(n, n, 0.0);
+  // Stage 1: maximize income. The objective is sum p_i * (x_i - EM_i); the
+  // -p_i*EM_i terms are constant and do not affect the argmax.
+  auto stage1 = [&](std::size_t) {
+    Problem p1 = build();
+    for (std::size_t i = 0; i < n; ++i) p1.set_objective(i, prices_[i]);
+    return p1;
+  };
 
   // Stage 2: at the optimal income, maximize total admitted rate so
   // zero-price demand can use capacity the paying customers leave idle.
@@ -118,43 +129,39 @@ Plan IncomeScheduler::plan(const std::vector<double>& demand) const {
   // without it the vertex depends on the pivot path, so warm-started and
   // cold solves can disagree on who gets the idle capacity even though
   // both are optimal.
-  Problem p2 = build();
-  for (std::size_t i = 0; i < n; ++i)
-    p2.set_objective(
-        i, 1.0 + 1e-6 * static_cast<double>(n - i) / static_cast<double>(n));
-  std::vector<std::pair<std::size_t, double>> income_terms;
-  for (std::size_t i = 0; i < n; ++i)
-    if (prices_[i] > 0.0) income_terms.emplace_back(i, prices_[i]);
-  if (!income_terms.empty()) {
-    double income_star = 0.0;
+  auto stage2 = [&](std::size_t, const lp::Solution& s1) {
+    Problem p2 = build();
     for (std::size_t i = 0; i < n; ++i)
-      income_star += prices_[i] * s1.values[i];
-    p2.add_constraint(std::move(income_terms), Relation::kGreaterEq,
-                      income_star * (1.0 - 1e-9) - 1e-9);
-  }
-  const lp::Solution s2 = stage2_context_.solve(p2, solver_options_);
-  const lp::Solution* final_solution = &s2;
-  if (s2.status == lp::Status::kIterationLimit) {
-    // Stage 1 already maximized income; degrade to its solution (giving
-    // up only work conservation) but still flag the window.
-    out.lp_fallback = true;
-    final_solution = &s1;
-  } else {
-    SHAREGRID_ENSURES(s2.optimal());
-  }
+      p2.set_objective(
+          i, 1.0 + 1e-6 * static_cast<double>(n - i) / static_cast<double>(n));
+    std::vector<std::pair<std::size_t, double>> income_terms;
+    for (std::size_t i = 0; i < n; ++i)
+      if (prices_[i] > 0.0) income_terms.emplace_back(i, prices_[i]);
+    if (!income_terms.empty()) {
+      double income_star = 0.0;
+      for (std::size_t i = 0; i < n; ++i)
+        income_star += prices_[i] * s1.values[i];
+      p2.add_constraint(std::move(income_terms), Relation::kGreaterEq,
+                        income_star * (1.0 - 1e-9) - 1e-9);
+    }
+    return p2;
+  };
 
-  for (std::size_t i = 0; i < n; ++i)
-    out.rate(i, provider_) = std::max(0.0, final_solution->values[i]);
-  last_plan_ = out;
-  last_plan_.lp_fallback = false;
-  has_last_plan_ = true;
-  return out;
+  auto fill = [&](const lp::Solution&, const std::vector<double>& values,
+                  Plan& out) {
+    out.rate = Matrix(n, n, 0.0);
+    for (std::size_t i = 0; i < n; ++i)
+      out.rate(i, provider.id) = std::max(0.0, values[i]);
+  };
+  return lp.solve(demand, stage1, stage2, fill);
 }
 
 double IncomeScheduler::income(const Plan& plan) const {
   double total = 0.0;
-  for (std::size_t i = 0; i < prices_.size(); ++i)
-    total += prices_[i] * std::max(0.0, plan.admitted(i) - mandatory_[i]);
+  for (const Provider& provider : providers_)
+    for (std::size_t i = 0; i < prices_.size(); ++i)
+      total += prices_[i] * std::max(0.0, plan.rate(i, provider.id) -
+                                              provider.mandatory[i]);
   return total;
 }
 

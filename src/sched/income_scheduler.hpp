@@ -1,16 +1,26 @@
 // Service-provider scheduler: maximize provider income (§3.1.2, "Total
 // Income of Provider").
 //
-// A single provider owns a set of servers and has an SLA [lb_i, ub_i] with
-// each customer i; the customer pays p_i per request processed beyond its
-// mandatory level MC_i. Each window the scheduler picks per-customer
-// admission rates x_i maximizing sum_i p_i * (x_i - MC_i) subject to
-// aggregate capacity and the agreement bounds, then spreads each customer's
-// admitted rate across the provider's servers in proportion to capacity.
-// A second lexicographic stage maximizes total admitted rate at the optimal
-// income, so zero-price traffic soaks up capacity the paying customers leave
-// idle (serving it costs the provider nothing and helps the community
-// metric).
+// Each provider owns a pool of servers and has an SLA [lb_i, ub_i] with each
+// customer i; the customer pays p_i per request processed beyond its
+// mandatory level. Each window the scheduler picks, per provider k, the
+// rates x_ik admitted to k's pool maximizing sum_i p_i * (x_ik - EM(i,k))
+// subject to k's capacity and i's entitlement bounds at k. Those bounds are
+// the entitlement decomposition columns EM(i,k) / EO(i,k), which partition
+// every server's capacity across principals (DESIGN.md D1), so no server is
+// promised twice and the providers' programs are independent. With one
+// provider that owns all capacity and customers that cede none — the
+// paper's setting — they equal the access levels MC_i / OC_i. A second
+// lexicographic stage maximizes total admitted rate at the optimal income,
+// so zero-price traffic soaks up capacity the paying customers leave idle
+// (serving it costs the provider nothing and helps the community metric).
+//
+// Each customer's demand is split across providers by fixed
+// entitlement-share weights, and the providers' programs are solved one
+// after another in provider order, each through its own StagedLp. (Fanning
+// the solves out on a worker pool was measured 1.4–3.6x slower than this
+// serial loop at 2–8 providers: each solve takes microseconds, so the
+// hand-off costs more than it saves; DESIGN.md D8.)
 #pragma once
 
 #include <vector>
@@ -19,69 +29,64 @@
 #include "core/flow.hpp"
 #include "lp/solve_context.hpp"
 #include "sched/scheduler.hpp"
+#include "sched/staged_lp.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace sharegrid::sched {
 
-/// Provider-income maximization via LP.
+/// Provider-income maximization via one LP pair per provider.
 class IncomeScheduler final : public Scheduler {
  public:
-  /// @param graph     agreement graph; the provider is @p provider and every
-  ///                  other principal is a customer.
-  /// @param levels    access levels precomputed from @p graph.
-  /// @param provider  id of the resource-owning provider.
-  /// @param prices    price per extra request, indexed by principal id; the
-  ///                  provider's own entry is ignored.
+  /// @param graph      agreement graph; capacities give each provider's pool.
+  /// @param levels     access levels precomputed from @p graph.
+  /// @param providers  ids of the resource-owning providers (each with
+  ///                   capacity > 0); plans fill exactly these columns.
+  /// @param prices     price per extra request, indexed by principal id.
   IncomeScheduler(const core::AgreementGraph& graph,
-                  core::AccessLevels levels, core::PrincipalId provider,
+                  const core::AccessLevels& levels,
+                  std::vector<core::PrincipalId> providers,
                   std::vector<double> prices);
 
-  /// Tag selecting the per-server entitlement columns as the bound source.
-  struct EntitlementColumns {};
-
-  /// Multi-provider variant: customer i's bounds against @p provider come
-  /// from the entitlement decomposition columns EM(i, provider) /
-  /// EO(i, provider) rather than the global access levels MC_i / OC_i, so
-  /// one IncomeScheduler per provider partitions the community capacity
-  /// without any server being promised twice (DESIGN.md D1).
-  IncomeScheduler(EntitlementColumns, const core::AgreementGraph& graph,
-                  const core::AccessLevels& levels, core::PrincipalId provider,
-                  std::vector<double> prices);
-
-  Plan plan(const std::vector<double>& demand) const override;
+  Plan plan(const std::vector<double>& demand) const override
+      SHAREGRID_EXCLUDES(mutex_);
   std::size_t size() const override { return prices_.size(); }
 
-  core::PrincipalId provider() const { return provider_; }
-
-  /// Income implied by a plan: sum of p_i * max(0, admitted_i - MC_i).
+  /// Income implied by a plan: over every provider k and principal i, the
+  /// sum of p_i * max(0, rate(i, k) - EM(i, k)).
   double income(const Plan& plan) const;
 
-  /// Overrides the LP solver tuning for every stage solve (tests use this to
-  /// force Status::kIterationLimit and exercise the fallback path).
-  void set_solver_options(const lp::SolverOptions& options);
+  /// Overrides the LP solver tuning for every provider's stage solves (tests
+  /// use this to force non-optimal verdicts and exercise the fallback path).
+  void set_solver_options(const lp::SolverOptions& options)
+      SHAREGRID_EXCLUDES(mutex_);
 
-  /// Cumulative warm/cold solver statistics across both LP stages.
-  lp::SolveStats solver_stats() const;
+  /// Cumulative warm/cold solver statistics across all providers.
+  lp::SolveStats solver_stats() const SHAREGRID_EXCLUDES(mutex_);
 
  private:
-  Plan fallback_plan(std::vector<double> demand) const
-      SHAREGRID_REQUIRES(mutex_);
+  /// One provider's program data, fixed at construction.
+  struct Provider {
+    core::PrincipalId id = 0;
+    double capacity = 0.0;
+    std::vector<double> mandatory;  // EM(i, id)
+    std::vector<double> optional;   // EO(i, id)
+    /// Fraction of principal i's demand offered to this provider: i's
+    /// entitlement share here.
+    std::vector<double> share;
+  };
 
-  core::PrincipalId provider_;
+  /// Plans @p provider's column against its share of the demand.
+  Plan plan_column(const Provider& provider, StagedLp& lp,
+                   const std::vector<double>& demand) const;
+
   std::vector<double> prices_;
-  std::vector<double> mandatory_;  // MC_i
-  std::vector<double> optional_;   // OC_i
-  double provider_capacity_ = 0.0;
+  std::vector<Provider> providers_;
 
-  // Warm-start solver caches (see Scheduler doc): per-stage contexts plus
-  // the previous plan for iteration-limit fallback, guarded for concurrent
-  // plan() callers.
+  // One StagedLp per provider, in provider order. The mutex serializes
+  // whole windows, so every window feeds the warm-start contexts in the
+  // same order regardless of caller concurrency.
   mutable util::Mutex mutex_;
-  mutable lp::SolverOptions solver_options_ SHAREGRID_GUARDED_BY(mutex_);
-  mutable lp::SolveContext stage1_context_ SHAREGRID_GUARDED_BY(mutex_);
-  mutable lp::SolveContext stage2_context_ SHAREGRID_GUARDED_BY(mutex_);
-  mutable Plan last_plan_ SHAREGRID_GUARDED_BY(mutex_);
-  mutable bool has_last_plan_ SHAREGRID_GUARDED_BY(mutex_) = false;
+  mutable std::vector<StagedLp> lps_ SHAREGRID_GUARDED_BY(mutex_);
 };
 
 }  // namespace sharegrid::sched

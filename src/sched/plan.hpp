@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/principal.hpp"
-#include "util/assert.hpp"
 #include "util/matrix.hpp"
 
 namespace sharegrid::sched {
@@ -23,9 +22,11 @@ struct Plan {
   std::vector<double> demand;
   /// Community metric: the max-min fraction theta (1.0 when not applicable).
   double theta = 1.0;
-  /// True when the scheduler could not produce a fresh plan this window
-  /// (the LP solver hit its iteration budget) and fell back to the previous
-  /// window's allocation — or an empty one when no window succeeded yet.
+  /// True when the scheduler's LP reached no optimum this window
+  /// (infeasible, unbounded or out of pivots; sched/staged_lp.hpp): a
+  /// stage-1 failure falls back to the previous good allocation — or an
+  /// empty one when no window succeeded yet — and a stage-2 failure keeps
+  /// the stage-1 solution.
   bool lp_fallback = false;
 
   std::size_t size() const { return demand.size(); }
@@ -35,15 +36,6 @@ struct Plan {
 
   /// Total load placed on server k across all principals.
   double server_load(core::PrincipalId k) const { return rate.col_sum(k); }
-
-  /// Fraction of principal i's queue the plan admits, in [0, 1];
-  /// 1 when the principal has no demand (nothing to hold back).
-  double admit_fraction(core::PrincipalId i) const {
-    SHAREGRID_EXPECTS(i < demand.size());
-    if (demand[i] <= 0.0) return 1.0;
-    const double f = admitted(i) / demand[i];
-    return f < 0.0 ? 0.0 : (f > 1.0 ? 1.0 : f);
-  }
 };
 
 }  // namespace sharegrid::sched

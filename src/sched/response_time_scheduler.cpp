@@ -12,10 +12,25 @@ using lp::Problem;
 using lp::Relation;
 using lp::Sense;
 
+namespace {
+
+/// The plan of a window that fails before any window succeeded: nothing
+/// admitted, theta 0.
+Plan empty_plan(std::size_t n) {
+  Plan empty;
+  empty.rate = Matrix(n, n, 0.0);
+  empty.theta = 0.0;
+  return empty;
+}
+
+}  // namespace
+
 ResponseTimeScheduler::ResponseTimeScheduler(const core::AgreementGraph& graph,
                                              core::AccessLevels levels,
                                              ResponseTimeOptions options)
-    : levels_(std::move(levels)), options_(std::move(options)) {
+    : levels_(std::move(levels)),
+      options_(std::move(options)),
+      lp_(empty_plan(graph.size()), options_.locality_caps.empty() ? 1 : 2) {
   SHAREGRID_EXPECTS(levels_.size() == graph.size());
   SHAREGRID_EXPECTS(options_.locality_caps.empty() ||
                     options_.locality_caps.size() == graph.size());
@@ -27,30 +42,12 @@ ResponseTimeScheduler::ResponseTimeScheduler(const core::AgreementGraph& graph,
 void ResponseTimeScheduler::set_solver_options(
     const lp::SolverOptions& options) {
   const util::MutexLock lock(mutex_);
-  solver_options_ = options;
+  lp_.set_options(options);
 }
 
 lp::SolveStats ResponseTimeScheduler::solver_stats() const {
   const util::MutexLock lock(mutex_);
-  lp::SolveStats total = stage1_context_.stats();
-  total += retry_context_.stats();
-  total += stage2_context_.stats();
-  return total;
-}
-
-/// No fresh plan this window: reuse the previous window's allocation (an
-/// empty one if no window ever succeeded) against the current demand.
-Plan ResponseTimeScheduler::fallback_plan(std::vector<double> demand) const {
-  Plan out;
-  if (has_last_plan_) {
-    out = last_plan_;
-  } else {
-    out.rate = Matrix(capacities_.size(), capacities_.size(), 0.0);
-    out.theta = 0.0;
-  }
-  out.demand = std::move(demand);
-  out.lp_fallback = true;
-  return out;
+  return lp_.stats();
 }
 
 Plan ResponseTimeScheduler::plan(const std::vector<double>& raw_demand) const {
@@ -72,10 +69,6 @@ Plan ResponseTimeScheduler::plan(const std::vector<double>& raw_demand) const {
     SHAREGRID_EXPECTS(d >= 0.0);
     d = std::min(d, demand_cap);
   }
-
-  Plan out;
-  out.demand = demand;
-  out.rate = Matrix(n, n, 0.0);
 
   // Variable layout: x_ik at i*n + k, theta at n*n.
   const std::size_t theta_var = n * n;
@@ -150,28 +143,15 @@ Plan ResponseTimeScheduler::plan(const std::vector<double>& raw_demand) const {
   };
 
   // Stage 1: maximize theta. Mandatory floors can conflict with locality
-  // caps; when they do, fall back to a floorless program (best effort).
-  // Each stage solves through its own warm-start context: successive
-  // windows share the program layout, so the previous optimal basis usually
-  // re-enters phase 2 directly. An iteration-limited solve means no fresh
-  // plan this window — reuse the previous one rather than crash mid-window.
-  bool floors = true;
-  Problem p1 = build(floors);
-  p1.set_objective(theta_var, 1.0);
-  lp::Solution s1 = stage1_context_.solve(p1, solver_options_);
-  if (s1.status == lp::Status::kIterationLimit)
-    return fallback_plan(std::move(demand));
-  if (!s1.optimal() && !options_.locality_caps.empty()) {
-    floors = false;
-    Problem retry = build(floors);
-    retry.set_objective(theta_var, 1.0);
-    s1 = retry_context_.solve(retry, solver_options_);
-    if (s1.status == lp::Status::kIterationLimit)
-      return fallback_plan(std::move(demand));
-  }
-  SHAREGRID_ENSURES(s1.optimal());
-  const double theta = s1.values[theta_var];
-  out.theta = theta;
+  // caps; when the floored program reaches no optimum, a second attempt
+  // drops them (best effort). Each program solves through its own
+  // warm-start context: successive windows share the program layout, so the
+  // previous optimal basis usually re-enters phase 2 directly.
+  auto stage1 = [&](std::size_t attempt) {
+    Problem p1 = build(attempt == 0);
+    p1.set_objective(theta_var, 1.0);
+    return p1;
+  };
 
   // Stage 2: at fixed theta, maximize the total admitted rate so spare
   // capacity flows to whoever can still use it. The tiny bonus on local
@@ -181,30 +161,26 @@ Plan ResponseTimeScheduler::plan(const std::vector<double>& raw_demand) const {
   // cold one and closed-loop simulations stop being reproducible. 1e-6 is
   // far above the solver tolerance and costs at most 1e-6 of a request of
   // total admitted rate.
-  Problem p2 = build(floors);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t k = 0; k < n; ++k)
-      p2.set_objective(var(i, k), k == i ? 1.0 + 1e-6 : 1.0);
-  // Tiny slack below theta guards against round-off infeasibility.
-  p2.set_bounds(theta_var, std::max(0.0, theta - 1e-9), 1.0);
-  const lp::Solution s2 = stage2_context_.solve(p2, solver_options_);
-  const lp::Solution* final_solution = &s2;
-  if (s2.status == lp::Status::kIterationLimit) {
-    // Stage 1 already produced a feasible max-min plan; degrade to it
-    // (giving up only work conservation) but still flag the window.
-    out.lp_fallback = true;
-    final_solution = &s1;
-  } else {
-    SHAREGRID_ENSURES(s2.optimal());
-  }
+  auto stage2 = [&](std::size_t attempt, const lp::Solution& s1) {
+    Problem p2 = build(attempt == 0);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t k = 0; k < n; ++k)
+        p2.set_objective(var(i, k), k == i ? 1.0 + 1e-6 : 1.0);
+    // Tiny slack below theta guards against round-off infeasibility.
+    p2.set_bounds(theta_var, std::max(0.0, s1.values[theta_var] - 1e-9),
+                  1.0);
+    return p2;
+  };
 
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t k = 0; k < n; ++k)
-      out.rate(i, k) = std::max(0.0, final_solution->values[var(i, k)]);
-  last_plan_ = out;
-  last_plan_.lp_fallback = false;
-  has_last_plan_ = true;
-  return out;
+  auto fill = [&](const lp::Solution& s1, const std::vector<double>& values,
+                  Plan& out) {
+    out.theta = s1.values[theta_var];
+    out.rate = Matrix(n, n, 0.0);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t k = 0; k < n; ++k)
+        out.rate(i, k) = std::max(0.0, values[var(i, k)]);
+  };
+  return lp_.solve(demand, stage1, stage2, fill);
 }
 
 }  // namespace sharegrid::sched

@@ -8,13 +8,13 @@
 // idle merely because theta is already pinned by the worst-off principal).
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "core/agreement_graph.hpp"
 #include "core/flow.hpp"
 #include "lp/solve_context.hpp"
 #include "sched/scheduler.hpp"
+#include "sched/staged_lp.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace sharegrid::sched {
@@ -41,31 +41,22 @@ class ResponseTimeScheduler final : public Scheduler {
   const core::AccessLevels& levels() const { return levels_; }
 
   /// Overrides the LP solver tuning for every stage solve (tests use this to
-  /// force Status::kIterationLimit and exercise the fallback path).
+  /// force non-optimal verdicts and exercise the fallback path).
   void set_solver_options(const lp::SolverOptions& options);
 
   /// Cumulative warm/cold solver statistics across all LP stages.
   lp::SolveStats solver_stats() const;
 
  private:
-  Plan fallback_plan(std::vector<double> demand) const
-      SHAREGRID_REQUIRES(mutex_);
-
   std::vector<double> capacities_;
   core::AccessLevels levels_;
   ResponseTimeOptions options_;
 
-  // Warm-start solver caches, one per LP stage so each stage re-enters from
-  // its own previous basis (the stage programs have different layouts).
-  // plan() stays const — these only affect solve speed and the
-  // iteration-limit fallback — and the mutex serializes concurrent callers.
+  // Warm-start contexts and the last good plan (sched/staged_lp.hpp). plan()
+  // stays const — they only affect solve speed and the fallback — and the
+  // mutex serializes concurrent callers.
   mutable util::Mutex mutex_;
-  mutable lp::SolverOptions solver_options_ SHAREGRID_GUARDED_BY(mutex_);
-  mutable lp::SolveContext stage1_context_ SHAREGRID_GUARDED_BY(mutex_);
-  mutable lp::SolveContext retry_context_ SHAREGRID_GUARDED_BY(mutex_);
-  mutable lp::SolveContext stage2_context_ SHAREGRID_GUARDED_BY(mutex_);
-  mutable Plan last_plan_ SHAREGRID_GUARDED_BY(mutex_);
-  mutable bool has_last_plan_ SHAREGRID_GUARDED_BY(mutex_) = false;
+  mutable StagedLp lp_ SHAREGRID_GUARDED_BY(mutex_);
 };
 
 }  // namespace sharegrid::sched

@@ -12,10 +12,11 @@ namespace sharegrid::sched {
 /// Implementations behave as functions of their configuration plus the
 /// demand argument, so one instance may be shared by every redirector in a
 /// simulation (or called concurrently from multiple threads). They may keep
-/// internal solver caches — warm-start bases, previous plans for
-/// iteration-limit fallback (Plan::lp_fallback) — but must serialize access
-/// to them so concurrent plan() calls stay safe; the caches influence only
-/// how fast a plan is found, never which allocations are feasible.
+/// internal solver caches — warm-start bases, the last good plan a window
+/// without an LP optimum falls back to (Plan::lp_fallback) — but must
+/// serialize access to them so concurrent plan() calls stay safe; the caches
+/// influence only how fast a plan is found, never which allocations are
+/// feasible.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;

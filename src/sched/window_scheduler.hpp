@@ -113,8 +113,8 @@ class WindowScheduler {
   /// slices + debt); exposed for the control-plane conservation audits.
   const Matrix& slices() const { return slices_; }
 
-  /// Windows (including re-plans) whose plan was a stale fallback because
-  /// the LP solver hit its iteration budget (Plan::lp_fallback).
+  /// Windows (including re-plans) whose plan was a fallback because the
+  /// LP solver reached no optimum (Plan::lp_fallback).
   std::uint64_t plan_fallbacks() const { return plan_fallbacks_; }
 
  private:

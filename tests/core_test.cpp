@@ -34,7 +34,6 @@ TEST(AgreementGraph, StoresPrincipalsAndAgreements) {
   EXPECT_DOUBLE_EQ(g.lower_bound(0, 1), 0.4);
   EXPECT_DOUBLE_EQ(g.upper_bound(1, 2), 1.0);
   EXPECT_DOUBLE_EQ(g.lower_bound(1, 0), 0.0);
-  EXPECT_DOUBLE_EQ(g.total_capacity(), 2500.0);
   EXPECT_EQ(g.agreements().size(), 2u);
 }
 
@@ -283,7 +282,9 @@ TEST_P(FlowPropertyTest, ConservationAndBounds) {
   // Mandatory capacity is conserved: sum MC_i == total physical capacity.
   double mc_total = 0.0;
   for (PrincipalId i = 0; i < n; ++i) mc_total += levels.mandatory_capacity[i];
-  EXPECT_NEAR(mc_total, g.total_capacity(), 1e-6);
+  double capacity_total = 0.0;
+  for (PrincipalId i = 0; i < n; ++i) capacity_total += g.capacity(i);
+  EXPECT_NEAR(mc_total, capacity_total, 1e-6);
 
   // Every entitlement column partitions its server.
   for (PrincipalId k = 0; k < n; ++k) {

@@ -156,6 +156,11 @@ TEST(ScenarioIni, RequiresCoreSections) {
   using namespace experiments;
   EXPECT_THROW(scenario_from_ini(parse_ini("duration = 5\n")),
                ContractViolation);
+  // An income scenario names the providers whose pools it plans.
+  std::string income = kMinimalScenario;
+  income.replace(income.find("response_time"), 13, "income");
+  EXPECT_THROW(scenario_from_ini(parse_ini(income)), ContractViolation);
+  EXPECT_NO_THROW(scenario_from_ini(parse_ini("providers = B\n" + income)));
 }
 
 TEST(ScenarioIni, ControlPlaneSectionSetsCoordinationKnobs) {
@@ -282,6 +287,7 @@ TEST(ScenarioIni, RejectsUnknownKeysAndSections) {
                   "plan_solver_threads");
   expect_rejected("weighted_admission = true\n" + minimal,
                   "weighted_admission");
+  expect_rejected("provider = S\n" + minimal, "unknown key provider");
   // A third [server] block, opening on the line after the minimal text.
   const std::string server_line =
       std::to_string(std::count(minimal.begin(), minimal.end(), '\n') + 1);

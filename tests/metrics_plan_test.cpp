@@ -58,18 +58,6 @@ TEST(Plan, AccessorsAndFractions) {
   EXPECT_DOUBLE_EQ(plan.admitted(1), 0.0);
   EXPECT_DOUBLE_EQ(plan.server_load(2), 70.0);
   EXPECT_DOUBLE_EQ(plan.server_load(1), 0.0);
-
-  EXPECT_DOUBLE_EQ(plan.admit_fraction(0), 0.5);
-  EXPECT_DOUBLE_EQ(plan.admit_fraction(1), 1.0);  // no demand => nothing held
-  EXPECT_DOUBLE_EQ(plan.admit_fraction(2), 1.0);
-  EXPECT_THROW(plan.admit_fraction(7), ContractViolation);
-}
-
-TEST(Plan, AdmitFractionClampsNumericNoise) {
-  sched::Plan plan;
-  plan.demand = {10.0};
-  plan.rate = Matrix(1, 1, 10.0000001);  // solver residue above demand
-  EXPECT_DOUBLE_EQ(plan.admit_fraction(0), 1.0);
 }
 
 }  // namespace

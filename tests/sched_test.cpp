@@ -7,7 +7,6 @@
 #include "core/flow.hpp"
 #include "sched/endpoint_enforcer.hpp"
 #include "sched/income_scheduler.hpp"
-#include "sched/multi_provider_scheduler.hpp"
 #include "sched/response_time_scheduler.hpp"
 #include "util/rng.hpp"
 
@@ -179,7 +178,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ResponseTimePropertyTest,
 TEST(IncomeScheduler, HigherPayingCustomerGetsPreference) {
   // Figure 10 arithmetic, phase 1.
   const auto g = two_customer_graph(640.0, 0.8, 1.0, 0.2, 1.0);
-  const IncomeScheduler scheduler(g, core::compute_access_levels(g), 0,
+  const IncomeScheduler scheduler(g, core::compute_access_levels(g), {0},
                                   {0.0, 2.0, 1.0});
   const Plan plan = scheduler.plan({0.0, 800.0, 400.0});
   EXPECT_NEAR(plan.admitted(1), 512.0, 1e-6);
@@ -188,7 +187,7 @@ TEST(IncomeScheduler, HigherPayingCustomerGetsPreference) {
 
 TEST(IncomeScheduler, MandatoryLevelIsHonouredEvenForCheapCustomer) {
   const auto g = two_customer_graph(640.0, 0.8, 1.0, 0.2, 1.0);
-  const IncomeScheduler scheduler(g, core::compute_access_levels(g), 0,
+  const IncomeScheduler scheduler(g, core::compute_access_levels(g), {0},
                                   {0.0, 100.0, 0.01});
   const Plan plan = scheduler.plan({0.0, 10000.0, 10000.0});
   EXPECT_NEAR(plan.admitted(2), 128.0, 1e-6);  // never below mandatory
@@ -197,7 +196,7 @@ TEST(IncomeScheduler, MandatoryLevelIsHonouredEvenForCheapCustomer) {
 TEST(IncomeScheduler, IdleExpensiveCustomerFreesCapacity) {
   // Figure 10 phase 2: A idle, B takes everything its upper bound allows.
   const auto g = two_customer_graph(640.0, 0.8, 1.0, 0.2, 1.0);
-  const IncomeScheduler scheduler(g, core::compute_access_levels(g), 0,
+  const IncomeScheduler scheduler(g, core::compute_access_levels(g), {0},
                                   {0.0, 2.0, 1.0});
   const Plan plan = scheduler.plan({0.0, 0.0, 400.0});
   EXPECT_NEAR(plan.admitted(1), 0.0, 1e-9);
@@ -206,7 +205,7 @@ TEST(IncomeScheduler, IdleExpensiveCustomerFreesCapacity) {
 
 TEST(IncomeScheduler, UpperBoundCapsGreedyCustomer) {
   const auto g = two_customer_graph(640.0, 0.1, 0.3, 0.1, 0.3);
-  const IncomeScheduler scheduler(g, core::compute_access_levels(g), 0,
+  const IncomeScheduler scheduler(g, core::compute_access_levels(g), {0},
                                   {0.0, 5.0, 1.0});
   const Plan plan = scheduler.plan({0.0, 10000.0, 0.0});
   EXPECT_NEAR(plan.admitted(1), 0.3 * 640.0, 1e-6);
@@ -216,7 +215,7 @@ TEST(IncomeScheduler, WorkConservationServesFreeTraffic) {
   // The provider itself (price 0) has demand; with the paying customers
   // idle, stage 2 lets the free traffic use the capacity.
   const auto g = two_customer_graph(640.0, 0.5, 0.8, 0.2, 0.4);
-  const IncomeScheduler scheduler(g, core::compute_access_levels(g), 0,
+  const IncomeScheduler scheduler(g, core::compute_access_levels(g), {0},
                                   {0.0, 2.0, 1.0});
   const Plan plan = scheduler.plan({300.0, 0.0, 0.0});
   EXPECT_NEAR(plan.admitted(0), 300.0, 1e-6);
@@ -233,7 +232,7 @@ TEST(IncomeScheduler, WorkConservationServesFreeTraffic) {
 TEST(IncomeScheduler, IncomeComputation) {
   const auto g = two_customer_graph(640.0, 0.8, 1.0, 0.2, 1.0);
   const core::AccessLevels levels = core::compute_access_levels(g);
-  const IncomeScheduler scheduler(g, levels, 0, {0.0, 2.0, 1.0});
+  const IncomeScheduler scheduler(g, levels, {0}, {0.0, 2.0, 1.0});
   const Plan plan = scheduler.plan({0.0, 800.0, 400.0});
   // A: (512 - 512) * 2 = 0 extra; B: (128 - 128) * 1 = 0 extra.
   EXPECT_NEAR(scheduler.income(plan), 0.0, 1e-6);
@@ -259,7 +258,7 @@ TEST(IncomeScheduler, IncomeAtLeastMatchesGreedyBaseline) {
       prices.push_back(rng.uniform(0.1, 3.0));
     }
     const core::AccessLevels levels = core::compute_access_levels(g);
-    const IncomeScheduler scheduler(g, levels, 0, prices);
+    const IncomeScheduler scheduler(g, levels, {0}, prices);
 
     std::vector<double> demand(customers + 1, 0.0);
     for (std::size_t i = 1; i <= customers; ++i)
@@ -296,12 +295,8 @@ TEST(IncomeScheduler, IncomeAtLeastMatchesGreedyBaseline) {
   }
 }
 
-// --- MultiProviderScheduler ------------------------------------------------
-
-TEST(MultiProviderScheduler, PlansRespectEntitlementColumns) {
-  // Two providers, three customers, asymmetric agreements and prices. No
-  // provider may admit beyond its own capacity, and plans only fill
-  // provider columns.
+/// Two providers, three customers, asymmetric agreements.
+core::AgreementGraph two_provider_graph() {
   core::AgreementGraph graph;
   const auto s1 = graph.add_principal("S1", 300.0);
   const auto s2 = graph.add_principal("S2", 500.0);
@@ -312,18 +307,68 @@ TEST(MultiProviderScheduler, PlansRespectEntitlementColumns) {
   graph.set_agreement(s1, b, 0.2, 0.7);
   graph.set_agreement(s2, b, 0.4, 0.8);
   graph.set_agreement(s2, c, 0.3, 0.5);
-  const MultiProviderScheduler scheduler(graph,
-                                         core::compute_access_levels(graph),
-                                         {s1, s2}, {0.0, 0.0, 2.0, 1.0, 3.0});
+  return graph;
+}
+
+TEST(IncomeScheduler, PlansRespectEntitlementColumns) {
+  // Asymmetric prices too. No provider may admit beyond its own capacity,
+  // and plans only fill provider columns.
+  const core::AgreementGraph graph = two_provider_graph();
+  const IncomeScheduler scheduler(graph, core::compute_access_levels(graph),
+                                  {0, 1}, {0.0, 0.0, 2.0, 1.0, 3.0});
   const Plan plan = scheduler.plan({0.0, 0.0, 500.0, 500.0, 500.0});
-  EXPECT_LE(plan.server_load(s1), graph.capacity(s1) + 1e-7);
-  EXPECT_LE(plan.server_load(s2), graph.capacity(s2) + 1e-7);
+  EXPECT_LE(plan.server_load(0), graph.capacity(0) + 1e-7);
+  EXPECT_LE(plan.server_load(1), graph.capacity(1) + 1e-7);
   for (std::size_t i = 0; i < plan.rate.rows(); ++i)
     for (std::size_t k = 2; k < plan.rate.cols(); ++k)
       EXPECT_EQ(plan.rate(i, k), 0.0);
   // With saturated paying demand both pools should fill completely.
-  EXPECT_NEAR(plan.server_load(s1) + plan.server_load(s2),
-              graph.capacity(s1) + graph.capacity(s2), 1e-6);
+  EXPECT_NEAR(plan.server_load(0) + plan.server_load(1),
+              graph.capacity(0) + graph.capacity(1), 1e-6);
+}
+
+TEST(IncomeScheduler, CustomerOwnedServerLeavesTheProviderProgramFeasible) {
+  // Customer A owns a server beside provider S's. A's access level
+  // MC_A = 150 counts that server, so a floor of min(MC_A, 60) on S's pool
+  // plus S's own 50 would exceed S's 100 and leave stage 1 infeasible. A's
+  // bounds at S are its entitlement column there, EM + EO = 50.
+  core::AgreementGraph g;
+  const auto s = g.add_principal("S", 100.0);
+  const auto a = g.add_principal("A", 100.0);
+  g.set_agreement(s, a, 0.5, 0.5);
+  const core::AccessLevels levels = core::compute_access_levels(g);
+  const IncomeScheduler scheduler(g, levels, {s}, {0.0, 1.0});
+  Plan plan;
+  ASSERT_NO_THROW(plan = scheduler.plan({50.0, 60.0}));
+  EXPECT_FALSE(plan.lp_fallback);
+  const double a_at_s = levels.mandatory_entitlement(a, s) +
+                        levels.optional_entitlement(a, s);
+  EXPECT_NEAR(a_at_s, 50.0, 1e-9);
+  EXPECT_LE(plan.rate(a, s), a_at_s + 1e-9);
+  EXPECT_LE(plan.server_load(s), g.capacity(s) + 1e-9);
+}
+
+TEST(IncomeScheduler, NoOptimumKeepsEachProvidersLastGoodColumn) {
+  const core::AgreementGraph graph = two_provider_graph();
+  IncomeScheduler scheduler(graph, core::compute_access_levels(graph), {0, 1},
+                            {0.0, 0.0, 2.0, 1.0, 3.0});
+  const Plan good = scheduler.plan({0.0, 0.0, 500.0, 500.0, 500.0});
+  ASSERT_FALSE(good.lp_fallback);
+
+  lp::SolverOptions strangled;
+  strangled.max_iterations = 0;
+  scheduler.set_solver_options(strangled);
+  const std::vector<double> new_demand = {0.0, 0.0, 100.0, 50.0, 300.0};
+  const Plan stale = scheduler.plan(new_demand);
+  EXPECT_TRUE(stale.lp_fallback);
+  EXPECT_EQ(stale.demand, new_demand);
+  for (std::size_t i = 0; i < good.rate.rows(); ++i)
+    for (std::size_t k = 0; k < good.rate.cols(); ++k)
+      EXPECT_EQ(stale.rate(i, k), good.rate(i, k));
+
+  // Recovery: restoring the budget produces fresh plans again.
+  scheduler.set_solver_options(lp::SolverOptions{});
+  EXPECT_FALSE(scheduler.plan(new_demand).lp_fallback);
 }
 
 // --- EndpointEnforcer -------------------------------------------------------

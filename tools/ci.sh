@@ -149,9 +149,11 @@ if [[ "${SHAREGRID_CI_QUICK_BENCH:-0}" == "1" ]]; then
   # Timing numbers only count if the engine that produced them is clean:
   # rerun the LP-facing tests in the audit-enabled ASan build alongside the
   # bench refresh, so a refactorization or warm-path bug can't slip into
-  # BENCH_lp.json on a machine that skipped the full debug-asan stage.
+  # BENCH_lp.json on a machine that skipped the full debug-asan stage. The
+  # StagedLp.* and IncomeScheduler.* suites drive every non-optimal verdict
+  # through the schedulers' fallback rule with the eta-file audits armed.
   ./build-asan/tests/sharegrid_tests \
-    --gtest_filter='Simplex.*:RevisedSimplex.*:SolveContext.*:Problem.*:AuditSimplex.*:SchedulerWarmStart.*:Regression.*'
+    --gtest_filter='Simplex.*:RevisedSimplex.*:SolveContext.*:Problem.*:AuditSimplex.*:SchedulerWarmStart.*:StagedLp.*:IncomeScheduler.*:Regression.*'
 
   echo
   echo "=== [quick-bench] micro_sim event-engine + sharded scenario ==="

@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
 # Same-bits check between two builds: runs every figure, ablation and sweep
-# bench (bench/{fig,abl_,sweep_}*) and run_scenario_file on every example
-# scenario (examples/scenarios/*.ini, million_clients.ini included) from
-# both build directories and compares their stdout byte for byte. Exits 0
-# when every output and exit status matches, 1 on any difference, 2 on a
-# usage error or a missing program.
+# bench (bench/{fig,abl_,sweep_}*), the six deterministic example programs
+# (quickstart, community_sharing, provider_income, hierarchical_asp,
+# failover, cdn_federation) and run_scenario_file on every example scenario
+# (examples/scenarios/*.ini, million_clients.ini included) from both build
+# directories and compares their stdout byte for byte. Exits 0 when every
+# output and exit status matches, 1 on any difference, 2 on a usage error
+# or a missing program. live_l7_demo (it reads the clock) and
+# multi_process_demo (it forks) are left out.
 #
 #   tools/same_bits.sh BUILD_A BUILD_B
 #
@@ -65,6 +68,10 @@ if [[ ${#benches[@]} -eq 0 ]]; then
 fi
 for bench in "${benches[@]}"; do
   compare "${bench}" "${bench}"
+done
+for example in quickstart community_sharing provider_income \
+               hierarchical_asp failover cdn_federation; do
+  compare "examples/${example}" "examples/${example}"
 done
 for scenario in examples/scenarios/*.ini; do
   compare "run_scenario_file ${scenario}" examples/run_scenario_file \
