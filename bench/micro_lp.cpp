@@ -59,7 +59,7 @@ void BM_IncomePlan(benchmark::State& state) {
   std::vector<double> prices(n, 0.0);
   for (std::size_t i = 1; i < n; ++i) prices[i] = rng.uniform(0.5, 3.0);
   const sched::IncomeScheduler scheduler(g, core::compute_access_levels(g),
-                                         {0}, prices);
+                                         prices);
   const std::vector<double> demand = make_demand(n, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(scheduler.plan(demand));
@@ -199,7 +199,7 @@ void BM_MultiProviderPlan(benchmark::State& state) {
   std::vector<double> prices(g.size(), 0.0);
   for (std::size_t i = p; i < g.size(); ++i) prices[i] = rng.uniform(0.5, 3.0);
   const sched::IncomeScheduler scheduler(g, core::compute_access_levels(g),
-                                         providers, prices);
+                                         prices);
   auto windows = make_demand_sequence(g.size(), rng);
   for (auto& demand : windows)  // providers issue no demand of their own
     for (std::size_t s = 0; s < p; ++s) demand[s] = 0.0;

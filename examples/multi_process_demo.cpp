@@ -63,6 +63,14 @@ constexpr int kWindows = 8;        // windows compared bitwise in phase 1
 constexpr int kChurnWindows = 12;  // windows survivors drive in phases 2/3
 constexpr int kCrashAfter = 3;     // victim exits after this many windows
 
+// Membership timings, tuned tight so the churn phases finish quickly: the
+// survivors declare a silent root dead after 120 ms and, in the election
+// phase, the lowest live member runs for the lease; a crashed peer's
+// redials start at 2 ms and cap at 32 ms.
+constexpr std::int64_t kLeaseTtlUsec = 120'000;
+constexpr std::int64_t kRedialBaseUsec = 2'000;
+constexpr std::int64_t kRedialMaxUsec = 32'000;
+
 std::int64_t now_usec() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -242,17 +250,10 @@ int run_child(const ScenarioConfig& config,
   options.fleet_size = config.redirector_count;
   options.round_period_usec = 2000;
   options.io_timeout_ms = 20;
-  options.allow_nonlocal = config.allow_nonlocal;
-  options.election_enabled =
-      config.election_enabled && phase == Phase::kElection;
-  options.lease_ttl_usec =
-      static_cast<std::int64_t>(config.lease_ttl_ms * 1000.0);
-  options.heartbeat_usec =
-      static_cast<std::int64_t>(config.heartbeat_ms * 1000.0);
-  options.reconnect_base_usec =
-      static_cast<std::int64_t>(config.reconnect_base_ms * 1000.0);
-  options.reconnect_max_usec =
-      static_cast<std::int64_t>(config.reconnect_max_ms * 1000.0);
+  options.election_enabled = phase == Phase::kElection;
+  options.lease_ttl_usec = kLeaseTtlUsec;
+  options.reconnect_base_usec = kRedialBaseUsec;
+  options.reconnect_max_usec = kRedialMaxUsec;
   if (phase == Phase::kConverge) {
     // A deadline generous enough that an abandoned round means something is
     // genuinely wrong (and the bitwise comparison would be void anyway).

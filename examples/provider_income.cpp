@@ -24,8 +24,7 @@ int main() {
 
   // --- Window-level planning --------------------------------------------
   const core::AccessLevels levels = core::compute_access_levels(graph);
-  const sched::IncomeScheduler scheduler(graph, levels, {provider},
-                                         {0.0, 2.0, 1.0});
+  const sched::IncomeScheduler scheduler(graph, levels, {0.0, 2.0, 1.0});
 
   std::cout << "Single-window plans (provider capacity 640):\n";
   TextTable table({"demand gold/bronze", "gold", "bronze", "income"});
@@ -48,7 +47,6 @@ int main() {
   config.graph = graph;
   config.layer = Layer::kL4;
   config.scheduler = SchedulerKind::kIncome;
-  config.providers = {"provider"};
   config.prices = {0.0, 2.0, 1.0};
   config.servers = {{"provider", 320.0}, {"provider", 320.0}};
   config.clients = {

@@ -42,7 +42,7 @@ SessionManager::PeerAddr SessionManager::parse_peer(const std::string& peer,
     throw ContractViolation(
         "SessionManager: peer '" + peer +
         "' is not loopback; non-local peers require the explicit "
-        "allow_nonlocal flag ([control_plane] allow_nonlocal = true)");
+        "allow_nonlocal option");
   int port = 0;
   try {
     port = std::stoi(peer.substr(colon + 1));

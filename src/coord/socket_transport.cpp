@@ -60,7 +60,6 @@ SocketTransport::SocketTransport(std::size_t local_member_count,
   SHAREGRID_EXPECTS(options_.round_period_usec > 0);
   SHAREGRID_EXPECTS(options_.round_deadline_usec > 0);
   SHAREGRID_EXPECTS(options_.lease_ttl_usec > 0);
-  SHAREGRID_EXPECTS(options_.heartbeat_usec >= 0);
   SHAREGRID_EXPECTS(options_.io_timeout_ms > 0);
   SessionManager::Options session;
   session.peers = options_.peers;
@@ -152,12 +151,9 @@ void SocketTransport::poll(std::int64_t now_usec) {
     handle_event(event, now_usec);
   if (!role_root_) maybe_elect(now_usec);
   if (role_root_) {
-    const std::int64_t heartbeat = options_.heartbeat_usec > 0
-                                       ? options_.heartbeat_usec
-                                       : options_.lease_ttl_usec / 3;
     if (now_usec >= next_heartbeat_usec_) {
       session_->broadcast(lease_bytes());
-      next_heartbeat_usec_ = now_usec + heartbeat;
+      next_heartbeat_usec_ = now_usec + options_.lease_ttl_usec / 3;
     }
     poll_round_root(now_usec);
   }
@@ -474,10 +470,7 @@ void SocketTransport::acquire_lease(std::int64_t now_usec) {
   // fast-forward current_round_ before a tag is spent on a round the
   // survivors would reject.
   session_->broadcast(lease_bytes());
-  const std::int64_t heartbeat = options_.heartbeat_usec > 0
-                                     ? options_.heartbeat_usec
-                                     : options_.lease_ttl_usec / 3;
-  next_heartbeat_usec_ = now_usec + heartbeat;
+  next_heartbeat_usec_ = now_usec + options_.lease_ttl_usec / 3;
   next_round_start_usec_ = now_usec + options_.round_period_usec;
 }
 
@@ -528,10 +521,7 @@ void SocketTransport::open_round(std::int64_t now_usec) {
   // Lease refresh piggybacks on every round-start: one heartbeat per round
   // keeps followers' expiry clocks armed without a separate timer firing.
   session_->broadcast(lease_bytes());
-  const std::int64_t heartbeat = options_.heartbeat_usec > 0
-                                     ? options_.heartbeat_usec
-                                     : options_.lease_ttl_usec / 3;
-  next_heartbeat_usec_ = now_usec + heartbeat;
+  next_heartbeat_usec_ = now_usec + options_.lease_ttl_usec / 3;
   if (options_.on_round_start) options_.on_round_start(current_round_);
   sample_local_members(current_round_);
   wire::Frame kick;

@@ -84,7 +84,7 @@ class SocketTransport final : public SnapshotTransport {
     /// incarnation 1 bootstraps as the initial lease holder; a restarted
     /// process always starts as a follower and adopts the current lease.
     std::uint64_t incarnation = 1;
-    /// Loopback-only unless set (satellite: [control_plane] allow_nonlocal).
+    /// Loopback-only unless set; peers may then span hosts (numeric IPv4).
     bool allow_nonlocal = false;
     /// First global member index hosted by this process. Global members are
     /// assigned contiguously per process; with the default one-member-per-
@@ -100,12 +100,10 @@ class SocketTransport final : public SnapshotTransport {
     /// fire (0 = round_period_usec + round_deadline_usec).
     std::int64_t stale_after_usec = 0;
     /// Root lease TTL. Followers treat the root as dead this long after the
-    /// last lease receipt; keep it comfortably above round_period_usec.
+    /// last lease receipt; keep it comfortably above round_period_usec. The
+    /// root refreshes the lease at every round start and, when rounds are
+    /// sparse, on its own a third of the TTL after the last refresh.
     std::int64_t lease_ttl_usec = 500000;
-    /// Standalone lease refresh spacing (0 = lease_ttl_usec / 3). Every
-    /// round-start also refreshes the lease, so this only matters when
-    /// rounds are sparse relative to the TTL.
-    std::int64_t heartbeat_usec = 0;
     /// When false, followers never run for root: a dead root means
     /// staleness and the conservative 1/R regime, as in the fixed fleet.
     bool election_enabled = true;

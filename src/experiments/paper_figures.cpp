@@ -167,7 +167,6 @@ FigureExperiment figure10() {
   c.graph = provider_graph(0.8, 1.0, 0.2, 1.0);
   c.layer = Layer::kL4;
   c.scheduler = SchedulerKind::kIncome;
-  c.providers = {"S"};
   c.prices = {0.0, 2.0, 1.0};  // S, A, B — A pays more per extra request
   c.redirector_count = 1;
   c.servers = {{"S", 320.0}, {"S", 320.0}};

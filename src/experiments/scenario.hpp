@@ -62,11 +62,10 @@ struct ScenarioConfig {
   core::AgreementGraph graph;  ///< capacities are overwritten from `servers`
   Layer layer = Layer::kL4;
   SchedulerKind scheduler = SchedulerKind::kResponseTime;
-  /// Income scheduler inputs (ignored for response-time): the providers,
-  /// each of which runs its own per-window income LP over its entitlement
-  /// columns (src/sched/income_scheduler.hpp), and the price per extra
-  /// request of every principal.
-  std::vector<std::string> providers;
+  /// Income scheduler input (ignored for response-time): the price per
+  /// extra request of every principal. Every principal that owns a server
+  /// is a provider and runs its own per-window income LP over its
+  /// entitlement column (src/sched/income_scheduler.hpp).
   std::vector<double> prices;
 
   /// Locality caps c_k (§3.1.2 extension): at most this many requests/sec
@@ -114,32 +113,17 @@ struct ScenarioConfig {
   /// the simulator (everything above); kSocket describes a multi-process
   /// deployment — one OS process per redirector exchanging round-tagged
   /// demand vectors over loopback TCP (coord::SocketTransport). Socket
-  /// scenarios are driven by examples/multi_process_demo, not run_scenario.
+  /// scenarios are driven by examples/multi_process_demo, not run_scenario;
+  /// the demo sets the membership timings (lease TTL, redial backoff,
+  /// election) itself.
   enum class TransportKind { kSimTree, kSocket };
   TransportKind transport = TransportKind::kSimTree;
   /// host:port per redirector process, index-aligned; entry 0 is the
   /// aggregation root. Required (and only meaningful) for kSocket.
   std::vector<std::string> socket_peers;
-  /// Membership knobs for kSocket scenarios (SocketTransport::Options).
-  /// Root-lease TTL: followers treat the root as dead — and, with election
-  /// enabled, run for the lease — this long after its last refresh.
-  double lease_ttl_ms = 500.0;
-  /// Standalone lease-refresh spacing (0 = TTL / 3); every round start also
-  /// refreshes, so this only matters when rounds are sparse vs the TTL.
-  double heartbeat_ms = 0.0;
-  /// Session re-dial backoff: first retry after reconnect_base_ms, doubling
-  /// per refusal up to reconnect_max_ms, reset when a session establishes.
-  double reconnect_base_ms = 20.0;
-  double reconnect_max_ms = 320.0;
-  /// When false, survivors of a root failure never elect a replacement;
-  /// they degrade to the conservative 1/R regime via staleness instead.
-  bool election_enabled = true;
-  /// Lifts the loopback-only restriction on socket_peers so the processes
-  /// may span hosts (numeric IPv4 only; the listener then binds 0.0.0.0).
-  bool allow_nonlocal = false;
 
-  // Client behaviour; the retry backoff, arrival process and hop delay are
-  // the node configs' defaults.
+  // Client behaviour; the arrival process is the fleet config's default,
+  // and the retry backoff and hop delay are node constants.
   std::size_t max_outstanding = 128;
 
   nodes::L7Redirector::Mode l7_mode = nodes::L7Redirector::Mode::kCreditBased;

@@ -46,12 +46,8 @@ SchedulerFactory scheduler_factory(const ScenarioConfig& config) {
                                                             options);
     }
     SHAREGRID_EXPECTS(config.prices.size() == n);
-    std::vector<core::PrincipalId> providers;
-    providers.reserve(config.providers.size());
-    for (const std::string& name : config.providers)
-      providers.push_back(resolve(graph, name));
-    return std::make_unique<sched::IncomeScheduler>(
-        graph, levels, std::move(providers), config.prices);
+    return std::make_unique<sched::IncomeScheduler>(graph, levels,
+                                                    config.prices);
   };
 }
 

@@ -105,19 +105,6 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
     else
       fail("scheduler must be 'response_time' or 'income'");
   }
-  // Comma-separated principal names, e.g. "providers = S1, S2"; names are
-  // validated against the [principal] sections below.
-  if (const auto providers = g.get_string("providers")) {
-    std::stringstream ss(*providers);
-    std::string token;
-    while (std::getline(ss, token, ',')) {
-      const std::size_t first = token.find_first_not_of(" \t");
-      if (first == std::string::npos) continue;
-      const std::size_t last = token.find_last_not_of(" \t");
-      config.providers.push_back(token.substr(first, last - first + 1));
-    }
-    if (config.providers.empty()) fail("providers list is empty");
-  }
   if (const auto length = g.get_double("duration"))
     config.duration_sec = duration(*length, "duration", kSecond);
   if (const auto window_ms = g.get_double("window_ms"))
@@ -200,29 +187,7 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
       }
       if (config.socket_peers.empty()) fail("control_plane.peers is empty");
     }
-    // Membership timings become integer microseconds in the socket fleet.
-    if (const auto ttl = cp.get_double("lease_ttl_ms"))
-      config.lease_ttl_ms =
-          duration(*ttl, named(cp, "lease_ttl_ms"), kMillisecond, true);
-    if (const auto beat = cp.get_double("heartbeat_ms"))
-      config.heartbeat_ms =
-          duration(*beat, named(cp, "heartbeat_ms"), kMillisecond);
-    if (const auto base = cp.get_double("reconnect_base_ms"))
-      config.reconnect_base_ms =
-          duration(*base, named(cp, "reconnect_base_ms"), kMillisecond, true);
-    if (const auto cap = cp.get_double("reconnect_max_ms"))
-      config.reconnect_max_ms =
-          duration(*cap, named(cp, "reconnect_max_ms"), kMillisecond, true);
-    if (const auto elect = cp.get_bool("election_enabled"))
-      config.election_enabled = *elect;
-    if (const auto nonlocal = cp.get_bool("allow_nonlocal"))
-      config.allow_nonlocal = *nonlocal;
   }
-  if (config.reconnect_max_ms < config.reconnect_base_ms)
-    fail("control_plane.reconnect_max_ms (" +
-         std::to_string(config.reconnect_max_ms) +
-         ") must be >= reconnect_base_ms (" +
-         std::to_string(config.reconnect_base_ms) + ")");
   if (config.transport == ScenarioConfig::TransportKind::kSocket) {
     if (config.socket_peers.empty())
       fail("control_plane.transport = socket requires control_plane.peers");
@@ -256,9 +221,6 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
            name + "'");
     return id;
   };
-  for (const std::string& name : config.providers)
-    if (config.graph.find(name) == core::kNoPrincipal)
-      fail("providers references unknown principal '" + name + "'");
 
   // --- Agreements ------------------------------------------------------------
   for (const IniSection* a : doc.all("agreement")) {
@@ -330,8 +292,6 @@ ScenarioConfig scenario_from_ini(const IniDocument& doc) {
   if (const auto key = g.unread_key()) fail("unknown key " + named(g, *key));
   for (const IniSection& s : doc.sections)
     if (const auto key = s.unread_key()) fail("unknown key " + named(s, *key));
-  if (config.scheduler == SchedulerKind::kIncome && config.providers.empty())
-    fail("scheduler = income requires providers");
 
   return config;
 }

@@ -6,7 +6,6 @@
 //
 //   layer = l4                    # l4 | l7
 //   scheduler = response_time     # response_time | income
-//   providers = S1, S2            # income scheduler only
 //   duration = 120                # seconds
 //   window_ms = 100
 //   redirectors = 2
@@ -25,7 +24,8 @@
 //   lower = 0.8
 //   upper = 1.0
 //
-//   [server]                      # one block per machine
+//   [server]                      # one block per machine; under income,
+//                                 # every owner is a provider
 //   owner = S
 //   capacity = 320
 //

@@ -5,8 +5,8 @@
 // the paper's prototype did), not to be an internet-facing server. The
 // loopback constructors are the default path; connect_to()/listen_on() take
 // an explicit numeric IPv4 address so a second host can be tested, but the
-// coord layer only reaches them behind its allow_nonlocal flag — the
-// loopback validation stays on unless a scenario opts out. Reads carry a
+// coord layer only reaches them behind its allow_nonlocal option — the
+// loopback validation stays on unless its caller opts out. Reads carry a
 // timeout so tests can never hang on a stuck peer.
 //
 // This is the bottom networking layer (below both `live` and `coord` in the

@@ -5,6 +5,12 @@
 #include "util/assert.hpp"
 
 namespace sharegrid::nodes {
+namespace {
+
+/// Mean pause before a self-redirected request is retried (L7).
+constexpr double kRetryDelaySec = 0.2;
+
+}  // namespace
 
 // Per-machine memory is what scales to a million clients; keep it within
 // one cache line.
@@ -93,7 +99,7 @@ void ClientFleet::emit(std::size_t m) {
 }
 
 void ClientFleet::send_to_redirector(RequestHandle request) {
-  sim_->schedule_after(config_.net_delay, [this, alive = alive_, request] {
+  sim_->schedule_after(kHopDelay, [this, alive = alive_, request] {
     if (!*alive) return;
     redirector_->on_client_request(request);
   });
@@ -103,12 +109,11 @@ void ClientFleet::on_redirect_to_server(RequestHandle request,
                                         Server* server) {
   SHAREGRID_EXPECTS(server != nullptr);
   // One hop to reach the assigned server, then service, then the reply hop.
-  sim_->schedule_after(config_.net_delay, [this, alive = alive_, request,
-                                           server] {
+  sim_->schedule_after(kHopDelay, [this, alive = alive_, request, server] {
     if (!*alive) return;
     server->submit(request, [this, alive, request] {
       if (!*alive) return;
-      sim_->schedule_after(config_.net_delay, [this, alive, request] {
+      sim_->schedule_after(kHopDelay, [this, alive, request] {
         if (!*alive) return;
         on_response(request);
       });
@@ -125,8 +130,7 @@ void ClientFleet::on_self_redirect(RequestHandle handle) {
   // Jitter spreads retries across scheduling windows — without it, every
   // request rejected in one window comes back in the same later window,
   // alternately overflowing and starving the quota.
-  const double delay_sec =
-      config_.retry_delay_sec * machine.rng.uniform(0.6, 1.4);
+  const double delay_sec = kRetryDelaySec * machine.rng.uniform(0.6, 1.4);
   sim_->schedule_after(seconds(delay_sec),
                        [this, alive = alive_, handle] {
                          if (!*alive) return;

@@ -8,8 +8,9 @@
 //
 // Layer-7 behaviour: the client sends to a redirector; a 302 to a server
 // makes it re-issue the request there; a 302 back to the redirector itself
-// (implicit queuing) makes it retry after retry_delay. Layer-4 behaviour:
-// the client just sends to the virtual service address and waits.
+// (implicit queuing) makes it retry after a jittered 0.2 s. Layer-4
+// behaviour: the client just sends to the virtual service address and
+// waits.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +24,10 @@
 #include "workload/reply_size.hpp"
 
 namespace sharegrid::nodes {
+
+/// One-way delay of every simulated network hop (usec): client to
+/// redirector, redirector to client or server, server to client.
+constexpr SimDuration kHopDelay = 500;
 
 /// What a client looks like to a redirector: the callbacks that complete a
 /// request's life cycle. Implemented by ClientFleet. A source acquires each
@@ -72,10 +77,8 @@ class ClientFleet final : public RequestSource {
     core::PrincipalId principal = core::kNoPrincipal;
     std::size_t first_index = 0;  ///< client index of machine 0
     double rate = 400.0;          ///< per-machine max generation rate (req/s)
-    double retry_delay_sec = 0.2;  ///< L7 self-redirect retry backoff
     std::size_t max_outstanding = 64;  ///< per-machine closed-loop bound
     bool exponential_arrivals = true;  ///< Poisson vs evenly spaced issue
-    SimDuration net_delay = 500;       ///< one-way hop delay (usec)
   };
 
   /// One machine's closed-loop state: the only per-machine memory.

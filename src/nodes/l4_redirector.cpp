@@ -130,7 +130,7 @@ void L4Redirector::forward_to(RequestHandle handle, const l4::Endpoint& client,
   table_.establish(client, p, server);
 
   Server* machine = &servers_->at(server);
-  sim_->schedule_after(config_.net_delay,
+  sim_->schedule_after(kHopDelay,
                        [this, alive = alive_, handle, machine] {
                          if (!*alive) return;
                          machine->submit(handle, [this, alive, handle] {
@@ -145,7 +145,7 @@ void L4Redirector::on_served(RequestHandle handle) {
   // Reply path: server -> redirector, which closes the flow -> client.
   in_flight_[done.principal] -= 1.0;
   table_.release(client_of(done), done.principal);
-  sim_->schedule_after(2 * config_.net_delay,
+  sim_->schedule_after(2 * kHopDelay,
                        [this, alive = alive_, handle] {
                          if (!*alive) return;
                          requests_->source(handle)->on_response(handle);

@@ -44,7 +44,6 @@ class L4Redirector final : public RedirectorBase {
  public:
   struct Config {
     std::string name;
-    SimDuration net_delay = 500;  ///< one-way per-hop delay (usec)
     std::size_t max_queue = 1 << 16;  ///< kernel queue bound per principal
     /// Optional per-window decision log (not owned; may be shared).
     WindowTrace* trace = nullptr;

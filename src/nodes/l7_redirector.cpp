@@ -70,7 +70,7 @@ void L7Redirector::on_client_request(RequestHandle handle) {
   // Out of quota: 302 back to ourselves; the client retries (implicit
   // queuing — the queue lives at the clients, not here).
   ++self_redirects_;
-  sim_->schedule_after(config_.net_delay, [this, alive = alive_, handle] {
+  sim_->schedule_after(kHopDelay, [this, alive = alive_, handle] {
     if (!*alive) return;
     requests_->source(handle)->on_self_redirect(handle);
   });
@@ -82,7 +82,7 @@ void L7Redirector::admit_and_redirect(RequestHandle request,
   SHAREGRID_ASSERT(index.has_value());
   Server* server = &servers_->at(*index);
   ++admitted_;
-  sim_->schedule_after(config_.net_delay,
+  sim_->schedule_after(kHopDelay,
                        [this, alive = alive_, request, server] {
                          if (!*alive) return;
                          requests_->source(request)->on_redirect_to_server(

@@ -40,7 +40,6 @@ class L7Redirector final : public RedirectorBase {
   struct Config {
     std::string name;
     Mode mode = Mode::kCreditBased;
-    SimDuration net_delay = 500;  ///< one-way redirector->client hop (usec)
     /// Optional per-window decision log (not owned; may be shared).
     WindowTrace* trace = nullptr;
   };

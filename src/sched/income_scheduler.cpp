@@ -14,16 +14,17 @@ using lp::Sense;
 
 IncomeScheduler::IncomeScheduler(const core::AgreementGraph& graph,
                                  const core::AccessLevels& levels,
-                                 std::vector<core::PrincipalId> providers,
                                  std::vector<double> prices)
     : prices_(std::move(prices)) {
   const std::size_t n = graph.size();
-  const std::size_t count = providers.size();
-  SHAREGRID_EXPECTS(count > 0);
   SHAREGRID_EXPECTS(prices_.size() == n);
   SHAREGRID_EXPECTS(levels.size() == n);
   for (double p : prices_) SHAREGRID_EXPECTS(p >= 0.0);
-  for (const core::PrincipalId k : providers) SHAREGRID_EXPECTS(k < n);
+  std::vector<core::PrincipalId> providers;
+  for (core::PrincipalId k = 0; k < n; ++k)
+    if (graph.capacity(k) > 0.0) providers.push_back(k);
+  const std::size_t count = providers.size();
+  SHAREGRID_EXPECTS(count > 0);
 
   // Split each customer's demand by its entitlement share at each provider;
   // a customer entitled nowhere offers its demand evenly (it can still be
@@ -41,7 +42,6 @@ IncomeScheduler::IncomeScheduler(const core::AgreementGraph& graph,
     Provider provider;
     provider.id = k;
     provider.capacity = graph.capacity(k);
-    SHAREGRID_EXPECTS(provider.capacity > 0.0);
     for (std::size_t i = 0; i < n; ++i) {
       const double em = levels.mandatory_entitlement(i, k);
       const double eo = levels.optional_entitlement(i, k);

@@ -1,10 +1,12 @@
 // Service-provider scheduler: maximize provider income (§3.1.2, "Total
 // Income of Provider").
 //
-// Each provider owns a pool of servers and has an SLA [lb_i, ub_i] with each
-// customer i; the customer pays p_i per request processed beyond its
-// mandatory level. Each window the scheduler picks, per provider k, the
-// rates x_ik admitted to k's pool maximizing sum_i p_i * (x_ik - EM(i,k))
+// Every principal that owns capacity is a provider: it owns a pool of
+// servers and has an SLA [lb_i, ub_i] with each customer i, which pays p_i
+// per request processed beyond its mandatory level. A customer that owns a
+// server is the provider of its own pool too, so the graph alone names the
+// providers. Each window the scheduler picks, per provider k, the rates
+// x_ik admitted to k's pool maximizing sum_i p_i * (x_ik - EM(i,k))
 // subject to k's capacity and i's entitlement bounds at k. Those bounds are
 // the entitlement decomposition columns EM(i,k) / EO(i,k), which partition
 // every server's capacity across principals (DESIGN.md D1), so no server is
@@ -17,10 +19,10 @@
 //
 // Each customer's demand is split across providers by fixed
 // entitlement-share weights, and the providers' programs are solved one
-// after another in provider order, each through its own StagedLp. (Fanning
-// the solves out on a worker pool was measured 1.4–3.6x slower than this
-// serial loop at 2–8 providers: each solve takes microseconds, so the
-// hand-off costs more than it saves; DESIGN.md D8.)
+// after another in principal-id order, each through its own StagedLp.
+// (Fanning the solves out on a worker pool was measured 1.4–3.6x slower
+// than this serial loop at 2–8 providers: each solve takes microseconds,
+// so the hand-off costs more than it saves; DESIGN.md D8.)
 #pragma once
 
 #include <vector>
@@ -37,14 +39,13 @@ namespace sharegrid::sched {
 /// Provider-income maximization via one LP pair per provider.
 class IncomeScheduler final : public Scheduler {
  public:
-  /// @param graph      agreement graph; capacities give each provider's pool.
-  /// @param levels     access levels precomputed from @p graph.
-  /// @param providers  ids of the resource-owning providers (each with
-  ///                   capacity > 0); plans fill exactly these columns.
-  /// @param prices     price per extra request, indexed by principal id.
+  /// @param graph   agreement graph; every principal with capacity > 0 is a
+  ///                provider (at least one must be), and plans fill exactly
+  ///                those columns.
+  /// @param levels  access levels precomputed from @p graph.
+  /// @param prices  price per extra request, indexed by principal id.
   IncomeScheduler(const core::AgreementGraph& graph,
                   const core::AccessLevels& levels,
-                  std::vector<core::PrincipalId> providers,
                   std::vector<double> prices);
 
   Plan plan(const std::vector<double>& demand) const override
@@ -82,7 +83,7 @@ class IncomeScheduler final : public Scheduler {
   std::vector<double> prices_;
   std::vector<Provider> providers_;
 
-  // One StagedLp per provider, in provider order. The mutex serializes
+  // One StagedLp per provider, in id order. The mutex serializes
   // whole windows, so every window feeds the warm-start contexts in the
   // same order regardless of caller concurrency.
   mutable util::Mutex mutex_;

@@ -158,7 +158,6 @@ ScenarioConfig two_provider_config() {
   c.graph.set_agreement(1, 3, 0.4, 0.8);
   c.layer = Layer::kL7;
   c.scheduler = SchedulerKind::kIncome;
-  c.providers = {"S1", "S2"};
   c.prices = {0.0, 0.0, 2.0, 1.0};
   c.redirector_count = 2;
   c.servers = {{"S1", 150.0}, {"S2", 120.0}};

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -130,6 +131,44 @@ TEST(ScenarioIni, LoadedScenarioActuallyRuns) {
   EXPECT_NEAR(result.phase_served(0, 0), 400.0, 40.0);
 }
 
+TEST(ScenarioIni, IncomeServesACustomerOnItsOwnServer) {
+  using namespace experiments;
+  // A owns a server beside S's and is entitled to half of S's: MC_A = 150.
+  // Income plans every server owner's pool, so A's 300 req/s get both.
+  const ScenarioConfig config = scenario_from_ini(parse_ini(R"ini(
+layer = l4
+scheduler = income
+duration = 20
+[principal]
+name = S
+[principal]
+name = A
+price = 1
+[agreement]
+owner = S
+user = A
+lower = 0.5
+upper = 0.5
+[server]
+owner = S
+capacity = 100
+[server]
+owner = A
+capacity = 100
+[client]
+name = A0
+principal = A
+rate = 300
+active = 0-20
+[phase]
+name = steady
+start = 5
+end = 20
+)ini"));
+  const ScenarioResult result = run_scenario(config);
+  EXPECT_NEAR(result.phase_served(0, 1), 150.0, 0.02 * 150.0);
+}
+
 TEST(ScenarioIni, RejectsUnknownEnumValues) {
   using namespace experiments;
   EXPECT_THROW(scenario_from_ini(parse_ini("layer = l5\n")),
@@ -156,11 +195,10 @@ TEST(ScenarioIni, RequiresCoreSections) {
   using namespace experiments;
   EXPECT_THROW(scenario_from_ini(parse_ini("duration = 5\n")),
                ContractViolation);
-  // An income scenario names the providers whose pools it plans.
+  // An income scenario needs no provider list: every server owner is one.
   std::string income = kMinimalScenario;
   income.replace(income.find("response_time"), 13, "income");
-  EXPECT_THROW(scenario_from_ini(parse_ini(income)), ContractViolation);
-  EXPECT_NO_THROW(scenario_from_ini(parse_ini("providers = B\n" + income)));
+  EXPECT_NO_THROW(scenario_from_ini(parse_ini(income)));
 }
 
 TEST(ScenarioIni, ControlPlaneSectionSetsCoordinationKnobs) {
@@ -221,10 +259,6 @@ TEST(ScenarioIni, RejectsNumbersTheirIntegersCannotHold) {
       {"", "window_ms", false},
       {"", "tree_link_delay", false},
       {"control_plane", "snapshot_period_ms", false},
-      {"control_plane", "lease_ttl_ms", false},
-      {"control_plane", "heartbeat_ms", false},
-      {"control_plane", "reconnect_base_ms", false},
-      {"control_plane", "reconnect_max_ms", false},
       {"phase", "start", false},
       {"phase", "end", false},
       {"capacity_event", "time", false},
@@ -288,6 +322,14 @@ TEST(ScenarioIni, RejectsUnknownKeysAndSections) {
   expect_rejected("weighted_admission = true\n" + minimal,
                   "weighted_admission");
   expect_rejected("provider = S\n" + minimal, "unknown key provider");
+  // Income plans every server owner's pool, so nothing names providers.
+  expect_rejected("providers = A\n" + minimal, "unknown key providers");
+  // The socket membership timings are the multi-process demo's constants.
+  for (const char* key : {"lease_ttl_ms", "heartbeat_ms", "reconnect_base_ms",
+                          "reconnect_max_ms", "election_enabled",
+                          "allow_nonlocal"})
+    expect_rejected(minimal + "[control_plane]\n" + key + " = 1\n",
+                    std::string("unknown key control_plane.") + key);
   // A third [server] block, opening on the line after the minimal text.
   const std::string server_line =
       std::to_string(std::count(minimal.begin(), minimal.end(), '\n') + 1);
@@ -298,47 +340,22 @@ TEST(ScenarioIni, RejectsUnknownKeysAndSections) {
                   "[controlplane]");
 }
 
-TEST(ScenarioIni, ControlPlaneMembershipKnobs) {
+TEST(ScenarioIni, EveryExampleScenarioLoads) {
   using namespace experiments;
-  const std::string text = std::string(kMinimalScenario) +
-                           "[control_plane]\n"
-                           "lease_ttl_ms = 250\n"
-                           "heartbeat_ms = 50\n"
-                           "reconnect_base_ms = 5\n"
-                           "reconnect_max_ms = 80\n"
-                           "election_enabled = false\n"
-                           "allow_nonlocal = true\n";
-  const ScenarioConfig config = scenario_from_ini(parse_ini(text));
-  EXPECT_DOUBLE_EQ(config.lease_ttl_ms, 250.0);
-  EXPECT_DOUBLE_EQ(config.heartbeat_ms, 50.0);
-  EXPECT_DOUBLE_EQ(config.reconnect_base_ms, 5.0);
-  EXPECT_DOUBLE_EQ(config.reconnect_max_ms, 80.0);
-  EXPECT_FALSE(config.election_enabled);
-  EXPECT_TRUE(config.allow_nonlocal);
-
-  // Defaults without the keys: loopback-only, election on, 500 ms TTL.
-  const ScenarioConfig bare = scenario_from_ini(parse_ini(kMinimalScenario));
-  EXPECT_DOUBLE_EQ(bare.lease_ttl_ms, 500.0);
-  EXPECT_DOUBLE_EQ(bare.heartbeat_ms, 0.0);
-  EXPECT_TRUE(bare.election_enabled);
-  EXPECT_FALSE(bare.allow_nonlocal);
-
-  const auto with_section = [](const std::string& body) {
-    return std::string(kMinimalScenario) + "[control_plane]\n" + body;
-  };
-  EXPECT_THROW(
-      scenario_from_ini(parse_ini(with_section("lease_ttl_ms = 0\n"))),
-      ContractViolation);
-  EXPECT_THROW(
-      scenario_from_ini(parse_ini(with_section("heartbeat_ms = -1\n"))),
-      ContractViolation);
-  EXPECT_THROW(
-      scenario_from_ini(parse_ini(with_section("reconnect_base_ms = 0\n"))),
-      ContractViolation);
-  // The backoff cap may not undercut the base.
-  EXPECT_THROW(scenario_from_ini(parse_ini(with_section(
-                   "reconnect_base_ms = 100\nreconnect_max_ms = 10\n"))),
-               ContractViolation);
+  // Loads, and runs none of, every examples/scenarios/*.ini, so a key the
+  // loader stops reading fails here, not only in a full run of the file.
+  std::vector<std::string> names;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(SHAREGRID_EXAMPLE_SCENARIOS)) {
+    if (entry.path().extension() != ".ini") continue;
+    names.push_back(entry.path().filename().string());
+    EXPECT_NO_THROW(load_scenario_file(entry.path().string())) << names.back();
+  }
+  // No other ctest loads million_clients.ini, and only the forking demo
+  // loads multi_process.ini.
+  for (const char* name : {"million_clients.ini", "multi_process.ini"})
+    EXPECT_NE(std::find(names.begin(), names.end(), name), names.end())
+        << name;
 }
 
 TEST(ScenarioIni, MissingFileThrows) {

@@ -245,7 +245,6 @@ ClientFleet::Config client_config(double rate, std::size_t max_outstanding,
   c.rate = rate;
   c.max_outstanding = max_outstanding;
   c.exponential_arrivals = exponential;
-  c.net_delay = 100;
   return c;
 }
 
@@ -303,10 +302,8 @@ TEST(ClientMachine, SelfRedirectRetriesSameRequest) {
   RequestSlab requests;
   Metrics metrics(1);
   RecordingRedirector redirector(&requests);
-  auto config = client_config(100.0, 10);
-  config.retry_delay_sec = 0.5;
-  ClientFleet client(&sim, &requests, &metrics, &redirector, config,
-                     {Rng(4)});
+  ClientFleet client(&sim, &requests, &metrics, &redirector,
+                     client_config(100.0, 10), {Rng(4)});
   client.set_active(true);
   sim.run_until(seconds(0.02));  // one request out
   ASSERT_GE(redirector.requests.size(), 1u);

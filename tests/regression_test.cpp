@@ -83,7 +83,7 @@ TEST(Regression, SplitClientsStillReceiveFullMandatoryShares) {
 }
 
 // Bug 4 (found while bringing up Figure 6): rejected requests all retried
-// after exactly retry_delay, re-synchronizing into bursts that alternately
+// after exactly the retry delay, re-synchronizing into bursts that alternately
 // overflowed and starved the per-window quota; served rates sagged well
 // below the plan. Fixed with retry jitter; this checks the served rate
 // stays near the planned allocation under sustained rejection.

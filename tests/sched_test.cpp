@@ -178,7 +178,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ResponseTimePropertyTest,
 TEST(IncomeScheduler, HigherPayingCustomerGetsPreference) {
   // Figure 10 arithmetic, phase 1.
   const auto g = two_customer_graph(640.0, 0.8, 1.0, 0.2, 1.0);
-  const IncomeScheduler scheduler(g, core::compute_access_levels(g), {0},
+  const IncomeScheduler scheduler(g, core::compute_access_levels(g),
                                   {0.0, 2.0, 1.0});
   const Plan plan = scheduler.plan({0.0, 800.0, 400.0});
   EXPECT_NEAR(plan.admitted(1), 512.0, 1e-6);
@@ -187,7 +187,7 @@ TEST(IncomeScheduler, HigherPayingCustomerGetsPreference) {
 
 TEST(IncomeScheduler, MandatoryLevelIsHonouredEvenForCheapCustomer) {
   const auto g = two_customer_graph(640.0, 0.8, 1.0, 0.2, 1.0);
-  const IncomeScheduler scheduler(g, core::compute_access_levels(g), {0},
+  const IncomeScheduler scheduler(g, core::compute_access_levels(g),
                                   {0.0, 100.0, 0.01});
   const Plan plan = scheduler.plan({0.0, 10000.0, 10000.0});
   EXPECT_NEAR(plan.admitted(2), 128.0, 1e-6);  // never below mandatory
@@ -196,7 +196,7 @@ TEST(IncomeScheduler, MandatoryLevelIsHonouredEvenForCheapCustomer) {
 TEST(IncomeScheduler, IdleExpensiveCustomerFreesCapacity) {
   // Figure 10 phase 2: A idle, B takes everything its upper bound allows.
   const auto g = two_customer_graph(640.0, 0.8, 1.0, 0.2, 1.0);
-  const IncomeScheduler scheduler(g, core::compute_access_levels(g), {0},
+  const IncomeScheduler scheduler(g, core::compute_access_levels(g),
                                   {0.0, 2.0, 1.0});
   const Plan plan = scheduler.plan({0.0, 0.0, 400.0});
   EXPECT_NEAR(plan.admitted(1), 0.0, 1e-9);
@@ -205,7 +205,7 @@ TEST(IncomeScheduler, IdleExpensiveCustomerFreesCapacity) {
 
 TEST(IncomeScheduler, UpperBoundCapsGreedyCustomer) {
   const auto g = two_customer_graph(640.0, 0.1, 0.3, 0.1, 0.3);
-  const IncomeScheduler scheduler(g, core::compute_access_levels(g), {0},
+  const IncomeScheduler scheduler(g, core::compute_access_levels(g),
                                   {0.0, 5.0, 1.0});
   const Plan plan = scheduler.plan({0.0, 10000.0, 0.0});
   EXPECT_NEAR(plan.admitted(1), 0.3 * 640.0, 1e-6);
@@ -215,7 +215,7 @@ TEST(IncomeScheduler, WorkConservationServesFreeTraffic) {
   // The provider itself (price 0) has demand; with the paying customers
   // idle, stage 2 lets the free traffic use the capacity.
   const auto g = two_customer_graph(640.0, 0.5, 0.8, 0.2, 0.4);
-  const IncomeScheduler scheduler(g, core::compute_access_levels(g), {0},
+  const IncomeScheduler scheduler(g, core::compute_access_levels(g),
                                   {0.0, 2.0, 1.0});
   const Plan plan = scheduler.plan({300.0, 0.0, 0.0});
   EXPECT_NEAR(plan.admitted(0), 300.0, 1e-6);
@@ -232,7 +232,7 @@ TEST(IncomeScheduler, WorkConservationServesFreeTraffic) {
 TEST(IncomeScheduler, IncomeComputation) {
   const auto g = two_customer_graph(640.0, 0.8, 1.0, 0.2, 1.0);
   const core::AccessLevels levels = core::compute_access_levels(g);
-  const IncomeScheduler scheduler(g, levels, {0}, {0.0, 2.0, 1.0});
+  const IncomeScheduler scheduler(g, levels, {0.0, 2.0, 1.0});
   const Plan plan = scheduler.plan({0.0, 800.0, 400.0});
   // A: (512 - 512) * 2 = 0 extra; B: (128 - 128) * 1 = 0 extra.
   EXPECT_NEAR(scheduler.income(plan), 0.0, 1e-6);
@@ -258,7 +258,7 @@ TEST(IncomeScheduler, IncomeAtLeastMatchesGreedyBaseline) {
       prices.push_back(rng.uniform(0.1, 3.0));
     }
     const core::AccessLevels levels = core::compute_access_levels(g);
-    const IncomeScheduler scheduler(g, levels, {0}, prices);
+    const IncomeScheduler scheduler(g, levels, prices);
 
     std::vector<double> demand(customers + 1, 0.0);
     for (std::size_t i = 1; i <= customers; ++i)
@@ -315,7 +315,7 @@ TEST(IncomeScheduler, PlansRespectEntitlementColumns) {
   // and plans only fill provider columns.
   const core::AgreementGraph graph = two_provider_graph();
   const IncomeScheduler scheduler(graph, core::compute_access_levels(graph),
-                                  {0, 1}, {0.0, 0.0, 2.0, 1.0, 3.0});
+                                  {0.0, 0.0, 2.0, 1.0, 3.0});
   const Plan plan = scheduler.plan({0.0, 0.0, 500.0, 500.0, 500.0});
   EXPECT_LE(plan.server_load(0), graph.capacity(0) + 1e-7);
   EXPECT_LE(plan.server_load(1), graph.capacity(1) + 1e-7);
@@ -337,7 +337,7 @@ TEST(IncomeScheduler, CustomerOwnedServerLeavesTheProviderProgramFeasible) {
   const auto a = g.add_principal("A", 100.0);
   g.set_agreement(s, a, 0.5, 0.5);
   const core::AccessLevels levels = core::compute_access_levels(g);
-  const IncomeScheduler scheduler(g, levels, {s}, {0.0, 1.0});
+  const IncomeScheduler scheduler(g, levels, {0.0, 1.0});
   Plan plan;
   ASSERT_NO_THROW(plan = scheduler.plan({50.0, 60.0}));
   EXPECT_FALSE(plan.lp_fallback);
@@ -348,9 +348,24 @@ TEST(IncomeScheduler, CustomerOwnedServerLeavesTheProviderProgramFeasible) {
   EXPECT_LE(plan.server_load(s), g.capacity(s) + 1e-9);
 }
 
+TEST(IncomeScheduler, PlansEveryServerOwnersPool) {
+  // A customer that owns a server is a provider too: A's 300 req/s fill
+  // its 50 at S (EM + EO there) and all of its own 100, MC_A = 150.
+  core::AgreementGraph g;
+  const auto s = g.add_principal("S", 100.0);
+  const auto a = g.add_principal("A", 100.0);
+  g.set_agreement(s, a, 0.5, 0.5);
+  const IncomeScheduler scheduler(g, core::compute_access_levels(g),
+                                  {0.0, 1.0});
+  const Plan plan = scheduler.plan({0.0, 300.0});
+  EXPECT_FALSE(plan.lp_fallback);
+  EXPECT_NEAR(plan.rate(a, s), 50.0, 1e-6);
+  EXPECT_NEAR(plan.rate(a, a), 100.0, 1e-6);
+}
+
 TEST(IncomeScheduler, NoOptimumKeepsEachProvidersLastGoodColumn) {
   const core::AgreementGraph graph = two_provider_graph();
-  IncomeScheduler scheduler(graph, core::compute_access_levels(graph), {0, 1},
+  IncomeScheduler scheduler(graph, core::compute_access_levels(graph),
                             {0.0, 0.0, 2.0, 1.0, 3.0});
   const Plan good = scheduler.plan({0.0, 0.0, 500.0, 500.0, 500.0});
   ASSERT_FALSE(good.lp_fallback);

@@ -431,7 +431,7 @@ core::AgreementGraph star_graph() {
 TEST(SchedulerWarmStart, IncomePlansMatchColdSchedulers) {
   const auto g = star_graph();
   const auto levels = core::compute_access_levels(g);
-  IncomeScheduler warm_sched(g, levels, {0}, {0.0, 3.0, 2.0, 1.0});
+  IncomeScheduler warm_sched(g, levels, {0.0, 3.0, 2.0, 1.0});
 
   Rng rng(77);
   for (int w = 0; w < 60; ++w) {
@@ -439,7 +439,7 @@ TEST(SchedulerWarmStart, IncomePlansMatchColdSchedulers) {
     for (double& d : demand) d = rng.uniform(0.0, 150.0);
 
     const Plan warm = warm_sched.plan(demand);
-    IncomeScheduler cold_sched(g, levels, {0}, {0.0, 3.0, 2.0, 1.0});
+    IncomeScheduler cold_sched(g, levels, {0.0, 3.0, 2.0, 1.0});
     const Plan cold = cold_sched.plan(demand);
 
     ASSERT_FALSE(warm.lp_fallback);
