@@ -3,20 +3,18 @@
 // agreement change, not per window, but bounded-length paths matter on dense
 // graphs — the max_path_length knob is measured too.
 //
-// Also home to the connection-table container pair (BM_FlowTable*): the NAT
-// table was migrated from std::map to util::FlatHashMap for the
-// million-client scenarios, and the before/after is recorded in
-// BENCH_sim.json (tools/update_bench.py).
+// Also home to BM_ConnectionTable, the L4 redirector's NAT work per
+// connection, recorded in BENCH_sim.json (tools/update_bench.py).
+#include <cstddef>
 #include <cstdint>
-#include <map>
-#include <utility>
+#include <optional>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "core/agreement_graph.hpp"
 #include "core/flow.hpp"
 #include "l4/connection_table.hpp"
-#include "util/flat_map.hpp"
 #include "util/rng.hpp"
 
 using namespace sharegrid;
@@ -61,66 +59,36 @@ void BM_AccessLevelsDenseBoundedPaths(benchmark::State& state) {
 }
 BENCHMARK(BM_AccessLevelsDenseBoundedPaths)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
 
-// --- Connection-table container pair -----------------------------------
+// --- Connection table ----------------------------------------------------
 //
-// Records the swap of the NAT table's std::map for a flat hash map: a
-// (client, vip) pair key with an endpoint value, inserted per connection,
-// looked up per packet and erased per FIN. l4::ConnectionTable has since
-// moved on to one 12-byte entry per flow whose release clears an open bit
-// (docs/sim-performance.md), so neither side is its current layout. Keys
-// keep the (client, vip) endpoint pair the table was keyed by then.
-
-using FlowKey = std::pair<l4::Endpoint, l4::Endpoint>;  // (client, vip)
-
-struct FlowKeyHash {
-  std::size_t operator()(const FlowKey& key) const {
-    const auto pack = [](const l4::Endpoint& ep) {
-      return (static_cast<std::uint64_t>(ep.host) << 16) | ep.port;
-    };
-    return static_cast<std::size_t>(
-        util::hash_combine(util::mix64(pack(key.first)), pack(key.second)));
-  }
-};
-
-FlowKey make_flow(std::uint64_t id) {
-  const l4::Endpoint client{0x0C000000u + static_cast<std::uint32_t>(id / 4096),
-                            static_cast<std::uint16_t>(1024 + (id & 0xFFF))};
-  const l4::Endpoint vip{0x0A000000u + static_cast<std::uint32_t>(id % 4), 80};
-  return {client, vip};
-}
-
-/// Establish/lookup/release churn over @p flows concurrent connections, with
-/// 4 packet lookups per connection — the op mix the redirector generates.
-template <class Table>
-void flow_table_churn(benchmark::State& state) {
-  const auto flows = static_cast<std::uint64_t>(state.range(0));
-  const l4::Endpoint server{0x0B000000u, 8080};
+// What the L4 redirector asks of its table per connection: open() probes
+// the index once and hands the flow's hint to the pick, and close() takes
+// the flow's id back with no probe. Each iteration fills a new table with
+// @p flows connections from distinct client endpoints, whose hint lookups
+// all miss, as in cluster_l4, and closes them; then it opens and closes
+// every flow again, as a client port that comes back finds its hint (the
+// port reuse of Figure 10).
+void BM_ConnectionTable(benchmark::State& state) {
+  const auto flows = static_cast<std::uint32_t>(state.range(0));
+  std::vector<l4::ConnectionTable::FlowId> ids(flows);
   for (auto _ : state) {
-    Table table;
-    for (std::uint64_t id = 0; id < flows; ++id)
-      table[make_flow(id)] = server;
-    for (int pass = 0; pass < 4; ++pass) {
-      for (std::uint64_t id = 0; id < flows; ++id) {
-        auto it = table.find(make_flow(id));
-        benchmark::DoNotOptimize(it->second);
+    l4::ConnectionTable table;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::uint32_t i = 0; i < flows; ++i) {
+        const l4::Endpoint client{0x0C000000u + i / 4096,
+                                  static_cast<std::uint16_t>(1024 + i % 4096)};
+        ids[i] = table.open(client, i % 2,
+                            [i](std::optional<std::size_t> hint) {
+                              return hint.value_or(i % 8);
+                            });
       }
+      for (const l4::ConnectionTable::FlowId id : ids) table.close(id);
     }
-    for (std::uint64_t id = 0; id < flows; ++id) table.erase(make_flow(id));
-    benchmark::DoNotOptimize(table.size());
+    benchmark::DoNotOptimize(table.flows());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(flows) * 6);
+                          static_cast<std::int64_t>(flows) * 2);
 }
-
-void BM_FlowTableMap(benchmark::State& state) {
-  flow_table_churn<std::map<FlowKey, l4::Endpoint>>(state);
-}
-BENCHMARK(BM_FlowTableMap)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
-
-void BM_FlowTableFlat(benchmark::State& state) {
-  flow_table_churn<util::FlatHashMap<FlowKey, l4::Endpoint, FlowKeyHash>>(
-      state);
-}
-BENCHMARK(BM_FlowTableFlat)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
+BENCHMARK(BM_ConnectionTable)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
 
 }  // namespace

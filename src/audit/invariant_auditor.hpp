@@ -449,40 +449,49 @@ void audit_sim_event_conservation(std::uint64_t inserted, std::uint64_t popped,
                                   std::size_t size, std::uint64_t walked);
 
 // ---------------------------------------------------------------------------
-// l4/connection_table: the open-flow counter and the entries' indexes.
+// l4/connection_table: the open-flow counter, the entries' indexes and the
+// index that finds them.
 // ---------------------------------------------------------------------------
 
 /// One entry per flow holds both the NAT mapping (open) and the affinity
 /// hint (closed), so the two can no longer disagree. What can still drift:
 /// the open-flow counter behind active_connections() must equal the number
-/// of entries marked open, and every stored vip and server index must name
-/// one of the caller's @p vips principals and @p servers machines. @p flows
-/// maps keys with a `vip` index to values with `server()` and `open()`
-/// (l4::ConnectionTable::FlowMap).
-template <class FlowMap>
-void audit_connection_table(const FlowMap& flows, std::size_t open_flows,
-                            std::size_t vips, std::size_t servers) {
+/// of entries marked open, every stored vip and server index must name one
+/// of the caller's @p vips principals and @p servers machines, and every
+/// entry's key must lead the index probe back to that entry. @p state is
+/// an l4::ConnectionTable::State: `flows` entries by id through `entry(id)`
+/// (a `key` with a `vip`, a `flow` with `server()` and `open()`),
+/// `find(key)` the id the index reaches, and `open_flows`.
+template <class State>
+void audit_connection_table(const State& state, std::size_t vips,
+                            std::size_t servers) {
   std::size_t open = 0;
-  std::size_t index = 0;
-  for (const auto& [key, flow] : flows) {
+  for (std::size_t id = 0; id < state.flows; ++id) {
+    const auto& [key, flow] = state.entry(static_cast<std::uint32_t>(id));
     require(key.vip < vips, "l4.vip-index-range", [&] {
-      return "flow #" + std::to_string(index) + " names vip " +
+      return "flow #" + std::to_string(id) + " names vip " +
              std::to_string(key.vip) + " of " + std::to_string(vips) +
              " vips";
     });
     require(flow.server() < servers, "l4.server-index-range", [&] {
-      return "flow #" + std::to_string(index) + " names server " +
+      return "flow #" + std::to_string(id) + " names server " +
              std::to_string(flow.server()) + " of " +
              std::to_string(servers) + " servers";
     });
+    const auto found = state.find(key);
+    require(found && *found == id, "l4.index-reach", [&] {
+      return "flow #" + std::to_string(id) + "'s key leads the index to " +
+             (found ? "flow #" + std::to_string(*found)
+                    : std::string("an empty word")) +
+             ", so open() would not find it";
+    });
     if (flow.open()) ++open;
-    ++index;
   }
-  require(open == open_flows, "l4.open-flow-count", [&] {
+  require(open == state.open_flows, "l4.open-flow-count", [&] {
     return std::to_string(open) + " entries are marked open but the table "
-           "counts " + std::to_string(open_flows) +
-           " active connections; establish() and release() must move the "
-           "counter with the open bit";
+           "counts " + std::to_string(state.open_flows) +
+           " active connections; open() and close() must move the counter "
+           "with the open bit";
   });
 }
 

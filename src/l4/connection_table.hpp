@@ -5,7 +5,7 @@
 // the connection so later packets follow it. The simulator keeps what that
 // record decides: a flow is (client endpoint, vip), where the vip is the
 // index of the principal whose service the client dialed, and its value is
-// the index of the server machine handling it. Entries are created on
+// the index of the server machine handling it. Entries are opened on
 // admitted SYNs and closed when the reply leaves. A closed entry stays
 // behind as the flow's *affinity hint*: the last server used for that
 // (client endpoint, service), which a new connection from the same
@@ -13,17 +13,23 @@
 //
 // One 12-byte entry holds both roles. The key packs the client host and
 // port with the 16-bit vip; the value packs the 31-bit server index with
-// an "open" bit. Hints are never evicted: a client machine dials from
-// 4,096 source ports in turn, so a port comes back about ten seconds later
-// at Figure 10's 400 req/s, and that is when its hint picks the server
-// (docs/sim-performance.md).
+// an "open" bit. A flow's id is its entry's position: entries are appended
+// in chunks of 1,024 that never move, so an id names its flow for the
+// table's life. An open-addressing index of 4-byte words, each an 8-bit
+// hash tag and an id, finds a key's entry. open() probes the index once per
+// admitted connection and returns the id, which the request carries to
+// close(); close() clears the open bit without a probe. Hints are never
+// evicted: a client machine dials from 4,096 source ports in turn, so a
+// port comes back about ten seconds later at Figure 10's 400 req/s, and
+// that is when its hint picks the server (docs/sim-performance.md).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
-#include "util/flat_map.hpp"
+#include "util/assert.hpp"
 
 namespace sharegrid::l4 {
 
@@ -43,6 +49,13 @@ class ConnectionTable {
   /// Vips and servers an entry's index fields can name.
   static constexpr std::size_t kMaxVips = std::size_t{1} << 16;
   static constexpr std::size_t kMaxServers = std::size_t{1} << 31;
+  /// Flows one table can hold: an index word stores id + 1 in 24 bits, so
+  /// that a zero word is empty.
+  static constexpr std::size_t kMaxFlows = (std::size_t{1} << 24) - 1;
+  static constexpr std::size_t kChunkEntries = 1024;
+
+  /// Names a flow: its entry's position, which never changes.
+  using FlowId = std::uint32_t;
 
   /// Flow key: the client endpoint and the vip.
   struct FlowKey {
@@ -63,49 +76,127 @@ class ConnectionTable {
     bool open() const { return (bits & kOpen) != 0; }
   };
 
-  struct FlowKeyHash {
-    std::size_t operator()(const FlowKey& key) const {
-      return static_cast<std::size_t>(
-          util::mix64((std::uint64_t{key.client_host} << 32) |
-                      (std::uint64_t{key.client_port} << 16) | key.vip));
+  struct Entry {
+    FlowKey key;
+    Flow flow;
+  };
+
+  /// What the table stores, kept in one value so that its audit can read it
+  /// and the audit's tests can corrupt a copy. Only open() and close()
+  /// change a table's state.
+  struct State {
+    static constexpr std::uint32_t kIdBits = 0xFFFFFF;
+
+    /// Entries by id, kChunkEntries to a chunk.
+    std::vector<std::vector<Entry>> chunks;
+    std::size_t flows = 0;
+    /// Index words, none or a power of two of them: a word is the key's
+    /// hash tag (the hash's top 8 bits) above id + 1, and 0 when empty. A
+    /// key's probe starts at its hash modulo the word count.
+    std::vector<std::uint32_t> index;
+    std::size_t open_flows = 0;
+
+    Entry& entry(FlowId id) {
+      return chunks[id / kChunkEntries][id % kChunkEntries];
+    }
+    const Entry& entry(FlowId id) const {
+      return chunks[id / kChunkEntries][id % kChunkEntries];
+    }
+
+    /// Index position of @p key's word or, when the key has none, of the
+    /// empty word that ends its probe. Needs a nonempty index.
+    std::size_t probe(const FlowKey& key, std::uint64_t hash) const {
+      const std::size_t mask = index.size() - 1;
+      const std::uint32_t tag = tag_of(hash);
+      std::size_t at = static_cast<std::size_t>(hash) & mask;
+      for (std::uint32_t word = index[at]; word != 0; word = index[at]) {
+        if ((word & ~kIdBits) == tag && entry((word & kIdBits) - 1).key == key)
+          break;
+        at = (at + 1) & mask;
+      }
+      return at;
+    }
+
+    /// The id that @p key's probe reaches, if any.
+    std::optional<FlowId> find(const FlowKey& key) const;
+
+    static std::uint32_t tag_of(std::uint64_t hash) {
+      return static_cast<std::uint32_t>(hash >> 56) << 24;
     }
   };
 
-  using FlowMap = util::FlatHashMap<FlowKey, Flow, FlowKeyHash>;
+  /// Opens the flow client->vip with one index probe and returns its id.
+  /// @p pick receives the flow's affinity hint (the server of its last
+  /// connection, open or closed; none for a new flow) and returns the
+  /// server to use. Reopening an open flow moves it without counting it
+  /// twice. Preconditions: `vip < kMaxVips`, fewer than kMaxFlows flows
+  /// before a new one, and a picked server below kMaxServers; a refused
+  /// open changes nothing.
+  template <class Pick>
+  FlowId open(const Endpoint& client, std::size_t vip, Pick&& pick) {
+    const FlowKey key = key_of(client, vip);
+    const std::uint64_t hash = hash_of(key);
+    if ((state_.flows + 1) * 8 > state_.index.size() * 7) grow_index();
+    const std::size_t at = state_.probe(key, hash);
+    std::uint32_t word = state_.index[at];
+    std::optional<std::size_t> hint;
+    if (word != 0)
+      hint = state_.entry((word & State::kIdBits) - 1).flow.server();
+    SHAREGRID_EXPECTS(word != 0 || state_.flows < kMaxFlows);
+    const std::size_t server = pick(hint);
+    SHAREGRID_EXPECTS(server < kMaxServers);
+    if (word == 0) {
+      if (state_.flows % kChunkEntries == 0)
+        state_.chunks.emplace_back(kChunkEntries);
+      // A new entry starts zeroed, so closed until the lines below open it.
+      state_.entry(static_cast<FlowId>(state_.flows)).key = key;
+      word = State::tag_of(hash) | static_cast<std::uint32_t>(++state_.flows);
+      state_.index[at] = word;
+    }
+    const FlowId id = (word & State::kIdBits) - 1;
+    Flow& flow = state_.entry(id).flow;
+    if (!flow.open()) ++state_.open_flows;
+    flow.bits = static_cast<std::uint32_t>(server) | Flow::kOpen;
+    return id;
+  }
 
-  /// Registers an admitted connection client->vip handled by @p server.
-  /// Overwrites any earlier entry for the same flow, open or closed. Every
-  /// operation takes `vip < kMaxVips` as a precondition; establish() also
-  /// takes `server < kMaxServers`.
-  void establish(const Endpoint& client, std::size_t vip, std::size_t server);
-
-  /// Closes the flow (connection teardown), keeping its server as the
-  /// affinity hint. No-op when the flow is unknown or already closed.
-  void release(const Endpoint& client, std::size_t vip);
-
-  /// Last server that served this (client endpoint, vip) pair, open or
-  /// closed, if any — the affinity hint consulted when admitting a *new*
-  /// connection. Keyed by the full client endpoint: one host:port is one
-  /// end-user session, while different users on the same machine still
-  /// spread across servers.
-  std::optional<std::size_t> affinity_hint(const Endpoint& client,
-                                           std::size_t vip) const;
+  /// Closes flow @p id (connection teardown), keeping its server as the
+  /// affinity hint; no index probe. No-op when the flow is already closed.
+  /// @p id must come from open().
+  void close(FlowId id) {
+    SHAREGRID_EXPECTS(id < state_.flows);
+    Flow& flow = state_.entry(id).flow;
+    if (!flow.open()) return;
+    flow.bits &= ~Flow::kOpen;
+    --state_.open_flows;
+  }
 
   /// Open flows; a counter, not a scan.
-  std::size_t active_connections() const { return open_flows_; }
+  std::size_t active_connections() const { return state_.open_flows; }
   /// Flows remembered, open or closed.
-  std::size_t flows() const { return flows_.size(); }
+  std::size_t flows() const { return state_.flows; }
 
-  /// Checks the table's invariants against the caller's @p vips principals
-  /// and @p servers machines (audit::audit_connection_table): a scan of
-  /// every flow, so callers run it per window, not per packet.
-  void audit(std::size_t vips, std::size_t servers) const;
+  /// The table's entries and index, for audit::audit_connection_table.
+  const State& state() const { return state_; }
 
  private:
-  static FlowKey key_of(const Endpoint& client, std::size_t vip);
+  static FlowKey key_of(const Endpoint& client, std::size_t vip) {
+    SHAREGRID_EXPECTS(vip < kMaxVips);
+    return FlowKey{client.host, client.port, static_cast<std::uint16_t>(vip)};
+  }
+  /// splitmix64 of the packed key.
+  static std::uint64_t hash_of(const FlowKey& key) {
+    std::uint64_t x = (std::uint64_t{key.client_host} << 32) |
+                      (std::uint64_t{key.client_port} << 16) | key.vip;
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+  }
+  /// Doubles the index (16 words at first) and files every entry again.
+  void grow_index();
 
-  FlowMap flows_;
-  std::size_t open_flows_ = 0;
+  State state_;
 };
 
 }  // namespace sharegrid::l4

@@ -104,30 +104,31 @@ void L4Redirector::on_client_request(RequestHandle handle) {
 }
 
 bool L4Redirector::try_forward(RequestHandle handle) {
-  const Request& request = (*requests_)[handle];
+  Request& request = (*requests_)[handle];
   const auto owner = member_->try_admit(request.principal);
   if (!owner) return false;
 
-  const l4::Endpoint client = client_of(request);
   // Prefer the machine that last served this client endpoint — but only
   // when the admission decision lands on its owner ("to the extent allowed
   // by the sharing agreements", §4.2).
-  std::optional<std::size_t> server =
-      table_.affinity_hint(client, request.principal);
-  if (server && servers_->at(*server).config().owner != *owner)
-    server.reset();
-  if (!server) server = servers_->pick(*owner);
-  SHAREGRID_ASSERT(server.has_value());
-  forward_to(handle, client, *server);
+  std::size_t server = 0;
+  request.flow = table_.open(
+      client_of(request), request.principal,
+      [&](std::optional<std::size_t> hint) {
+        if (!hint || servers_->at(*hint).config().owner != *owner) {
+          hint = servers_->pick(*owner);
+          SHAREGRID_ASSERT(hint.has_value());
+        }
+        server = *hint;
+        return server;
+      });
+  forward_to(handle, server);
   return true;
 }
 
-void L4Redirector::forward_to(RequestHandle handle, const l4::Endpoint& client,
-                              std::size_t server) {
-  const core::PrincipalId p = (*requests_)[handle].principal;
+void L4Redirector::forward_to(RequestHandle handle, std::size_t server) {
   ++admitted_;
-  in_flight_[p] += 1.0;
-  table_.establish(client, p, server);
+  in_flight_[(*requests_)[handle].principal] += 1.0;
 
   Server* machine = &servers_->at(server);
   sim_->schedule_after(kHopDelay,
@@ -144,7 +145,7 @@ void L4Redirector::on_served(RequestHandle handle) {
   const Request& done = (*requests_)[handle];
   // Reply path: server -> redirector, which closes the flow -> client.
   in_flight_[done.principal] -= 1.0;
-  table_.release(client_of(done), done.principal);
+  table_.close(done.flow);
   sim_->schedule_after(2 * kHopDelay,
                        [this, alive = alive_, handle] {
                          if (!*alive) return;
@@ -161,7 +162,8 @@ void L4Redirector::flush_metrics() {
 
 void L4Redirector::on_window_begun(SimTime now) {
   flush_metrics();
-  SHAREGRID_AUDIT_HOOK(table_.audit(queues_.size(), servers_->size()));
+  SHAREGRID_AUDIT_HOOK(audit::audit_connection_table(
+      table_.state(), queues_.size(), servers_->size()));
   if (config_.trace != nullptr)
     config_.trace->record_window(now, config_.name, *member_);
 

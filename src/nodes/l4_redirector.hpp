@@ -16,11 +16,14 @@
 //
 // A request stays in the domain's RequestSlab from the client to the
 // reply; the kernel queues and the events of the forward and reply hops
-// carry its 4-byte handle. When the SYN arrives the node rewrites the
-// slab's request the way the kernel module sees the connection: `created`
-// becomes the SYN's arrival and the reply size reverts to the 6144 B
-// default, so L4 latency starts at the redirector and L4 runs ignore the
-// sampled size mix (ROADMAP keeps the fix as an open item).
+// carry its 4-byte handle. Admission opens the flow with one probe of the
+// connection table's index and stores the flow's id in the request
+// (Request::flow); the reply closes the flow by that id, with no probe.
+// When the SYN arrives the node rewrites the slab's request the way the
+// kernel module sees the connection: `created` becomes the SYN's arrival
+// and the reply size reverts to the 6144 B default, so L4 latency starts
+// at the redirector and L4 runs ignore the sampled size mix (ROADMAP keeps
+// the fix as an open item).
 #pragma once
 
 #include <cstddef>
@@ -86,8 +89,7 @@ class L4Redirector final : public RedirectorBase {
   void flush_metrics();
   /// Admission decision for a SYN; true when forwarded.
   bool try_forward(RequestHandle request);
-  void forward_to(RequestHandle request, const l4::Endpoint& client,
-                  std::size_t server);
+  void forward_to(RequestHandle request, std::size_t server);
   /// The server finished @p request: close its flow, send the reply.
   void on_served(RequestHandle request);
 

@@ -29,6 +29,9 @@ struct Request {
   SimTime created = 0;
   /// Index of the originating client machine.
   std::size_t client = 0;
+  /// The L4 flow the request's connection opened (an l4::ConnectionTable
+  /// id), set on admission and closed by id when the reply leaves.
+  std::uint32_t flow = 0;
 };
 
 /// Names one in-flight request in a RequestSlab: a slot index in the low
@@ -44,12 +47,13 @@ struct RequestHandle {
 
 /// In-flight requests of one simulation domain, from the source's
 /// acquire() to its release() when the response arrives. The event
-/// closures of the request path carry a 4-byte handle instead of a 40-byte
-/// Request, so they fit sim::Callback's inline buffer, and a slot is reused
-/// as soon as its request completes: the request path allocates only while
-/// the number of requests in flight reaches a new high, one chunk of
-/// kChunkSlots slots at a time. Slots never move, so references returned
-/// by operator[] stay valid until the handle is released.
+/// closures of the request path carry a 4-byte handle instead of a 48-byte
+/// Request, so they fit sim::Callback's inline buffer. A slot (the request,
+/// its source and the free-list word: 64 bytes) is reused as soon as its
+/// request completes: the request path allocates only while the number of
+/// requests in flight reaches a new high, one chunk of kChunkSlots slots at
+/// a time. Slots never move, so references returned by operator[] stay
+/// valid until the handle is released.
 ///
 /// Every node of a domain shares its slab and runs on its simulator's
 /// thread, so the slab needs no lock.

@@ -63,10 +63,17 @@ void ServerPool::add(Server* server) {
 std::optional<std::size_t> ServerPool::pick(core::PrincipalId owner) const {
   if (owner >= by_owner_.size() || by_owner_[owner].empty())
     return std::nullopt;
+  // Comparing start times orders the machines as their backlogs in
+  // seconds would: distinct microsecond gaps stay distinct when divided by
+  // 10^6. Idle machines tie, and the first registered wins.
   std::size_t best = by_owner_[owner].front();
+  SimTime best_start = machines_[best]->next_free();
   for (const std::size_t s : by_owner_[owner]) {
-    if (machines_[s]->backlog_seconds() < machines_[best]->backlog_seconds())
+    const SimTime start = machines_[s]->next_free();
+    if (start < best_start) {
       best = s;
+      best_start = start;
+    }
   }
   return best;
 }

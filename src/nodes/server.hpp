@@ -2,6 +2,7 @@
 // 1 GHz PCs; here a capacity-C requests/sec service queue, DESIGN.md §4).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -42,6 +43,9 @@ class Server {
 
   /// Seconds of queued work ahead of a new arrival.
   double backlog_seconds() const;
+  /// When a request submitted now would start service: the later of now
+  /// and the end of the queued work.
+  SimTime next_free() const { return std::max(sim_->now(), next_free_); }
 
   /// Re-provisions the machine (degradation, recovery, upgrade). Applies to
   /// requests submitted from now on; already-queued work keeps its old

@@ -10,13 +10,4 @@ double Rng::exponential(double mean) {
   return -mean * std::log(1.0 - uniform());
 }
 
-double Rng::bounded_pareto(double lo, double hi, double alpha) {
-  SHAREGRID_EXPECTS(lo > 0.0 && hi > lo && alpha > 0.0);
-  const double u = uniform();
-  const double la = std::pow(lo, alpha);
-  const double ha = std::pow(hi, alpha);
-  // Inverse CDF of the bounded Pareto distribution.
-  return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
-}
-
 }  // namespace sharegrid

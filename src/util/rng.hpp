@@ -78,10 +78,6 @@ class Rng {
   /// Exponentially distributed value with the given mean (> 0).
   double exponential(double mean);
 
-  /// Bounded Pareto variate on [lo, hi] with shape alpha (> 0); used for
-  /// heavy-tailed web reply sizes.
-  double bounded_pareto(double lo, double hi, double alpha);
-
   /// Bernoulli trial with success probability p in [0, 1].
   bool chance(double p) {
     SHAREGRID_EXPECTS(p >= 0.0 && p <= 1.0);

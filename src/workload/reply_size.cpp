@@ -38,7 +38,10 @@ double solve_pareto_alpha(double lo, double hi, double mean) {
 ReplySizeDistribution::ReplySizeDistribution(const ReplySizeSpec& spec)
     : spec_(spec),
       alpha_(solve_pareto_alpha(spec.min_bytes, spec.max_bytes,
-                                spec.mean_bytes)) {
+                                spec.mean_bytes)),
+      lo_pow_(std::pow(spec.min_bytes, alpha_)),
+      hi_pow_(std::pow(spec.max_bytes, alpha_)),
+      neg_inv_alpha_(-1.0 / alpha_) {
   SHAREGRID_EXPECTS(spec_.dynamic_fraction >= 0.0 &&
                     spec_.dynamic_fraction <= 1.0);
 }
@@ -48,8 +51,11 @@ SampledRequest ReplySizeDistribution::sample(Rng& rng) const {
   out.request_class = rng.chance(spec_.dynamic_fraction)
                           ? RequestClass::kDynamic
                           : RequestClass::kStatic;
-  out.reply_bytes =
-      rng.bounded_pareto(spec_.min_bytes, spec_.max_bytes, alpha_);
+  // Inverse CDF of the bounded Pareto distribution on [min, max].
+  const double u = rng.uniform();
+  out.reply_bytes = std::pow(
+      -(u * hi_pow_ - u * lo_pow_ - hi_pow_) / (hi_pow_ * lo_pow_),
+      neg_inv_alpha_);
   return out;
 }
 

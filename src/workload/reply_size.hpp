@@ -38,6 +38,8 @@ struct SampledRequest {
 };
 
 /// Samples reply sizes / classes; deterministic given the Rng stream.
+/// Each sample draws the class, then one uniform for the bounded Pareto
+/// inverse CDF, whose powers of the bounds are computed once here.
 class ReplySizeDistribution {
  public:
   explicit ReplySizeDistribution(const ReplySizeSpec& spec = {});
@@ -50,6 +52,9 @@ class ReplySizeDistribution {
  private:
   ReplySizeSpec spec_;
   double alpha_;
+  double lo_pow_;         ///< min_bytes^alpha
+  double hi_pow_;         ///< max_bytes^alpha
+  double neg_inv_alpha_;  ///< -1 / alpha
 };
 
 }  // namespace sharegrid::workload

@@ -5,7 +5,10 @@
 // nothing.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -414,49 +417,79 @@ TEST(AuditWindow, PositiveDebtCarryFires) {
 
 using Table = l4::ConnectionTable;
 
+/// Opens client host:port -> vip on @p server.
+Table::FlowId open_flow(Table& table, std::uint32_t host, std::uint16_t port,
+                        std::size_t vip, std::size_t server) {
+  return table.open({host, port}, vip,
+                    [server](std::optional<std::size_t>) { return server; });
+}
+
 /// Two open flows and one closed one (a hint) over 2 vips and 3 servers.
-Table::FlowMap sample_flows() {
-  Table::FlowMap flows;
-  flows[{1, 4000, 0}] = {2 | Table::Flow::kOpen};
-  flows[{1, 4001, 1}] = {0 | Table::Flow::kOpen};
-  flows[{2, 4000, 0}] = {1};
-  return flows;
+Table sample_table() {
+  Table table;
+  open_flow(table, 1, 4000, 0, 2);
+  open_flow(table, 1, 4001, 1, 0);
+  table.close(open_flow(table, 2, 4000, 0, 1));
+  return table;
 }
 
 TEST(AuditL4, ConsistentTablePasses) {
-  EXPECT_NO_THROW(audit::audit_connection_table(sample_flows(), 2, 2, 3));
+  EXPECT_NO_THROW(audit::audit_connection_table(sample_table().state(), 2, 3));
 }
 
 // A closed flow is the affinity hint: it keeps its server index and does
 // not count as an active connection.
 TEST(AuditL4, DanglingHintWithoutFlowIsAllowed) {
-  Table::FlowMap flows;
-  flows[{1, 4000, 0}] = {2};
-  EXPECT_NO_THROW(audit::audit_connection_table(flows, 0, 1, 3));
+  Table table;
+  table.close(open_flow(table, 1, 4000, 0, 2));
+  EXPECT_EQ(table.active_connections(), 0u);
+  EXPECT_NO_THROW(audit::audit_connection_table(table.state(), 1, 3));
 }
 
 TEST(AuditL4, OpenFlowCountMismatchFires) {
-  // A release() that cleared the open bit but not the counter.
+  // A close() that cleared the open bit but not the counter.
+  Table::State state = sample_table().state();
+  ++state.open_flows;
   const std::string msg = violation_message(
-      [] { audit::audit_connection_table(sample_flows(), 3, 2, 3); });
+      [&] { audit::audit_connection_table(state, 2, 3); });
   EXPECT_NE(msg.find("l4.open-flow-count"), std::string::npos);
-  EXPECT_NE(msg.find("release()"), std::string::npos);
+  EXPECT_NE(msg.find("close()"), std::string::npos);
 }
 
 TEST(AuditL4, VipIndexOutOfRangeFires) {
-  Table::FlowMap flows = sample_flows();
-  flows[{3, 4000, 2}] = {0};  // the vip list has two entries
+  Table table = sample_table();
+  open_flow(table, 3, 4000, 2, 0);  // the vip list has two entries
   const std::string msg = violation_message(
-      [&] { audit::audit_connection_table(flows, 2, 2, 3); });
+      [&] { audit::audit_connection_table(table.state(), 2, 3); });
   EXPECT_NE(msg.find("l4.vip-index-range"), std::string::npos);
+  EXPECT_NE(msg.find("flow #3"), std::string::npos);
 }
 
 TEST(AuditL4, ServerIndexOutOfRangeFires) {
-  Table::FlowMap flows = sample_flows();
-  flows[{3, 4000, 1}] = {3 | Table::Flow::kOpen};  // three servers: 0..2
+  Table table = sample_table();
+  open_flow(table, 3, 4000, 1, 3);  // three servers: 0..2
   const std::string msg = violation_message(
-      [&] { audit::audit_connection_table(flows, 3, 2, 3); });
+      [&] { audit::audit_connection_table(table.state(), 2, 3); });
   EXPECT_NE(msg.find("l4.server-index-range"), std::string::npos);
+  EXPECT_NE(msg.find("flow #3"), std::string::npos);
+}
+
+// Clearing the index word that holds a flow cuts its key's probe short: the
+// next open() of that key would miss it and file a second entry.
+TEST(AuditL4, FlowTheIndexCannotReachFires) {
+  Table::State state = sample_table().state();
+  constexpr std::uint32_t kFirstFlow = 0 + 1;  // a word stores id + 1
+  std::size_t cleared = 0;
+  for (std::uint32_t& word : state.index) {
+    if ((word & Table::State::kIdBits) != kFirstFlow) continue;
+    word = 0;
+    ++cleared;
+  }
+  ASSERT_EQ(cleared, 1u);
+  const std::string msg = violation_message(
+      [&] { audit::audit_connection_table(state, 2, 3); });
+  EXPECT_NE(msg.find("l4.index-reach"), std::string::npos);
+  EXPECT_NE(msg.find("flow #0's key"), std::string::npos);
 }
 
 }  // namespace

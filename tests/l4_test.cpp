@@ -8,13 +8,17 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "audit/invariant_auditor.hpp"
 #include "l4/connection_table.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace sharegrid::l4 {
 namespace {
+
+using Hint = std::optional<std::size_t>;
 
 const Endpoint kClient{100, 5000};
 const Endpoint kClient2{100, 5001};
@@ -24,73 +28,102 @@ constexpr std::size_t kServerB = 1;
 constexpr std::size_t kLastVip = ConnectionTable::kMaxVips - 1;
 constexpr std::size_t kLastServer = ConnectionTable::kMaxServers - 1;
 
+/// A pick that ignores the hint and uses @p server.
+auto use(std::size_t server) {
+  return [server](Hint) { return server; };
+}
+
+/// The hint open() hands its pick for client->vip; the flow stays open.
+Hint hint_of(ConnectionTable& table, const Endpoint& client, std::size_t vip) {
+  Hint seen;
+  table.open(client, vip, [&](Hint hint) {
+    seen = hint;
+    return hint.value_or(kServerA);
+  });
+  return seen;
+}
+
+ConnectionTable::FlowKey key_of(const Endpoint& client, std::size_t vip) {
+  return {client.host, client.port, static_cast<std::uint16_t>(vip)};
+}
+
+void run_audit(const ConnectionTable& table) {
+  audit::audit_connection_table(table.state(), ConnectionTable::kMaxVips,
+                                ConnectionTable::kMaxServers);
+}
+
 TEST(ConnectionTable, EstablishLookupRelease) {
   ConnectionTable table;
-  EXPECT_FALSE(table.affinity_hint(kClient, kVip).has_value());
-
-  table.establish(kClient, kVip, kServerA);
-  EXPECT_EQ(table.affinity_hint(kClient, kVip), kServerA);
+  const ConnectionTable::FlowId id =
+      table.open(kClient, kVip, [](Hint hint) {
+        EXPECT_FALSE(hint.has_value());  // a new flow has no hint
+        return kServerA;
+      });
   EXPECT_EQ(table.active_connections(), 1u);
 
-  table.release(kClient, kVip);
+  table.close(id);
   EXPECT_EQ(table.active_connections(), 0u);
   EXPECT_EQ(table.flows(), 1u);
+  EXPECT_EQ(hint_of(table, kClient, kVip), kServerA);
+  EXPECT_EQ(table.flows(), 1u);  // the same flow, reopened
 }
 
 TEST(ConnectionTable, ReleaseIsIdempotent) {
   ConnectionTable table;
-  table.release(kClient, kVip);  // no-op on empty table
-  table.establish(kClient, kVip, kServerA);
-  table.release(kClient, kVip);
-  table.release(kClient, kVip);
+  EXPECT_THROW(table.close(0), ContractViolation);  // no such flow
+  const ConnectionTable::FlowId id = table.open(kClient, kVip, use(kServerA));
+  table.close(id);
+  table.close(id);
   EXPECT_EQ(table.active_connections(), 0u);
+  EXPECT_NO_THROW(run_audit(table));
 }
 
 TEST(ConnectionTable, FlowsAreKeyedByFullClientEndpoint) {
   ConnectionTable table;
-  table.establish(kClient, kVip, kServerA);
-  table.establish(kClient2, kVip, kServerB);
-  EXPECT_EQ(table.affinity_hint(kClient, kVip), kServerA);
-  EXPECT_EQ(table.affinity_hint(kClient2, kVip), kServerB);
+  const ConnectionTable::FlowId a = table.open(kClient, kVip, use(kServerA));
+  const ConnectionTable::FlowId b = table.open(kClient2, kVip, use(kServerB));
+  EXPECT_NE(a, b);
   EXPECT_EQ(table.active_connections(), 2u);
+  EXPECT_EQ(hint_of(table, kClient, kVip), kServerA);
+  EXPECT_EQ(hint_of(table, kClient2, kVip), kServerB);
+  EXPECT_EQ(table.active_connections(), 2u);  // reopening counts once
 }
 
 TEST(ConnectionTable, AffinityHintSurvivesRelease) {
   // SSL-style persistence: a later connection from the same client endpoint
   // prefers the server that handled the previous one.
   ConnectionTable table;
-  table.establish(kClient, kVip, kServerB);
-  table.release(kClient, kVip);
-  EXPECT_EQ(table.affinity_hint(kClient, kVip), kServerB);
+  table.close(table.open(kClient, kVip, use(kServerB)));
+  EXPECT_EQ(hint_of(table, kClient, kVip), kServerB);
   // A different client port has no hint.
-  EXPECT_FALSE(table.affinity_hint(kClient2, kVip).has_value());
+  EXPECT_FALSE(hint_of(table, kClient2, kVip).has_value());
 }
 
 TEST(ConnectionTable, AffinityTracksLatestServer) {
   ConnectionTable table;
-  table.establish(kClient, kVip, kServerA);
-  table.release(kClient, kVip);
-  table.establish(kClient, kVip, kServerB);
-  EXPECT_EQ(table.affinity_hint(kClient, kVip), kServerB);
+  const ConnectionTable::FlowId id = table.open(kClient, kVip, use(kServerA));
+  table.close(id);
+  // The pick may overrule the hint; the flow keeps its id.
+  EXPECT_EQ(table.open(kClient, kVip, use(kServerB)), id);
+  table.close(id);
+  EXPECT_EQ(hint_of(table, kClient, kVip), kServerB);
 }
 
 /// The table as two std::maps, one of open flows and one of hints: the
 /// shape the merged table replaced.
 class ReferenceTable {
  public:
-  void establish(const Endpoint& client, std::size_t vip,
-                 std::size_t server) {
+  void open(const Endpoint& client, std::size_t vip, std::size_t server) {
     open_[{client, vip}] = server;
     hints_[{client, vip}] = server;
   }
-  void release(const Endpoint& client, std::size_t vip) {
+  void close(const Endpoint& client, std::size_t vip) {
     open_.erase({client, vip});
   }
   bool open(const Endpoint& client, std::size_t vip) const {
     return open_.contains({client, vip});
   }
-  std::optional<std::size_t> affinity_hint(const Endpoint& client,
-                                           std::size_t vip) const {
+  Hint affinity_hint(const Endpoint& client, std::size_t vip) const {
     const auto it = hints_.find({client, vip});
     if (it == hints_.end()) return std::nullopt;
     return it->second;
@@ -104,13 +137,14 @@ class ReferenceTable {
   Map hints_;
 };
 
-// Seeded operations against the reference: establish (including over an
-// open flow), release (including unknown and repeated releases) and
-// affinity_hint. Client hosts share ports, so keys differ in a single
-// field; the hosts set the high bits the packed key must keep, and the
-// vips and servers include the largest index each field holds. After
-// every operation the touched flow's hint, the open-flow count and the
-// audit must agree with the reference.
+// Seeded operations against the reference: open (including over an open
+// flow), whose pick must be handed the reference's hint; close by the id
+// recorded for the key (including repeated closes, which are no-ops); and
+// a lookup through the index. Client hosts share ports, so keys differ in
+// a single field; the hosts set the high bits the packed key must keep,
+// and the vips and servers include the largest index each field holds.
+// After every operation the open-flow count, the flow count and the audit
+// must agree with the reference.
 TEST(ConnectionTable, DifferentialAgainstTwoMapReference) {
   const std::array<std::uint32_t, 4> hosts = {7, 0x10007, 0x0C000007,
                                               0xFFFFFFFF};
@@ -121,41 +155,57 @@ TEST(ConnectionTable, DifferentialAgainstTwoMapReference) {
     Rng rng(seed);
     ConnectionTable table;
     ReferenceTable reference;
+    std::map<std::pair<Endpoint, std::size_t>, ConnectionTable::FlowId> ids;
     std::size_t reopened = 0;
-    std::size_t idle_releases = 0;
+    std::size_t idle_closes = 0;
     for (int op = 0; op < 10000; ++op) {
       const Endpoint client{hosts[rng.bounded(hosts.size())],
                             ports[rng.bounded(ports.size())]};
       const std::size_t vip = vips[rng.bounded(vips.size())];
+      const auto known = ids.find({client, vip});
       switch (rng.bounded(4)) {
         case 0:
         case 1: {
           if (reference.open(client, vip)) ++reopened;
           const std::size_t server = servers[rng.bounded(servers.size())];
-          table.establish(client, vip, server);
-          reference.establish(client, vip, server);
+          const ConnectionTable::FlowId id =
+              table.open(client, vip, [&](Hint hint) {
+                EXPECT_EQ(hint, reference.affinity_hint(client, vip))
+                    << "seed " << seed << " op " << op;
+                return server;
+              });
+          if (known != ids.end()) {
+            EXPECT_EQ(id, known->second);
+          }
+          ids[{client, vip}] = id;
+          reference.open(client, vip, server);
           break;
         }
         case 2:
-          if (!reference.open(client, vip)) ++idle_releases;
-          table.release(client, vip);
-          reference.release(client, vip);
+          if (known == ids.end()) break;  // no id to close by
+          if (!reference.open(client, vip)) ++idle_closes;
+          table.close(known->second);
+          reference.close(client, vip);
           break;
-        default:
-          break;  // a lookup only: the checks below read the flow
+        default: {
+          const auto found = table.state().find(key_of(client, vip));
+          ASSERT_EQ(found.has_value(), known != ids.end());
+          if (found) {
+            EXPECT_EQ(*found, known->second);
+            EXPECT_EQ(table.state().entry(*found).flow.server(),
+                      reference.affinity_hint(client, vip));
+          }
+          break;
+        }
       }
-      ASSERT_EQ(table.affinity_hint(client, vip),
-                reference.affinity_hint(client, vip))
-          << "seed " << seed << " op " << op;
       ASSERT_EQ(table.active_connections(), reference.active_connections())
           << "seed " << seed << " op " << op;
       ASSERT_EQ(table.flows(), reference.flows());
-      ASSERT_NO_THROW(table.audit(ConnectionTable::kMaxVips,
-                                  ConnectionTable::kMaxServers));
+      ASSERT_NO_THROW(run_audit(table));
     }
     // Every kind of operation happened, on a well-filled table.
     EXPECT_GT(reopened, 100u);
-    EXPECT_GT(idle_releases, 100u);
+    EXPECT_GT(idle_closes, 100u);
     EXPECT_EQ(table.flows(), hosts.size() * ports.size() * vips.size());
   }
 }
@@ -165,27 +215,30 @@ TEST(ConnectionTable, FullVipListStillIndexesEveryVip) {
   // 2^31 servers, and neither field one more.
   ConnectionTable table;
   for (std::size_t v = 0; v < ConnectionTable::kMaxVips; ++v)
-    table.establish(kClient, v, kServerA);
-  table.establish(kClient2, kVip, kLastServer);
+    table.open(kClient, v, use(kServerA));
+  table.open(kClient2, kVip, use(kLastServer));
   EXPECT_EQ(table.active_connections(), ConnectionTable::kMaxVips + 1);
-  EXPECT_EQ(table.affinity_hint(kClient, kLastVip), kServerA);
-  EXPECT_EQ(table.affinity_hint(kClient2, kVip), kLastServer);
-  EXPECT_THROW(table.establish(kClient2, ConnectionTable::kMaxVips, kServerA),
+  EXPECT_EQ(hint_of(table, kClient, kLastVip), kServerA);
+  EXPECT_EQ(hint_of(table, kClient2, kVip), kLastServer);
+  EXPECT_THROW(table.open(kClient2, ConnectionTable::kMaxVips, use(kServerA)),
                ContractViolation);
   EXPECT_THROW(
-      table.establish(kClient2, kVip + 1, ConnectionTable::kMaxServers),
+      table.open(kClient2, kVip + 1, use(ConnectionTable::kMaxServers)),
       ContractViolation);
-  // The refused flows left no entry.
+  // Nor may a pick move an existing flow out of range.
+  EXPECT_THROW(table.open(kClient2, kVip, use(ConnectionTable::kMaxServers)),
+               ContractViolation);
+  // The refused opens left no entry and changed no flow.
   EXPECT_EQ(table.flows(), ConnectionTable::kMaxVips + 1);
   EXPECT_EQ(table.active_connections(), ConnectionTable::kMaxVips + 1);
-  EXPECT_FALSE(table.affinity_hint(kClient2, kVip + 1).has_value());
-  EXPECT_NO_THROW(table.audit(ConnectionTable::kMaxVips,
-                              ConnectionTable::kMaxServers));
+  EXPECT_FALSE(table.state().find(key_of(kClient2, kVip + 1)).has_value());
+  EXPECT_EQ(hint_of(table, kClient2, kVip), kLastServer);
+  EXPECT_NO_THROW(run_audit(table));
 
   // The audit checks each stored index against the caller's counts.
   const auto audit_error = [&](std::size_t vips, std::size_t servers) {
     try {
-      table.audit(vips, servers);
+      audit::audit_connection_table(table.state(), vips, servers);
     } catch (const ContractViolation& e) {
       return std::string(e.what());
     }
@@ -197,6 +250,32 @@ TEST(ConnectionTable, FullVipListStillIndexesEveryVip) {
   EXPECT_NE(audit_error(ConnectionTable::kMaxVips, kLastServer)
                 .find("l4.server-index-range"),
             std::string::npos);
+}
+
+// 200,000 flows take the index from 16 words through 14 doublings to
+// 2^18, and each doubling files every entry again. The ids open() handed
+// out must still close their own flows, and every hint still name its
+// server.
+TEST(ConnectionTable, IdsSurviveIndexGrowth) {
+  constexpr std::size_t kFlows = 200000;
+  const auto client_of = [](std::size_t i) {
+    return Endpoint{static_cast<std::uint32_t>(i / 4096),
+                    static_cast<std::uint16_t>(1024 + i % 4096)};
+  };
+  ConnectionTable table;
+  std::vector<ConnectionTable::FlowId> ids;
+  for (std::size_t i = 0; i < kFlows; ++i)
+    ids.push_back(table.open(client_of(i), i % 2, use(i % 7)));
+  EXPECT_EQ(table.state().index.size(), std::size_t{1} << 18);
+  for (std::size_t i = kFlows; i-- > 0;) {
+    table.close(ids[i]);
+    ASSERT_EQ(table.active_connections(), i) << "flow " << i;
+  }
+  EXPECT_EQ(table.flows(), kFlows);
+  for (std::size_t i = 0; i < kFlows; ++i)
+    ASSERT_EQ(hint_of(table, client_of(i), i % 2), i % 7) << "flow " << i;
+  EXPECT_EQ(table.flows(), kFlows);
+  EXPECT_NO_THROW(run_audit(table));
 }
 
 TEST(Endpoint, OrderingAndEquality) {

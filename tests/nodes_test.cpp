@@ -159,6 +159,7 @@ TEST(ServerPool, PicksLeastBackloggedMachineOfOwner) {
   Server s1(&sim, &requests, &metrics, {"s1", 0, 100.0});
   Server s2(&sim, &requests, &metrics, {"s2", 0, 100.0});
   Server other(&sim, &requests, &metrics, {"s3", 1, 100.0});
+  Server idle(&sim, &requests, &metrics, {"s4", 1, 100.0});
   ServerPool pool;
   pool.add(&s1);
   pool.add(&s2);
@@ -174,6 +175,20 @@ TEST(ServerPool, PicksLeastBackloggedMachineOfOwner) {
   EXPECT_EQ(pool.pick(0), 1u);  // s1 now has backlog
   EXPECT_EQ(pool.pick(1), 2u);
   EXPECT_FALSE(pool.pick(5).has_value());
+
+  // s2's work ends 1 us after s1's: the smallest gap still orders them.
+  sim.run_until(1);
+  s2.submit(requests.acquire(make_request(0, 2, 1), nullptr), nullptr);
+  EXPECT_EQ(s2.next_free(), s1.next_free() + 1);
+  EXPECT_EQ(pool.pick(0), 0u);
+
+  // A machine whose work ended in the past is as free as one that never
+  // had any: the two tie, and the first registered wins.
+  other.submit(requests.acquire(make_request(1, 3, 1), nullptr), nullptr);
+  pool.add(&idle);
+  sim.run_until(seconds(1.0));
+  EXPECT_EQ(other.next_free(), idle.next_free());
+  EXPECT_EQ(pool.pick(1), 2u);
 }
 
 // --- RequestSlab -------------------------------------------------------------

@@ -119,15 +119,6 @@ TEST(Rng, ExponentialMeanMatches) {
   EXPECT_NEAR(sum / trials, 3.0, 0.1);
 }
 
-TEST(Rng, BoundedParetoStaysInRange) {
-  Rng rng(13);
-  for (int i = 0; i < 2000; ++i) {
-    const double v = rng.bounded_pareto(200.0, 512000.0, 1.2);
-    EXPECT_GE(v, 200.0 - 1e-9);
-    EXPECT_LE(v, 512000.0 + 1e-6);
-  }
-}
-
 TEST(Rng, SplitStreamsAreIndependentlySeeded) {
   Rng parent(17);
   Rng child1 = parent.split();

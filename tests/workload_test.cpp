@@ -1,6 +1,10 @@
 // Unit tests for the WebBench-like workload model.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "util/rng.hpp"
 #include "workload/reply_size.hpp"
 
@@ -41,6 +45,31 @@ TEST(ReplySizeDistribution, SizesStayInRange) {
     const auto s = dist.sample(rng);
     EXPECT_GE(s.reply_bytes, 200.0 - 1e-9);
     EXPECT_LE(s.reply_bytes, 500.0 * 1024.0 + 1e-6);
+  }
+}
+
+// The distribution computes min^alpha, max^alpha and -1/alpha once; every
+// size must still be the double that the inverse CDF evaluated in full for
+// each sample gives, on the same stream.
+TEST(ReplySizeDistribution, SamplesMatchThePerCallFormula) {
+  const ReplySizeDistribution dist;
+  const ReplySizeSpec& spec = dist.spec();
+  const double alpha = dist.alpha();
+  Rng rng(2026);
+  Rng copy = rng;
+  for (int i = 0; i < 1000; ++i) {
+    const SampledRequest sampled = dist.sample(rng);
+    const bool dynamic = copy.chance(spec.dynamic_fraction);
+    const double u = copy.uniform();
+    const double la = std::pow(spec.min_bytes, alpha);
+    const double ha = std::pow(spec.max_bytes, alpha);
+    const double size =
+        std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
+    ASSERT_EQ(sampled.request_class,
+              dynamic ? RequestClass::kDynamic : RequestClass::kStatic);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(sampled.reply_bytes),
+              std::bit_cast<std::uint64_t>(size))
+        << "sample " << i;
   }
 }
 

@@ -158,8 +158,8 @@ if [[ "${SHAREGRID_CI_QUICK_BENCH:-0}" == "1" ]]; then
   echo
   echo "=== [quick-bench] micro_sim event-engine + sharded scenario ==="
   # Same split for BENCH_sim.json: 'current' is the timing wheel + sharded
-  # runner + flat flow tables, the frozen priority-queue 'baseline' section
-  # stays for comparison. The BM_Scenario filter picks up BM_ScenarioSharded
+  # runner + NAT connection table, the frozen priority-queue 'baseline'
+  # section stays for comparison. The BM_Scenario filter picks up BM_ScenarioSharded
   # (1/2/4/8 lanes) alongside the classic L4/L7 points.
   SIM_JSON="$(mktemp -t sim_bench.XXXXXX.json)"
   TMP_FILES+=("${SIM_JSON}")
@@ -168,13 +168,13 @@ if [[ "${SHAREGRID_CI_QUICK_BENCH:-0}" == "1" ]]; then
     --benchmark_out="${SIM_JSON}" --benchmark_out_format=json
 
   echo
-  echo "=== [quick-bench] micro_flow NAT-table map-vs-flat churn ==="
-  # The connection-table container swap (std::map -> open-addressing
-  # FlatHashMap) is recorded in the same section.
+  echo "=== [quick-bench] micro_flow NAT connection table ==="
+  # The L4 redirector's table work per connection (open with its hint
+  # lookup, close by id) is recorded in the same section.
   FLOW_JSON="$(mktemp -t flow_bench.XXXXXX.json)"
   TMP_FILES+=("${FLOW_JSON}")
   ./build-relwithdebinfo/bench/micro_flow \
-    --benchmark_filter='BM_FlowTable' \
+    --benchmark_filter='BM_ConnectionTable' \
     --benchmark_out="${FLOW_JSON}" --benchmark_out_format=json
 
   echo
