@@ -101,7 +101,7 @@ void BM_SimulatorFarFuture(benchmark::State& state) {
       const auto t = static_cast<SimTime>(rng & ((std::uint64_t{1} << 42) - 1));
       sim.schedule_at(t, [&fired] { ++fired; });
     }
-    for (int i = 0; i < 8; ++i)  // beyond the 2^48-us wheel horizon
+    for (int i = 0; i < 8; ++i)  // beyond the 2^47-us wheel horizon
       sim.schedule_at((SimTime{1} << 50) + i, [&fired] { ++fired; });
     sim.run_all();
     benchmark::DoNotOptimize(fired);

@@ -114,6 +114,7 @@ void Domain::add_clients(const ScenarioConfig& config,
   clients.reserve(config.clients.size());
   std::size_t next_index = 0;
   std::vector<Rng> machine_streams;
+  machine_streams.reserve(config.client_scale);
   for (const ClientSpec& spec : config.clients) {
     SHAREGRID_EXPECTS(spec.redirector < redirectors.size());
     nodes::ClientFleet::Config fc;

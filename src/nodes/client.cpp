@@ -12,16 +12,17 @@ constexpr double kRetryDelaySec = 0.2;
 
 }  // namespace
 
-// Per-machine memory is what scales to a million clients; keep it within
-// one cache line.
-static_assert(sizeof(ClientFleet::Machine) <= 64,
-              "a client machine's closed-loop state must fit in 64 bytes");
+// Per-machine memory is what scales to a million clients: the 32-byte Rng,
+// two 32-bit counters and the armed flag.
+static_assert(sizeof(ClientFleet::Machine) <= 48,
+              "a client machine's closed-loop state must fit in 48 bytes");
 
 ClientFleet::ClientFleet(sim::Simulator* sim, RequestSlab* requests,
                          Metrics* metrics, RedirectorBase* redirector,
                          Config config, const std::vector<Rng>& streams,
                          const workload::ReplySizeDistribution* sizes)
-    : sim_(sim),
+    : ServiceSink(sim),
+      sim_(sim),
       requests_(requests),
       metrics_(metrics),
       redirector_(redirector),
@@ -35,7 +36,6 @@ ClientFleet::ClientFleet(sim::Simulator* sim, RequestSlab* requests,
   SHAREGRID_EXPECTS(config_.principal != core::kNoPrincipal);
   SHAREGRID_EXPECTS(config_.max_outstanding >= 1);
   SHAREGRID_EXPECTS(!streams.empty());
-  alive_ = sim_->new_liveness_flag();
   machines_.reserve(streams.size());
   for (const Rng& stream : streams) machines_.push_back({stream});
 }
@@ -111,13 +111,14 @@ void ClientFleet::on_redirect_to_server(RequestHandle request,
   // One hop to reach the assigned server, then service, then the reply hop.
   sim_->schedule_after(kHopDelay, [this, alive = alive_, request, server] {
     if (!*alive) return;
-    server->submit(request, [this, alive, request] {
-      if (!*alive) return;
-      sim_->schedule_after(kHopDelay, [this, alive, request] {
-        if (!*alive) return;
-        on_response(request);
-      });
-    });
+    server->submit(request, this);
+  });
+}
+
+void ClientFleet::on_served(RequestHandle request) {
+  sim_->schedule_after(kHopDelay, [this, alive = alive_, request] {
+    if (!*alive) return;
+    on_response(request);
   });
 }
 

@@ -71,7 +71,7 @@ class RedirectorBase {
 /// same streams see identical offered load (bench/abl_open_loop). That holds
 /// on L4 only: on L7 every self-redirect draws retry jitter from the same
 /// stream and shifts the machine's later arrivals.
-class ClientFleet final : public RequestSource {
+class ClientFleet final : public RequestSource, public ServiceSink {
  public:
   struct Config {
     core::PrincipalId principal = core::kNoPrincipal;
@@ -81,11 +81,13 @@ class ClientFleet final : public RequestSource {
     bool exponential_arrivals = true;  ///< Poisson vs evenly spaced issue
   };
 
-  /// One machine's closed-loop state: the only per-machine memory.
+  /// One machine's closed-loop state: the only per-machine memory, 48
+  /// bytes. A request's id packs the machine's client index above its
+  /// 32-bit counter.
   struct Machine {
     Rng rng;
-    std::uint64_t next_request_id = 0;  ///< requests issued (not retries)
-    std::size_t outstanding = 0;
+    std::uint32_t next_request_id = 0;  ///< requests issued (not retries)
+    std::uint32_t outstanding = 0;
     bool loop_armed = false;
   };
 
@@ -100,7 +102,6 @@ class ClientFleet final : public RequestSource {
 
   ClientFleet(const ClientFleet&) = delete;
   ClientFleet& operator=(const ClientFleet&) = delete;
-  ~ClientFleet() override { *alive_ = false; }
 
   /// Turns generation on/off for every machine (phase schedule).
   /// Outstanding requests keep draining after deactivation.
@@ -110,6 +111,9 @@ class ClientFleet final : public RequestSource {
   void on_redirect_to_server(RequestHandle request, Server* server) override;
   void on_self_redirect(RequestHandle request) override;
   void on_response(RequestHandle request) override;
+
+  // ServiceSink (L7): the server replies to the client directly.
+  void on_served(RequestHandle request) override;
 
   std::size_t size() const { return machines_.size(); }
   const Machine& machine(std::size_t m) const;
@@ -129,7 +133,6 @@ class ClientFleet final : public RequestSource {
   std::vector<Machine> machines_;
 
   bool active_ = false;
-  bool* alive_ = nullptr;  // owned by sim_ (Simulator::new_liveness_flag)
 };
 
 }  // namespace sharegrid::nodes

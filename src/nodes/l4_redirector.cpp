@@ -29,7 +29,8 @@ util::MetricCounter& dropped_counter() {
 L4Redirector::L4Redirector(sim::Simulator* sim, RequestSlab* requests,
                            Metrics* metrics, ServerPool* servers,
                            coord::ControlPlane::Member* member, Config config)
-    : sim_(sim),
+    : ServiceSink(sim),
+      sim_(sim),
       requests_(requests),
       metrics_(metrics),
       servers_(servers),
@@ -40,7 +41,6 @@ L4Redirector::L4Redirector(sim::Simulator* sim, RequestSlab* requests,
   SHAREGRID_EXPECTS(metrics != nullptr);
   SHAREGRID_EXPECTS(servers != nullptr);
   SHAREGRID_EXPECTS(member != nullptr);
-  alive_ = sim_->new_liveness_flag();
   const std::size_t n = member_->size();
   queues_.resize(n);
   in_flight_.assign(n, 0.0);
@@ -134,10 +134,7 @@ void L4Redirector::forward_to(RequestHandle handle, std::size_t server) {
   sim_->schedule_after(kHopDelay,
                        [this, alive = alive_, handle, machine] {
                          if (!*alive) return;
-                         machine->submit(handle, [this, alive, handle] {
-                           if (!*alive) return;
-                           on_served(handle);
-                         });
+                         machine->submit(handle, this);
                        });
 }
 

@@ -43,7 +43,7 @@
 namespace sharegrid::nodes {
 
 /// NAT (Layer-4) redirector node.
-class L4Redirector final : public RedirectorBase {
+class L4Redirector final : public RedirectorBase, public ServiceSink {
  public:
   struct Config {
     std::string name;
@@ -62,11 +62,14 @@ class L4Redirector final : public RedirectorBase {
                Config config);
   ~L4Redirector() override {
     flush_metrics();  // counts since the last window boundary
-    *alive_ = false;
   }
 
   // RedirectorBase: admits or queues the connection the request opens.
   void on_client_request(RequestHandle request) override;
+
+  // ServiceSink: the server finished @p request; close its flow and send
+  // the reply.
+  void on_served(RequestHandle request) override;
 
   std::size_t queue_length(core::PrincipalId p) const;
   std::uint64_t drops() const { return drops_; }
@@ -90,8 +93,6 @@ class L4Redirector final : public RedirectorBase {
   /// Admission decision for a SYN; true when forwarded.
   bool try_forward(RequestHandle request);
   void forward_to(RequestHandle request, std::size_t server);
-  /// The server finished @p request: close its flow, send the reply.
-  void on_served(RequestHandle request);
 
   sim::Simulator* sim_;
   RequestSlab* requests_;
@@ -112,7 +113,6 @@ class L4Redirector final : public RedirectorBase {
   std::uint64_t admitted_ = 0;
   std::uint64_t flushed_drops_ = 0;
   std::uint64_t flushed_admitted_ = 0;
-  bool* alive_ = nullptr;  // owned by sim_ (Simulator::new_liveness_flag)
 };
 
 }  // namespace sharegrid::nodes

@@ -7,6 +7,11 @@
 
 namespace sharegrid::nodes {
 
+ServiceSink::ServiceSink(sim::Simulator* sim) {
+  SHAREGRID_EXPECTS(sim != nullptr);
+  alive_ = sim->new_liveness_flag();
+}
+
 Server::Server(sim::Simulator* sim, RequestSlab* requests, Metrics* metrics,
                Config config)
     : sim_(sim),
@@ -21,7 +26,7 @@ Server::Server(sim::Simulator* sim, RequestSlab* requests, Metrics* metrics,
   alive_ = sim_->new_liveness_flag();
 }
 
-void Server::submit(RequestHandle request, sim::Callback on_complete) {
+void Server::submit(RequestHandle request, ServiceSink* sink) {
   const SimTime start = std::max(sim_->now(), next_free_);
   // 1.0 / C * kSecond, not kSecond / C: the two round differently.
   const auto service = static_cast<SimDuration>(
@@ -29,17 +34,14 @@ void Server::submit(RequestHandle request, sim::Callback on_complete) {
   next_free_ = start + std::max<SimDuration>(1, service);
   ++requests_submitted_;
 
-  pending_.push_back(std::move(on_complete));
-  sim_->schedule_at(next_free_, [this, alive = alive_, request] {
+  bool* alive = sink != nullptr ? sink->alive_ : alive_;
+  sim_->schedule_at(next_free_, [this, alive, request, sink] {
     if (!*alive) return;
-    // Due times strictly increase with submission order, so this event's
-    // callback is the oldest pending one.
-    sim::Callback done = pending_.pop_front();
     const Request& served = (*requests_)[request];
     metrics_->on_served(served.principal, sim_->now());
     metrics_->on_reply_bytes(served.principal, sim_->now(),
                              served.reply_bytes);
-    if (done) done();
+    if (sink != nullptr) sink->on_served(request);
   });
 }
 

@@ -13,16 +13,42 @@
 #include "nodes/metrics.hpp"
 #include "nodes/request.hpp"
 #include "sim/simulator.hpp"
-#include "util/ring_queue.hpp"
 
 namespace sharegrid::nodes {
 
+/// Where a Server reports each request it finishes (Server::submit): the
+/// L4 redirector, which closes the flow and sends the reply, or on L7 the
+/// client fleet, which sends the reply hop. A sink holds a liveness flag
+/// from its simulator, cleared when it is destroyed; a completion naming a
+/// sink checks that flag instead of its server's, so a sink is destroyed
+/// before the servers it submits to, as every node holding a ServerPool or
+/// a Server pointer already is.
+class ServiceSink {
+ public:
+  /// @p request finished service; serving is already recorded in Metrics.
+  virtual void on_served(RequestHandle request) = 0;
+
+ protected:
+  /// Takes the sink's liveness flag from @p sim, which must outlive it.
+  explicit ServiceSink(sim::Simulator* sim);
+  ~ServiceSink() { *alive_ = false; }
+  ServiceSink(const ServiceSink&) = delete;
+  ServiceSink& operator=(const ServiceSink&) = delete;
+
+  /// Owned by the simulator (Simulator::new_liveness_flag); the
+  /// implementing node's own events check it too.
+  bool* alive_ = nullptr;
+
+ private:
+  friend class Server;
+};
+
 /// A single server machine: processes requests in FIFO order at a fixed
 /// capacity (requests per second). Completion time for a request arriving
-/// when the server frees at time f is max(now, f) + 1/C.
-/// That time only grows from one submission to the next, so completions
-/// fire in submission order and the pending completion callbacks wait in a
-/// FIFO; each completion event carries only the server and a handle.
+/// when the server frees at time f is max(now, f) + 1/C, so completions
+/// fire in submission order. Each completion event carries the server, a
+/// liveness flag, the request's handle and its sink: 32 bytes, inline in
+/// the event node.
 class Server {
  public:
   struct Config {
@@ -36,10 +62,11 @@ class Server {
   Server(sim::Simulator* sim, RequestSlab* requests, Metrics* metrics,
          Config config);
 
-  /// Enqueues @p request; @p on_complete (may be empty) fires at the
-  /// simulated instant the request finishes service, after serving is
-  /// recorded in Metrics.
-  void submit(RequestHandle request, sim::Callback on_complete);
+  /// Enqueues @p request. At the simulated instant it finishes service,
+  /// serving is recorded in Metrics and then @p sink (may be null) is told.
+  /// The completion is inert once @p sink, or the server when there is no
+  /// sink, is destroyed.
+  void submit(RequestHandle request, ServiceSink* sink);
 
   /// Seconds of queued work ahead of a new arrival.
   double backlog_seconds() const;
@@ -68,9 +95,9 @@ class Server {
   Config config_;
   SimTime next_free_ = 0;
   std::uint64_t requests_submitted_ = 0;
-  util::RingQueue<sim::Callback> pending_;  ///< completions, in due order
   // Completion events may still sit in the simulator queue when a server is
-  // destroyed mid-run; the flag makes them inert instead of dangling.
+  // destroyed mid-run; the flag makes those without a sink inert instead of
+  // dangling.
   bool* alive_ = nullptr;  // owned by sim_ (Simulator::new_liveness_flag)
 };
 

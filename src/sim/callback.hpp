@@ -8,8 +8,9 @@
 // that are larger, aligned above 8 bytes, or throwing on move take the heap
 // path. The request path fits: its closures carry a node pointer, a
 // simulator-owned liveness flag (Simulator::new_liveness_flag) and a 4-byte
-// nodes::RequestHandle, plus a server pointer on the forward hop — 24 or 32
-// bytes, trivially copyable, so a move is a memcpy and a reset does nothing.
+// nodes::RequestHandle, plus a server pointer on the forward hop or a sink
+// pointer on a server's completion — 24 or 32 bytes, trivially copyable, so
+// a move is a memcpy and a reset does nothing.
 // An admitted L4 request costs about 0.01 operator new calls
 // (tests/alloc_count_test.cpp, docs/sim-performance.md, DESIGN.md D8).
 #pragma once

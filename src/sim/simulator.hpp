@@ -7,10 +7,13 @@
 // (DESIGN.md D4).
 //
 // The store is a hierarchical timing wheel (timing_wheel.hpp) rather than a
-// binary heap: O(1) schedule and pop instead of O(log n). Event nodes are
-// one 64-byte cache line each and come from a freelist, and the
-// small-buffer Callback (callback.hpp) stores closures of up to 32 bytes
-// inline, so only larger closures allocate. The request path keeps its
+// binary heap: O(1) schedule and pop instead of O(log n). Its level 0 spans
+// 2,048 one-microsecond slots, so the request path's hops, replies and
+// service completions are filed in the slot where they fire, and only far
+// events (client arrivals, window ticks) cascade. Event nodes are one
+// 64-byte cache line each and come from a freelist, and the small-buffer
+// Callback (callback.hpp) stores closures of up to 32 bytes inline, so only
+// larger closures allocate. The request path keeps its
 // closures inside that budget by carrying slab handles (nodes/request.hpp)
 // and a plain pointer to a liveness flag the simulator owns
 // (new_liveness_flag). Design notes and measurements:
@@ -34,6 +37,12 @@ namespace sharegrid::sim {
 class Simulator {
  public:
   using Callback = sim::Callback;
+
+  /// User-provided, so value-initialization (std::make_unique) runs the
+  /// member initializers instead of zeroing the whole object: the wheel's
+  /// upper-slot chains are written before they are read, and the pages of
+  /// levels a run never reaches stay untouched.
+  Simulator() {}
 
   /// Current simulated time.
   SimTime now() const { return now_; }

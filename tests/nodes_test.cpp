@@ -43,6 +43,23 @@ class SilentSource final : public RequestSource {
   void on_response(RequestHandle) override {}
 };
 
+/// Records the id and time of each completion a server reports.
+class RecordingSink final : public ServiceSink {
+ public:
+  RecordingSink(sim::Simulator* sim, const RequestSlab* requests)
+      : ServiceSink(sim), sim_(sim), requests_(requests) {}
+
+  void on_served(RequestHandle request) override {
+    done.emplace_back((*requests_)[request].id, sim_->now());
+  }
+
+  std::vector<std::pair<std::uint64_t, SimTime>> done;
+
+ private:
+  sim::Simulator* sim_;
+  const RequestSlab* requests_;
+};
+
 // --- Server ------------------------------------------------------------------
 
 TEST(Server, ServesAtConfiguredCapacity) {
@@ -50,19 +67,19 @@ TEST(Server, ServesAtConfiguredCapacity) {
   RequestSlab requests;
   Metrics metrics(1);
   Server server(&sim, &requests, &metrics, {"s", 0, 100.0});
+  RecordingSink sink(&sim, &requests);
 
-  int completions = 0;
   for (int i = 0; i < 50; ++i) {
     server.submit(requests.acquire(
                       make_request(0, static_cast<std::uint64_t>(i), 0),
                       nullptr),
-                  [&] { ++completions; });
+                  &sink);
   }
   // 50 requests at 100/s take 0.5 s of busy time.
   sim.run_until(seconds(0.25));
-  EXPECT_NEAR(completions, 25, 1);
+  EXPECT_NEAR(static_cast<double>(sink.done.size()), 25.0, 1.0);
   sim.run_until(seconds(1.0));
-  EXPECT_EQ(completions, 50);
+  EXPECT_EQ(sink.done.size(), 50u);
   EXPECT_EQ(server.requests_submitted(), 50u);
 }
 
@@ -94,31 +111,27 @@ TEST(Server, RecordsServedMetrics) {
   EXPECT_EQ(metrics.reply_bytes(1).total_events(), 1000u);
 }
 
-// Completion callbacks wait in a FIFO beside the events that fire them:
-// each fires once, at its own request's completion, in submission order,
-// across service times that change between submissions and a queue that
-// never drains.
+// Each completion reaches the sink once, at its own request's completion,
+// in submission order, across service times that change between
+// submissions and a queue that never drains.
 TEST(Server, CompletionsFireInSubmissionOrder) {
   sim::Simulator sim;
   RequestSlab requests;
   Metrics metrics(1);
   Server server(&sim, &requests, &metrics, {"s", 0, 100.0});
-  std::vector<std::pair<std::uint64_t, SimTime>> done;
+  RecordingSink sink(&sim, &requests);
+  const auto& done = sink.done;
   std::vector<SimTime> due;
   SimTime free_at = 0;
   for (std::uint64_t i = 0; i < 40; ++i) {
     const double capacity =
         (i < 20 ? 100.0 : 400.0) / static_cast<double>(1 + i % 3);
     server.set_capacity(capacity);
-    const RequestHandle handle =
-        requests.acquire(make_request(0, i, 0), nullptr);
-    server.submit(handle, [&, handle] {
-      done.emplace_back(requests[handle].id, sim.now());
-    });
+    server.submit(requests.acquire(make_request(0, i, 0), nullptr), &sink);
     free_at += static_cast<SimDuration>(1.0 / capacity *
                                         static_cast<double>(kSecond));
     due.push_back(free_at);
-    // Submissions interleave with completions: the FIFO wraps around.
+    // Submissions interleave with completions.
     sim.run_until(sim.now() + 5 * kMillisecond);
   }
   sim.run_all();
@@ -129,26 +142,24 @@ TEST(Server, CompletionsFireInSubmissionOrder) {
   }
 }
 
-// A server destroyed with completions pending leaves them inert: nothing is
-// served or completed once it is gone (debug-asan catches a completion event
-// that would still touch it).
+// A server destroyed with sinkless completions pending leaves them inert:
+// nothing is served once it is gone (debug-asan catches a completion event
+// that would still touch it). A completion with a sink checks the sink's
+// flag instead, and sinks are destroyed before their servers
+// (L4Redirector.DestructionIsSafeWithPendingEvents).
 TEST(Server, DestructionIsSafeWithPendingEvents) {
   sim::Simulator sim;
   RequestSlab requests;
   Metrics metrics(1);
   auto server = std::make_unique<Server>(
       &sim, &requests, &metrics, Server::Config{"s", 0, 100.0});
-  int completions = 0;
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    server->submit(requests.acquire(make_request(0, i, 0), nullptr),
-                   [&] { ++completions; });
-  }
+  for (std::uint64_t i = 0; i < 10; ++i)
+    server->submit(requests.acquire(make_request(0, i, 0), nullptr), nullptr);
   sim.run_until(seconds(0.035));  // 10 ms per request: three done
-  EXPECT_EQ(completions, 3);
+  EXPECT_EQ(metrics.served(0).total_events(), 3u);
   server.reset();
   EXPECT_FALSE(sim.idle());
   sim.run_all();
-  EXPECT_EQ(completions, 3);
   EXPECT_EQ(metrics.served(0).total_events(), 3u);
 }
 

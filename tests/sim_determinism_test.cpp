@@ -3,7 +3,7 @@
 // The wheel must be observationally identical to a (time, seq)-ordered
 // priority queue: equal-timestamp FIFO even when events reach level 0
 // through different cascade paths, exact deadline semantics, and correct
-// ordering across bucket edges, level boundaries, and the 2^48-us overflow
+// ordering across bucket edges, level boundaries, and the 2^47-us overflow
 // horizon. Violations here would silently change every figure bench.
 #include <gtest/gtest.h>
 
@@ -24,13 +24,13 @@ TEST(TimingWheel, EqualTimestampFifoAcrossCascadeDepths) {
   // Three events at the same instant, scheduled from ever-closer cursors so
   // each enters the wheel at a different level; cascades must still deliver
   // them in scheduling order.
-  constexpr SimTime kT = 1'000'000;  // level 3 seen from t=0
+  constexpr SimTime kT = 1'000'000;  // differs in bits [17, 23): level 2
   Simulator sim;
   std::vector<int> order;
   sim.schedule_at(kT, [&] { order.push_back(0); });
-  sim.run_until(900'000);  // kT now differs in bits [6, 18) -> level 2
+  sim.run_until(950'000);  // kT now differs in bits [11, 17) -> level 1
   sim.schedule_at(kT, [&] { order.push_back(1); });
-  sim.run_until(999'999);  // kT now differs only in bits [0, 6) -> level 1
+  sim.run_until(999'999);  // kT now differs only in bits [0, 11) -> level 0
   sim.schedule_at(kT, [&] { order.push_back(2); });
   sim.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
@@ -40,10 +40,13 @@ TEST(TimingWheel, EqualTimestampFifoAcrossCascadeDepths) {
 TEST(TimingWheel, BucketEdgeTimesExecuteInOrder) {
   // Event times straddling every level's bucket edge, scheduled in a
   // scrambled order; execution must sort by time with FIFO ties.
+  // 2048 (2^11), 2^17 and 2^23 are level edges; 64, 4096, 2^18 and 2^24
+  // fall inside a level.
   const std::vector<SimTime> edges = {
-      0,       1,        63,       64,        65,       4095,
-      4096,    4097,     262143,   262144,    262145,   (SimTime{1} << 24) - 1,
-      SimTime{1} << 24, (SimTime{1} << 24) + 1};
+      0,        1,       63,      64,      65,      2047,    2048,
+      2049,     4095,    4096,    4097,    131071,  131072,  131073,
+      262143,   262144,  262145,  8388607, 8388608, 8388609, 16777215,
+      16777216, 16777217};
   Simulator sim;
   std::vector<SimTime> fired;
   // Schedule back-to-front, then front-to-back duplicates: per timestamp the
@@ -96,9 +99,9 @@ TEST(TimingWheel, RunUntilLandsExactlyOnDeadline) {
 }
 
 TEST(TimingWheel, EventsBeyondHorizonExecuteInOrder) {
-  // 2^48 us is the wheel span; events past it live in the overflow list
+  // 2^47 us is the wheel span; events past it live in the overflow list
   // until the cursor crosses into their horizon group.
-  constexpr SimTime kHorizon = SimTime{1} << 48;
+  constexpr SimTime kHorizon = SimTime{1} << 47;
   Simulator sim;
   std::vector<int> order;
   sim.schedule_at(kHorizon + 10, [&] { order.push_back(2); });
@@ -132,7 +135,8 @@ TEST(TimingWheel, RandomizedOrderMatchesStableSortReference) {
     rng ^= rng << 13;
     rng ^= rng >> 7;
     rng ^= rng << 17;
-    // Coarse masks force equal-time groups; the top branch exceeds 2^48.
+    // Coarse masks force equal-time groups; the top branch and masked times
+    // of 2^47 and more lie past the horizon.
     const SimTime t = (i % 7 == 0)
                           ? (SimTime{1} << 48) + static_cast<SimTime>(rng & 0xff)
                           : static_cast<SimTime>(rng & 0x3ffffffffffc0ull);
@@ -161,10 +165,12 @@ TEST(TimingWheel, AuditConsistencyAcceptsCascadedState) {
     wheel.insert(&node);
   };
   insert_at(5);
-  insert_at(70);       // level 1
-  insert_at(70);       // same slot, FIFO behind
-  insert_at(5000);     // level 2
-  insert_at(SimTime{1} << 30);
+  insert_at(70);  // level 0
+  insert_at(70);  // same slot, FIFO behind
+  // Five nodes in one level-1 slot: chain 0 holds two and the others one
+  // each, so an audit that walks a single chain misses nodes.
+  for (const SimTime t : {5000, 5001, 5000, 5001, 5000}) insert_at(t);
+  insert_at(SimTime{1} << 30);        // level 4
   insert_at((SimTime{1} << 48) + 7);  // overflow
   wheel.audit_consistency(seq, 0);
 
@@ -179,6 +185,34 @@ TEST(TimingWheel, AuditConsistencyAcceptsCascadedState) {
   }
   EXPECT_EQ(popped, seq);
   EXPECT_TRUE(wheel.empty());
+}
+
+TEST(TimingWheel, UpperSlotChainsKeepSchedulingOrder) {
+  // 17 events two levels up, in one level-2 slot: 11 at kT and 6 at
+  // kT + 1, scheduled alternately. The slot deals them over its four
+  // chains, and one cascade files them straight into level 0 (a second
+  // cascade could undo a swap the first one made). 17 is not a multiple
+  // of four, so a cascade that restarts at chain 0, skips a chain or
+  // reads a round's chains out of order reorders them.
+  constexpr SimTime kT = (SimTime{3} << 17) + 7;
+  Simulator sim;
+  std::vector<std::pair<SimTime, int>> fired;
+  std::vector<int> at_t;
+  std::vector<int> at_t1;
+  for (int i = 0; i < 17; ++i) {
+    const SimTime t = (i % 2 == 1 && i < 12) ? kT + 1 : kT;
+    (t == kT ? at_t : at_t1).push_back(i);
+    sim.schedule_at(t, [&fired, &sim, i] { fired.emplace_back(sim.now(), i); });
+  }
+  ASSERT_EQ(at_t.size(), 11u);
+  sim.run_all();
+  ASSERT_EQ(fired.size(), 17u);
+  std::vector<int> expected = at_t;
+  expected.insert(expected.end(), at_t1.begin(), at_t1.end());
+  for (std::size_t k = 0; k < fired.size(); ++k) {
+    EXPECT_EQ(fired[k].first, k < 11 ? kT : kT + 1) << "at position " << k;
+    EXPECT_EQ(fired[k].second, expected[k]) << "at position " << k;
+  }
 }
 
 TEST(TimingWheel, AuditDetectsLostEvent) {

@@ -9,7 +9,6 @@
 
 #include "util/assert.hpp"
 #include "util/matrix.hpp"
-#include "util/ring_queue.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -124,26 +123,6 @@ TEST(Rng, SplitStreamsAreIndependentlySeeded) {
   Rng child1 = parent.split();
   Rng child2 = parent.split();
   EXPECT_NE(child1(), child2());
-}
-
-// The queue grows while its contents wrap around the buffer's end, and
-// keeps FIFO order through both and through shrinking once drained.
-TEST(RingQueue, KeepsFifoOrderAcrossWrapAndGrowth) {
-  util::RingQueue<int> queue;
-  EXPECT_TRUE(queue.empty());
-  EXPECT_THROW(queue.pop_front(), ContractViolation);
-  int next_in = 0;
-  int next_out = 0;
-  for (int round = 0; round < 50; ++round) {
-    for (int i = 0; i < 7; ++i) queue.push_back(next_in++);
-    for (int i = 0; i < 5; ++i) EXPECT_EQ(queue.pop_front(), next_out++);
-  }
-  EXPECT_EQ(queue.size(), 100u);
-  while (!queue.empty()) EXPECT_EQ(queue.pop_front(), next_out++);
-  // Drained after growing past kKeep, the queue shrinks and keeps working.
-  for (int i = 0; i < 3; ++i) queue.push_back(next_in++);
-  for (int i = 0; i < 3; ++i) EXPECT_EQ(queue.pop_front(), next_out++);
-  EXPECT_EQ(next_out, next_in);
 }
 
 TEST(Matrix, BasicAccessAndSums) {
