@@ -61,29 +61,32 @@ BENCHMARK(BM_AccessLevelsDenseBoundedPaths)->Arg(2)->Arg(3)->Arg(4)->Arg(5);
 
 // --- Connection table ----------------------------------------------------
 //
-// What the L4 redirector asks of its table per connection: open() probes
-// the index once and hands the flow's hint to the pick, and close() takes
-// the flow's id back with no probe. Each iteration fills a new table with
-// @p flows connections from distinct client endpoints, whose hint lookups
-// all miss, as in cluster_l4, and closes them; then it opens and closes
-// every flow again, as a client port that comes back finds its hint (the
-// port reuse of Figure 10).
+// What the L4 redirector asks of its table per connection. Each iteration
+// fills a new table with @p flows connections from distinct client
+// endpoints through open_new(), as a client's first 4,096 ports open in
+// cluster_l4, with no index probe, and closes them by id; then it opens and
+// closes every flow again through open(), as a client port that comes back
+// finds its hint (the port reuse of Figure 10): the first of those opens
+// files every pending entry in the index, and each makes one probe.
 void BM_ConnectionTable(benchmark::State& state) {
   const auto flows = static_cast<std::uint32_t>(state.range(0));
   std::vector<l4::ConnectionTable::FlowId> ids(flows);
+  const auto client_of = [](std::uint32_t i) {
+    return l4::Endpoint{0x0C000000u + i / 4096,
+                        static_cast<std::uint16_t>(1024 + i % 4096)};
+  };
   for (auto _ : state) {
     l4::ConnectionTable table;
-    for (int pass = 0; pass < 2; ++pass) {
-      for (std::uint32_t i = 0; i < flows; ++i) {
-        const l4::Endpoint client{0x0C000000u + i / 4096,
-                                  static_cast<std::uint16_t>(1024 + i % 4096)};
-        ids[i] = table.open(client, i % 2,
-                            [i](std::optional<std::size_t> hint) {
-                              return hint.value_or(i % 8);
-                            });
-      }
-      for (const l4::ConnectionTable::FlowId id : ids) table.close(id);
+    for (std::uint32_t i = 0; i < flows; ++i)
+      ids[i] = table.open_new(client_of(i), i % 2, i % 8);
+    for (const l4::ConnectionTable::FlowId id : ids) table.close(id);
+    for (std::uint32_t i = 0; i < flows; ++i) {
+      ids[i] = table.open(client_of(i), i % 2,
+                          [i](std::optional<std::size_t> hint) {
+                            return hint.value_or(i % 8);
+                          });
     }
+    for (const l4::ConnectionTable::FlowId id : ids) table.close(id);
     benchmark::DoNotOptimize(table.flows());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

@@ -457,15 +457,27 @@ void audit_sim_event_conservation(std::uint64_t inserted, std::uint64_t popped,
 /// hint (closed), so the two can no longer disagree. What can still drift:
 /// the open-flow counter behind active_connections() must equal the number
 /// of entries marked open, every stored vip and server index must name one
-/// of the caller's @p vips principals and @p servers machines, and every
-/// entry's key must lead the index probe back to that entry. @p state is
-/// an l4::ConnectionTable::State: `flows` entries by id through `entry(id)`
-/// (a `key` with a `vip`, a `flow` with `server()` and `open()`),
-/// `find(key)` the id the index reaches, and `open_flows`.
+/// of the caller's @p vips principals and @p servers machines, every filed
+/// entry's key must lead the index probe back to that entry, and every
+/// pending entry's key (one open_new() appended since the last open()) must
+/// be new: in neither a filed entry nor another pending one. @p state is an
+/// l4::ConnectionTable::State: `flows` entries by id through `entry(id)` (a
+/// `key` with `client_host`, `client_port` and `vip`, a `flow` with
+/// `server()` and `open()`), the first `indexed` of them filed, `find(key)`
+/// the filed id the index reaches, and `open_flows`.
 template <class State>
 void audit_connection_table(const State& state, std::size_t vips,
                             std::size_t servers) {
   std::size_t open = 0;
+  const auto packed = [](const auto& key) {
+    return (std::uint64_t{key.client_host} << 32) |
+           (std::uint64_t{key.client_port} << 16) | key.vip;
+  };
+  // Pending ids + 1 in an open-addressing set at most half full (0 when
+  // empty), which finds two pending entries with one key.
+  std::size_t slots = 16;
+  while (state.indexed + slots / 2 < state.flows) slots *= 2;
+  std::vector<std::size_t> pending(state.indexed < state.flows ? slots : 0);
   for (std::size_t id = 0; id < state.flows; ++id) {
     const auto& [key, flow] = state.entry(static_cast<std::uint32_t>(id));
     require(key.vip < vips, "l4.vip-index-range", [&] {
@@ -479,12 +491,36 @@ void audit_connection_table(const State& state, std::size_t vips,
              std::to_string(servers) + " servers";
     });
     const auto found = state.find(key);
-    require(found && *found == id, "l4.index-reach", [&] {
-      return "flow #" + std::to_string(id) + "'s key leads the index to " +
-             (found ? "flow #" + std::to_string(*found)
-                    : std::string("an empty word")) +
-             ", so open() would not find it";
-    });
+    if (id < state.indexed) {
+      require(found && *found == id, "l4.index-reach", [&] {
+        return "flow #" + std::to_string(id) + "'s key leads the index to " +
+               (found ? "flow #" + std::to_string(*found)
+                      : std::string("an empty word")) +
+               ", so open() would not find it";
+      });
+    } else {
+      require(!found, "l4.pending-key-new", [&] {
+        return "pending flow #" + std::to_string(id) +
+               " repeats the key of filed flow #" + std::to_string(*found) +
+               "; open_new() was handed a key that was not new";
+      });
+      const std::uint64_t bits = packed(key);
+      std::size_t at =
+          static_cast<std::size_t>((bits * 0x9e3779b97f4a7c15ull) >> 32) &
+          (slots - 1);
+      for (; pending[at] != 0; at = (at + 1) & (slots - 1)) {
+        const std::size_t first = pending[at] - 1;
+        require(packed(state.entry(static_cast<std::uint32_t>(first)).key) !=
+                    bits,
+                "l4.pending-key-new", [&] {
+                  return "pending flows #" + std::to_string(first) + " and #" +
+                         std::to_string(id) +
+                         " have the same key; open_new() was handed a key "
+                         "that was not new";
+                });
+      }
+      pending[at] = id + 1;
+    }
     if (flow.open()) ++open;
   }
   require(open == state.open_flows, "l4.open-flow-count", [&] {

@@ -16,12 +16,17 @@
 // an "open" bit. A flow's id is its entry's position: entries are appended
 // in chunks of 1,024 that never move, so an id names its flow for the
 // table's life. An open-addressing index of 4-byte words, each an 8-bit
-// hash tag and an id, finds a key's entry. open() probes the index once per
-// admitted connection and returns the id, which the request carries to
-// close(); close() clears the open bit without a probe. Hints are never
-// evicted: a client machine dials from 4,096 source ports in turn, so a
-// port comes back about ten seconds later at Figure 10's 400 req/s, and
-// that is when its hint picks the server (docs/sim-performance.md).
+// hash tag and an id, finds a key's entry. A connection whose key the
+// caller knows to be new opens with open_new(), which appends its entry
+// without touching the index and leaves it *pending*; any other opens with
+// open(), which first files every pending entry, then probes the index
+// once and returns the id. The request carries the id to close(), which
+// clears the open bit without a probe. Hints are never evicted: a client
+// machine dials from 4,096 source ports in turn, so a port comes back about
+// ten seconds later at Figure 10's 400 req/s, and that is when its hint
+// picks the server. Until then its connections open with open_new(), and a
+// run whose ports never come back never allocates an index
+// (docs/sim-performance.md).
 #pragma once
 
 #include <cstddef>
@@ -82,14 +87,17 @@ class ConnectionTable {
   };
 
   /// What the table stores, kept in one value so that its audit can read it
-  /// and the audit's tests can corrupt a copy. Only open() and close()
-  /// change a table's state.
+  /// and the audit's tests can corrupt a copy. Only open(), open_new() and
+  /// close() change a table's state.
   struct State {
     static constexpr std::uint32_t kIdBits = 0xFFFFFF;
 
     /// Entries by id, kChunkEntries to a chunk.
     std::vector<std::vector<Entry>> chunks;
     std::size_t flows = 0;
+    /// Entries filed in the index: ids below it are, and the ids from it to
+    /// `flows` are pending, appended by open_new() since the last open().
+    std::size_t indexed = 0;
     /// Index words, none or a power of two of them: a word is the key's
     /// hash tag (the hash's top 8 bits) above id + 1, and 0 when empty. A
     /// key's probe starts at its hash modulo the word count.
@@ -117,7 +125,8 @@ class ConnectionTable {
       return at;
     }
 
-    /// The id that @p key's probe reaches, if any.
+    /// The id that @p key's probe reaches, if any; a pending entry is not
+    /// reached.
     std::optional<FlowId> find(const FlowKey& key) const;
 
     static std::uint32_t tag_of(std::uint64_t hash) {
@@ -125,18 +134,21 @@ class ConnectionTable {
     }
   };
 
-  /// Opens the flow client->vip with one index probe and returns its id.
-  /// @p pick receives the flow's affinity hint (the server of its last
-  /// connection, open or closed; none for a new flow) and returns the
-  /// server to use. Reopening an open flow moves it without counting it
-  /// twice. Preconditions: `vip < kMaxVips`, fewer than kMaxFlows flows
-  /// before a new one, and a picked server below kMaxServers; a refused
-  /// open changes nothing.
+  /// Opens the flow client->vip with one index probe and returns its id,
+  /// after filing every pending entry (see open_new()). @p pick receives
+  /// the flow's affinity hint (the server of its last connection, open or
+  /// closed; none for a new flow) and returns the server to use. Reopening
+  /// an open flow moves it without counting it twice. Preconditions:
+  /// `vip < kMaxVips`, every pending key new, fewer than kMaxFlows flows
+  /// before a new one, and a picked server below kMaxServers. A refused
+  /// open changes no flow; a pending key that was not new stays pending.
   template <class Pick>
   FlowId open(const Endpoint& client, std::size_t vip, Pick&& pick) {
     const FlowKey key = key_of(client, vip);
     const std::uint64_t hash = hash_of(key);
-    if ((state_.flows + 1) * 8 > state_.index.size() * 7) grow_index();
+    if (state_.indexed < state_.flows ||
+        (state_.flows + 1) * 8 > state_.index.size() * 7)
+      file_pending();
     const std::size_t at = state_.probe(key, hash);
     std::uint32_t word = state_.index[at];
     std::optional<std::size_t> hint;
@@ -146,12 +158,9 @@ class ConnectionTable {
     const std::size_t server = pick(hint);
     SHAREGRID_EXPECTS(server < kMaxServers);
     if (word == 0) {
-      if (state_.flows % kChunkEntries == 0)
-        state_.chunks.emplace_back(kChunkEntries);
-      // A new entry starts zeroed, so closed until the lines below open it.
-      state_.entry(static_cast<FlowId>(state_.flows)).key = key;
-      word = State::tag_of(hash) | static_cast<std::uint32_t>(++state_.flows);
+      word = State::tag_of(hash) | (append(key) + 1);
       state_.index[at] = word;
+      ++state_.indexed;
     }
     const FlowId id = (word & State::kIdBits) - 1;
     Flow& flow = state_.entry(id).flow;
@@ -160,9 +169,27 @@ class ConnectionTable {
     return id;
   }
 
+  /// Opens the flow client->vip on @p server with no index probe and returns
+  /// its id. The caller knows the key is new, so the flow has no hint: its
+  /// entry is appended and left pending, outside the index, until the next
+  /// open() files it. The ids, hints and counts are those open() would
+  /// give. Preconditions: `vip < kMaxVips`, fewer than kMaxFlows flows and
+  /// `server < kMaxServers`; that the key is new, open() checks.
+  FlowId open_new(const Endpoint& client, std::size_t vip,
+                  std::size_t server) {
+    const FlowKey key = key_of(client, vip);
+    SHAREGRID_EXPECTS(state_.flows < kMaxFlows);
+    SHAREGRID_EXPECTS(server < kMaxServers);
+    const FlowId id = append(key);
+    state_.entry(id).flow.bits =
+        static_cast<std::uint32_t>(server) | Flow::kOpen;
+    ++state_.open_flows;
+    return id;
+  }
+
   /// Closes flow @p id (connection teardown), keeping its server as the
   /// affinity hint; no index probe. No-op when the flow is already closed.
-  /// @p id must come from open().
+  /// @p id must come from open() or open_new().
   void close(FlowId id) {
     SHAREGRID_EXPECTS(id < state_.flows);
     Flow& flow = state_.entry(id).flow;
@@ -193,8 +220,19 @@ class ConnectionTable {
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
     return x ^ (x >> 31);
   }
-  /// Doubles the index (16 words at first) and files every entry again.
-  void grow_index();
+  /// Appends a closed entry for @p key and returns its id.
+  FlowId append(const FlowKey& key) {
+    if (state_.flows % kChunkEntries == 0)
+      state_.chunks.emplace_back(kChunkEntries);
+    // A new entry starts zeroed, so closed until its caller opens it.
+    const auto id = static_cast<FlowId>(state_.flows++);
+    state_.entry(id).key = key;
+    return id;
+  }
+  /// Files every pending entry, first growing the index to the first power
+  /// of two (16 words at least) that holds every entry and a new one at 7/8
+  /// load. A pending key already filed fails a precondition.
+  void file_pending();
 
   State state_;
 };

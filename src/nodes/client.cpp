@@ -27,7 +27,9 @@ ClientFleet::ClientFleet(sim::Simulator* sim, RequestSlab* requests,
       metrics_(metrics),
       redirector_(redirector),
       config_(config),
-      sizes_(sizes) {
+      sizes_(sizes),
+      skip_sizes_(redirector != nullptr &&
+                  redirector->discards_reply_sizes()) {
   SHAREGRID_EXPECTS(sim != nullptr);
   SHAREGRID_EXPECTS(requests != nullptr);
   SHAREGRID_EXPECTS(metrics != nullptr);
@@ -91,8 +93,12 @@ void ClientFleet::emit(std::size_t m) {
   req.principal = config_.principal;
   req.created = sim_->now();
   req.client = index;
-  if (sizes_ != nullptr)
-    req.reply_bytes = sizes_->sample(machine.rng).reply_bytes;
+  if (sizes_ != nullptr) {
+    if (skip_sizes_)
+      sizes_->skip(machine.rng);
+    else
+      req.reply_bytes = sizes_->sample(machine.rng).reply_bytes;
+  }
   ++machine.outstanding;
   metrics_->on_offered(req.principal, sim_->now());
   send_to_redirector(requests_->acquire(req, this));

@@ -55,6 +55,10 @@ class RedirectorBase {
   /// Invoked (already past the client->redirector network delay) when a
   /// client issues or retries a request. The slab names its source.
   virtual void on_client_request(RequestHandle request) = 0;
+
+  /// True when the redirector replaces every request's reply size, so a
+  /// client need not compute the size it samples.
+  virtual bool discards_reply_sizes() const { return false; }
 };
 
 /// All the load-generating machines of one client spec: `client_scale`
@@ -70,7 +74,9 @@ class RedirectorBase {
 /// arrival gaps and reply sizes from its stream, so schedulers driven by the
 /// same streams see identical offered load (bench/abl_open_loop). That holds
 /// on L4 only: on L7 every self-redirect draws retry jitter from the same
-/// stream and shifts the machine's later arrivals.
+/// stream and shifts the machine's later arrivals. Behind a redirector that
+/// discards reply sizes (L4), a machine takes the sizes' draws with
+/// ReplySizeDistribution::skip, so its stream is the same.
 class ClientFleet final : public RequestSource, public ServiceSink {
  public:
   struct Config {
@@ -83,7 +89,9 @@ class ClientFleet final : public RequestSource, public ServiceSink {
 
   /// One machine's closed-loop state: the only per-machine memory, 48
   /// bytes. A request's id packs the machine's client index above its
-  /// 32-bit counter.
+  /// 32-bit counter, which counts the machine's connections: the L4
+  /// redirector derives the source port from it, and opens the flows of
+  /// the first 4,096 without an index probe (L4Redirector::kClientPorts).
   struct Machine {
     Rng rng;
     std::uint32_t next_request_id = 0;  ///< requests issued (not retries)
@@ -130,6 +138,8 @@ class ClientFleet final : public RequestSource, public ServiceSink {
   RedirectorBase* redirector_;
   Config config_;
   const workload::ReplySizeDistribution* sizes_;
+  /// The redirector discards reply sizes: draw them, compute none.
+  bool skip_sizes_;
   std::vector<Machine> machines_;
 
   bool active_ = false;

@@ -76,7 +76,8 @@ L4Redirector::L4Redirector(sim::Simulator* sim, RequestSlab* requests,
 
 l4::Endpoint L4Redirector::client_of(const Request& request) {
   return {0x0C000000u + static_cast<std::uint32_t>(request.client),
-          static_cast<std::uint16_t>(1024 + (request.id & 0xFFF))};
+          static_cast<std::uint16_t>(
+              1024 + static_cast<std::uint32_t>(request.id) % kClientPorts)};
 }
 
 void L4Redirector::on_client_request(RequestHandle handle) {
@@ -111,17 +112,29 @@ bool L4Redirector::try_forward(RequestHandle handle) {
   // Prefer the machine that last served this client endpoint — but only
   // when the admission decision lands on its owner ("to the extent allowed
   // by the sharing agreements", §4.2).
+  const auto pick = [&](std::optional<std::size_t> hint) {
+    if (!hint || servers_->at(*hint).config().owner != *owner) {
+      hint = servers_->pick(*owner);
+      SHAREGRID_ASSERT(hint.has_value());
+    }
+    return *hint;
+  };
+  // A machine's connections are admitted in the order it made them (a
+  // principal's kernel queue holds SYNs only while its quota is spent), so
+  // one of its first kClientPorts dials a port no earlier connection used:
+  // its flow is new and has no hint.
   std::size_t server = 0;
-  request.flow = table_.open(
-      client_of(request), request.principal,
-      [&](std::optional<std::size_t> hint) {
-        if (!hint || servers_->at(*hint).config().owner != *owner) {
-          hint = servers_->pick(*owner);
-          SHAREGRID_ASSERT(hint.has_value());
-        }
-        server = *hint;
-        return server;
-      });
+  if (static_cast<std::uint32_t>(request.id) < kClientPorts) {
+    server = pick(std::nullopt);
+    request.flow = table_.open_new(client_of(request), request.principal,
+                                   server);
+  } else {
+    request.flow = table_.open(client_of(request), request.principal,
+                               [&](std::optional<std::size_t> hint) {
+                                 server = pick(hint);
+                                 return server;
+                               });
+  }
   forward_to(handle, server);
   return true;
 }

@@ -16,14 +16,19 @@
 //
 // A request stays in the domain's RequestSlab from the client to the
 // reply; the kernel queues and the events of the forward and reply hops
-// carry its 4-byte handle. Admission opens the flow with one probe of the
-// connection table's index and stores the flow's id in the request
-// (Request::flow); the reply closes the flow by that id, with no probe.
-// When the SYN arrives the node rewrites the slab's request the way the
-// kernel module sees the connection: `created` becomes the SYN's arrival
-// and the reply size reverts to the 6144 B default, so L4 latency starts
-// at the redirector and L4 runs ignore the sampled size mix (ROADMAP keeps
-// the fix as an open item).
+// carry its 4-byte handle. Admission opens the flow and stores its id in
+// the request (Request::flow); the reply closes the flow by that id, with
+// no probe. A client machine's first kClientPorts connections each dial a
+// port it has not used before, so they open with no probe of the
+// connection table's index (ConnectionTable::open_new); every later one
+// opens with one probe, which finds the hint its port's last connection
+// left. When the SYN arrives the node rewrites the slab's request the way
+// the kernel module sees the connection: `created` becomes the SYN's
+// arrival and the reply size reverts to the 6144 B default, so L4 latency
+// starts at the redirector and L4 runs ignore the sampled size mix (ROADMAP
+// keeps the fix as an open item). The node says so through
+// discards_reply_sizes(), and client fleets then draw the sizes' random
+// numbers without computing them.
 #pragma once
 
 #include <cstddef>
@@ -45,6 +50,11 @@ namespace sharegrid::nodes {
 /// NAT (Layer-4) redirector node.
 class L4Redirector final : public RedirectorBase, public ServiceSink {
  public:
+  /// Source ports a client machine dials from in turn: the low 32 bits of a
+  /// request's id count its machine's connections, and connection n uses
+  /// port 1024 + n mod kClientPorts.
+  static constexpr std::uint32_t kClientPorts = 4096;
+
   struct Config {
     std::string name;
     std::size_t max_queue = 1 << 16;  ///< kernel queue bound per principal
@@ -66,6 +76,8 @@ class L4Redirector final : public RedirectorBase, public ServiceSink {
 
   // RedirectorBase: admits or queues the connection the request opens.
   void on_client_request(RequestHandle request) override;
+  // RedirectorBase: every request's reply size reverts to the default.
+  bool discards_reply_sizes() const override { return true; }
 
   // ServiceSink: the server finished @p request; close its flow and send
   // the reply.
@@ -81,8 +93,8 @@ class L4Redirector final : public RedirectorBase, public ServiceSink {
   coord::ControlPlane::Member* member() { return member_; }
 
  private:
-  /// The client end of a request's connection: port 1024 + (id mod 4096)
-  /// of the client machine's address.
+  /// The client end of a request's connection: port 1024 + (connection
+  /// count mod kClientPorts) of the client machine's address.
   static l4::Endpoint client_of(const Request& request);
 
   void on_window_begun(SimTime now);
@@ -90,7 +102,9 @@ class L4Redirector final : public RedirectorBase, public ServiceSink {
   /// at window boundaries and on destruction so the per-packet path never
   /// touches a shared atomic.
   void flush_metrics();
-  /// Admission decision for a SYN; true when forwarded.
+  /// Admission decision for a SYN; true when forwarded. A connection among
+  /// its machine's first kClientPorts opens with open_new(), any other with
+  /// open().
   bool try_forward(RequestHandle request);
   void forward_to(RequestHandle request, std::size_t server);
 

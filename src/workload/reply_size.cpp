@@ -59,4 +59,9 @@ SampledRequest ReplySizeDistribution::sample(Rng& rng) const {
   return out;
 }
 
+void ReplySizeDistribution::skip(Rng& rng) const {
+  rng();
+  rng();
+}
+
 }  // namespace sharegrid::workload

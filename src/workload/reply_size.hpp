@@ -45,6 +45,9 @@ class ReplySizeDistribution {
   explicit ReplySizeDistribution(const ReplySizeSpec& spec = {});
 
   SampledRequest sample(Rng& rng) const;
+  /// Takes the draws sample() takes, the class and then the uniform, and
+  /// computes nothing: @p rng ends where sample() would leave it.
+  void skip(Rng& rng) const;
 
   double alpha() const { return alpha_; }
   const ReplySizeSpec& spec() const { return spec_; }

@@ -492,5 +492,31 @@ TEST(AuditL4, FlowTheIndexCannotReachFires) {
   EXPECT_NE(msg.find("flow #0's key"), std::string::npos);
 }
 
+// open_new() leaves its entries pending, outside the index, until the next
+// open(). The audit accepts them while each key is new, and fires on a
+// pending key that a filed entry or another pending one already holds.
+TEST(AuditL4, PendingEntriesMustHoldNewKeys) {
+  Table table = sample_table();
+  table.open_new({3, 4000}, 1, 2);
+  table.close(table.open_new({1, 4000}, 1, 0));  // vip 1 is a new key
+  ASSERT_EQ(table.state().indexed, 3u);
+  EXPECT_NO_THROW(audit::audit_connection_table(table.state(), 2, 3));
+
+  Table indexed_twice = table;
+  indexed_twice.open_new({1, 4001}, 1, 2);  // sample_table() opened it
+  std::string msg = violation_message(
+      [&] { audit::audit_connection_table(indexed_twice.state(), 2, 3); });
+  EXPECT_NE(msg.find("l4.pending-key-new"), std::string::npos);
+  EXPECT_NE(msg.find("pending flow #5 repeats the key of filed flow #1"),
+            std::string::npos);
+
+  Table pending_twice = table;
+  pending_twice.open_new({3, 4000}, 1, 0);
+  msg = violation_message(
+      [&] { audit::audit_connection_table(pending_twice.state(), 2, 3); });
+  EXPECT_NE(msg.find("l4.pending-key-new"), std::string::npos);
+  EXPECT_NE(msg.find("pending flows #3 and #5"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace sharegrid

@@ -140,7 +140,9 @@ class ReferenceTable {
 // Seeded operations against the reference: open (including over an open
 // flow), whose pick must be handed the reference's hint; close by the id
 // recorded for the key (including repeated closes, which are no-ops); and
-// a lookup through the index. Client hosts share ports, so keys differ in
+// a lookup through the index. Most first opens of a key go through
+// open_new(), as the redirector opens a client's first 4,096 ports, and
+// the next open() files them. Client hosts share ports, so keys differ in
 // a single field; the hosts set the high bits the packed key must keep,
 // and the vips and servers include the largest index each field holds.
 // After every operation the open-flow count, the flow count and the audit
@@ -158,6 +160,7 @@ TEST(ConnectionTable, DifferentialAgainstTwoMapReference) {
     std::map<std::pair<Endpoint, std::size_t>, ConnectionTable::FlowId> ids;
     std::size_t reopened = 0;
     std::size_t idle_closes = 0;
+    std::size_t opened_new = 0;
     for (int op = 0; op < 10000; ++op) {
       const Endpoint client{hosts[rng.bounded(hosts.size())],
                             ports[rng.bounded(ports.size())]};
@@ -168,12 +171,18 @@ TEST(ConnectionTable, DifferentialAgainstTwoMapReference) {
         case 1: {
           if (reference.open(client, vip)) ++reopened;
           const std::size_t server = servers[rng.bounded(servers.size())];
-          const ConnectionTable::FlowId id =
-              table.open(client, vip, [&](Hint hint) {
-                EXPECT_EQ(hint, reference.affinity_hint(client, vip))
-                    << "seed " << seed << " op " << op;
-                return server;
-              });
+          ConnectionTable::FlowId id = 0;
+          if (known == ids.end() && rng.bounded(4) != 0) {
+            id = table.open_new(client, vip, server);
+            EXPECT_EQ(id, reference.flows()) << "seed " << seed << " op " << op;
+            ++opened_new;
+          } else {
+            id = table.open(client, vip, [&](Hint hint) {
+              EXPECT_EQ(hint, reference.affinity_hint(client, vip))
+                  << "seed " << seed << " op " << op;
+              return server;
+            });
+          }
           if (known != ids.end()) {
             EXPECT_EQ(id, known->second);
           }
@@ -188,8 +197,11 @@ TEST(ConnectionTable, DifferentialAgainstTwoMapReference) {
           reference.close(client, vip);
           break;
         default: {
+          // The index reaches filed flows only.
           const auto found = table.state().find(key_of(client, vip));
-          ASSERT_EQ(found.has_value(), known != ids.end());
+          const bool filed =
+              known != ids.end() && known->second < table.state().indexed;
+          ASSERT_EQ(found.has_value(), filed);
           if (found) {
             EXPECT_EQ(*found, known->second);
             EXPECT_EQ(table.state().entry(*found).flow.server(),
@@ -206,6 +218,7 @@ TEST(ConnectionTable, DifferentialAgainstTwoMapReference) {
     // Every kind of operation happened, on a well-filled table.
     EXPECT_GT(reopened, 100u);
     EXPECT_GT(idle_closes, 100u);
+    EXPECT_GT(opened_new, 20u);
     EXPECT_EQ(table.flows(), hosts.size() * ports.size() * vips.size());
   }
 }
@@ -276,6 +289,74 @@ TEST(ConnectionTable, IdsSurviveIndexGrowth) {
     ASSERT_EQ(hint_of(table, client_of(i), i % 2), i % 7) << "flow " << i;
   EXPECT_EQ(table.flows(), kFlows);
   EXPECT_NO_THROW(run_audit(table));
+}
+
+// A redirector whose clients never dial a port twice opens every flow with
+// open_new(): no index is allocated. The first open() files them all, in an
+// index grown to the first power of two that keeps 7/8 load with one more
+// flow, and finds the hint of a returning port.
+TEST(ConnectionTable, OpenNewFilesNothingUntilOpen) {
+  constexpr std::size_t kFlows = 10000;
+  const auto client_of = [](std::size_t i) {
+    return Endpoint{static_cast<std::uint32_t>(i / 4096),
+                    static_cast<std::uint16_t>(1024 + i % 4096)};
+  };
+  ConnectionTable table;
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    ASSERT_EQ(table.open_new(client_of(i), i % 2, i % 7), i);
+    if (i % 3 == 0) table.close(static_cast<ConnectionTable::FlowId>(i));
+  }
+  EXPECT_TRUE(table.state().index.empty());
+  EXPECT_EQ(table.state().indexed, 0u);
+  EXPECT_EQ(table.flows(), kFlows);
+  EXPECT_EQ(table.active_connections(), kFlows - (kFlows + 2) / 3);
+  EXPECT_NO_THROW(run_audit(table));
+
+  // Flow 0's port comes back: closed, its hint names its server.
+  EXPECT_EQ(hint_of(table, client_of(0), 0), 0u);
+  EXPECT_EQ(table.state().index.size(), std::size_t{1} << 14);
+  EXPECT_EQ(table.state().indexed, kFlows);
+  EXPECT_EQ(table.flows(), kFlows);
+  EXPECT_EQ(table.active_connections(), kFlows - (kFlows + 2) / 3 + 1);
+  for (std::size_t i = 0; i < kFlows; ++i) {
+    const auto found = table.state().find(key_of(client_of(i), i % 2));
+    ASSERT_EQ(found, i) << "flow " << i;
+    ASSERT_EQ(table.state().entry(*found).flow.server(), i % 7);
+  }
+  EXPECT_NO_THROW(run_audit(table));
+}
+
+// open_new() trusts its caller that the key is new; the open() that files
+// it checks. A refused open changes no flow and leaves the key pending.
+TEST(ConnectionTable, OpenNewOfAKnownKeyFailsAtTheNextOpen) {
+  {
+    ConnectionTable table;
+    table.close(table.open(kClient, kVip, use(kServerA)));
+    table.open_new(kClient, kVip, kServerB);  // the key was opened before
+    EXPECT_THROW(table.open(kClient2, kVip, use(kServerA)), ContractViolation);
+    EXPECT_EQ(table.flows(), 2u);
+    EXPECT_EQ(table.active_connections(), 1u);
+    EXPECT_EQ(table.state().indexed, 1u);
+    EXPECT_THROW(table.open(kClient2, kVip, use(kServerA)), ContractViolation);
+  }
+  {
+    ConnectionTable table;
+    table.open_new(kClient, kVip, kServerA);
+    table.open_new(kClient2, kVip, kServerA);
+    table.open_new(kClient, kVip, kServerB);  // pending twice
+    EXPECT_THROW(table.open(kClient, kVip + 1, use(kServerA)),
+                 ContractViolation);
+    EXPECT_EQ(table.flows(), 3u);
+    EXPECT_EQ(table.active_connections(), 3u);
+    EXPECT_FALSE(table.state().find(key_of(kClient, kVip + 1)).has_value());
+  }
+  // open_new() checks its own fields as open() does.
+  ConnectionTable table;
+  EXPECT_THROW(table.open_new(kClient, ConnectionTable::kMaxVips, kServerA),
+               ContractViolation);
+  EXPECT_THROW(table.open_new(kClient, kVip, ConnectionTable::kMaxServers),
+               ContractViolation);
+  EXPECT_EQ(table.flows(), 0u);
 }
 
 TEST(Endpoint, OrderingAndEquality) {

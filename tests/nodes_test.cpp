@@ -789,7 +789,9 @@ TEST(L4Redirector, AffinityHintNamesTheLastServerByPoolIndex) {
   };
   connect(a, 5);
   EXPECT_EQ(b.requests_submitted(), 1u);
-  connect(b, 5 + 4096);
+  // A first dial from its port: the flow is opened without the index.
+  EXPECT_TRUE(redirector.connections().state().index.empty());
+  connect(b, 5 + L4Redirector::kClientPorts);
   driver.stop();
   EXPECT_EQ(source.calls, 2);
   EXPECT_EQ(redirector.connections().flows(), 1u);

@@ -73,6 +73,19 @@ TEST(ReplySizeDistribution, SamplesMatchThePerCallFormula) {
   }
 }
 
+// A client whose redirector discards sizes skips them; its stream must be
+// where sampling would have left it, so every later draw is the same.
+TEST(ReplySizeDistribution, SkipLeavesTheStreamWhereSampleDoes) {
+  const ReplySizeDistribution dist;
+  Rng sampled(77);
+  Rng skipped(77);
+  for (int i = 0; i < 1000; ++i) {
+    dist.sample(sampled);
+    dist.skip(skipped);
+    ASSERT_EQ(sampled(), skipped()) << "after sample " << i;
+  }
+}
+
 TEST(ReplySizeDistribution, DynamicFractionIsRespected) {
   ReplySizeSpec spec;
   spec.dynamic_fraction = 0.3;

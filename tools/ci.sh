@@ -169,8 +169,9 @@ if [[ "${SHAREGRID_CI_QUICK_BENCH:-0}" == "1" ]]; then
 
   echo
   echo "=== [quick-bench] micro_flow NAT connection table ==="
-  # The L4 redirector's table work per connection (open with its hint
-  # lookup, close by id) is recorded in the same section.
+  # The L4 redirector's table work per connection (first-use opens with no
+  # index probe, then opens with their hint lookup, closes by id) is
+  # recorded in the same section.
   FLOW_JSON="$(mktemp -t flow_bench.XXXXXX.json)"
   TMP_FILES+=("${FLOW_JSON}")
   ./build-relwithdebinfo/bench/micro_flow \

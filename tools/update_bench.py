@@ -13,6 +13,13 @@ two sections side by side: a frozen 'baseline' from before an engine change
 (the explicit-bound-row LP engine, the priority-queue event engine) and
 'current', refreshed by SHAREGRID_CI_QUICK_BENCH=1 tools/ci.sh.
 
+Every fresh run must name the build it timed: the micro_* programs add
+build_type (CMAKE_BUILD_TYPE) and cpu_model to their context
+(bench/micro_main.cpp), and a run that lacks build_type or names a build
+other than RelWithDebInfo or Release is refused before anything is written.
+context.library_build_type cannot serve: it describes the installed
+google-benchmark library and reads "debug" from any build of sharegrid.
+
 Two gates run on every file before any file is written; if either trips, the
 script exits 1 and leaves every BENCH file untouched:
 
@@ -55,8 +62,10 @@ COMMENTS = {
         "and after (hierarchical timing wheel); see docs/sim-performance.md",
 }
 
-KEEP_CONTEXT = ("date", "host_name", "num_cpus", "mhz_per_cpu",
-                "cpu_scaling_enabled", "library_build_type")
+KEEP_CONTEXT = ("date", "host_name", "cpu_model", "num_cpus", "mhz_per_cpu",
+                "cpu_scaling_enabled", "build_type", "library_build_type")
+# Builds whose timings may be recorded.
+TIMED_BUILDS = ("RelWithDebInfo", "Release")
 # micro_lp's "label" carries the warm-hit counters ("3528/3584 warm solves")
 # and the row counts; dropping it would blind the warm-hit gate. The
 # simulator benches report items_per_second instead.
@@ -94,6 +103,13 @@ def condense(raw, path):
         if key not in raw:
             fail(f"{path}: no '{key}' section — is this really the "
                  "--benchmark_out of a bench/micro_* program?")
+    build = raw["context"].get("build_type")
+    if build not in TIMED_BUILDS:
+        named = ("names no build type" if build is None
+                 else f"names build type {build!r}")
+        fail(f"{path}: the run {named}; only "
+             f"{' or '.join(TIMED_BUILDS)} builds are recorded (rebuild the "
+             "bench/micro_* programs, which report their own build type)")
     nameless = sum(1 for b in raw["benchmarks"] if "name" not in b)
     if nameless:
         fail(f"{path}: {nameless} benchmark entr"
