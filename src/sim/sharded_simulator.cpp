@@ -24,9 +24,11 @@ util::MetricCounter& cross_posts_counter() {
 ShardedSimulator::ShardedSimulator(std::size_t domains, Options options)
     : options_(options),
       outboxes_(domains),
-      // `shards` counts lanes including the caller; run_indexed() has the
-      // caller participate, so the pool itself holds shards - 1 threads.
-      pool_(options.shards > 0 ? options.shards - 1 : 0) {
+      errors_(domains),
+      // `shards` counts lanes including the caller, which meets the
+      // shards - 1 lane threads at both barriers.
+      start_(static_cast<std::ptrdiff_t>(options.shards)),
+      done_(static_cast<std::ptrdiff_t>(options.shards)) {
   SHAREGRID_EXPECTS(domains >= 1);
   SHAREGRID_EXPECTS(options.lookahead > 0);
   SHAREGRID_EXPECTS(options.shards >= 1);
@@ -36,6 +38,16 @@ ShardedSimulator::ShardedSimulator(std::size_t domains, Options options)
   util::global_metrics()
       .gauge("sim.shards", "parallel lanes of the sharded simulator")
       .set(static_cast<std::int64_t>(options.shards));
+  lanes_.reserve(options.shards - 1);
+  for (std::size_t lane = 1; lane < options.shards; ++lane)
+    lanes_.emplace_back([this] { lane_loop(); });
+}
+
+ShardedSimulator::~ShardedSimulator() {
+  if (lanes_.empty()) return;
+  stop_ = true;
+  start_.arrive_and_wait();
+  for (std::thread& lane : lanes_) lane.join();
 }
 
 void ShardedSimulator::post(std::size_t src, std::size_t dst, SimTime when,
@@ -76,12 +88,7 @@ void ShardedSimulator::run_until(SimTime deadline) {
       outbox.clear();
     }
     SHAREGRID_AUDIT_HOOK(audit_event_conservation());
-    // Domains share no mutable state, so each lane runs its epoch
-    // independently; a contract violation inside any domain surfaces here
-    // (lowest domain index wins, matching the serial order).
-    pool_.run_indexed(domains_.size(), [this, target](std::size_t d) {
-      domains_[d]->run_until(target);
-    });
+    run_epoch();
     now_ = target;
     ++epochs_;
   }
@@ -89,6 +96,49 @@ void ShardedSimulator::run_until(SimTime deadline) {
   epochs_counter().add(epochs_ - epochs_before);
   cross_posts_counter().add(posts_delivered_ - delivered_before);
   SHAREGRID_AUDIT_HOOK(audit_event_conservation());
+}
+
+void ShardedSimulator::run_epoch() {
+  next_domain_.store(0, std::memory_order_relaxed);
+  if (lanes_.empty()) {
+    run_domains();
+  } else {
+    start_.arrive_and_wait();
+    run_domains();
+    done_.arrive_and_wait();
+  }
+  // Domains share no mutable state, so each lane runs its domains
+  // independently; a contract violation inside any domain surfaces here.
+  // The lowest domain index wins, not the first to fail, so a failing epoch
+  // fails the same way whichever lane ran which domain.
+  const auto failed = std::find_if(
+      errors_.begin(), errors_.end(),
+      [](const std::exception_ptr& error) { return error != nullptr; });
+  if (failed == errors_.end()) return;
+  const std::exception_ptr first = *failed;
+  std::fill(errors_.begin(), errors_.end(), nullptr);
+  std::rethrow_exception(first);
+}
+
+void ShardedSimulator::run_domains() {
+  for (;;) {
+    const std::size_t d = next_domain_.fetch_add(1, std::memory_order_relaxed);
+    if (d >= domains_.size()) return;
+    try {
+      domains_[d]->run_until(epoch_end_);
+    } catch (...) {
+      errors_[d] = std::current_exception();
+    }
+  }
+}
+
+void ShardedSimulator::lane_loop() {
+  for (;;) {
+    start_.arrive_and_wait();
+    if (stop_) return;
+    run_domains();
+    done_.arrive_and_wait();
+  }
 }
 
 std::uint64_t ShardedSimulator::events_processed() const {

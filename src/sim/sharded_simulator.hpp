@@ -10,8 +10,10 @@
 //
 //  1. gives every DOMAIN (cluster) its own Simulator — private timing
 //     wheel, freelist, and clock — sharing no mutable state with peers;
-//  2. steps all domains in lockstep epochs of length `lookahead`, fanning
-//     the per-epoch runs out on a util::WorkerPool;
+//  2. steps all domains in lockstep epochs of length `lookahead`: the
+//     engine's own lanes (the caller plus `shards - 1` threads it starts)
+//     meet at a start barrier, take domains off one shared counter until
+//     none are left, and meet again at a done barrier;
 //  3. defers every cross-domain message into a per-source outbox and
 //     delivers all of them at the epoch barrier, iterating source domains
 //     in index order with per-source emission order preserved.
@@ -30,15 +32,17 @@
 #pragma once
 
 #include <atomic>
+#include <barrier>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "sim/simulator.hpp"
 #include "util/assert.hpp"
 #include "util/time.hpp"
-#include "util/worker_pool.hpp"
 
 namespace sharegrid::sim {
 
@@ -56,7 +60,10 @@ class ShardedSimulator {
     std::size_t shards = 1;
   };
 
+  /// Starts the `shards - 1` lane threads (none at `shards = 1`).
   ShardedSimulator(std::size_t domains, Options options);
+  /// Releases the lanes from the start barrier and joins them.
+  ~ShardedSimulator();
 
   std::size_t domain_count() const { return domains_.size(); }
   Simulator& domain(std::size_t d) {
@@ -76,7 +83,10 @@ class ShardedSimulator {
             std::function<void()> fn);
 
   /// Runs every domain to @p deadline in lockstep epochs, exchanging
-  /// cross-domain messages at each barrier.
+  /// cross-domain messages at each barrier. If domains throw, every domain
+  /// still runs its epoch and the exception of the lowest-indexed failing
+  /// domain is rethrown, so a failing epoch fails the same way at every
+  /// shard count.
   void run_until(SimTime deadline);
 
   /// Sum of events executed across all domains.
@@ -104,18 +114,36 @@ class ShardedSimulator {
     std::function<void()> fn;
   };
 
+  /// Runs one epoch on every lane; rethrows the lowest domain's exception.
+  void run_epoch();
+  /// Takes domains off next_domain_ and runs each to epoch_end_ until none
+  /// are left, filing a throwing domain's exception in its errors_ slot.
+  void run_domains();
+  /// A lane thread: one run_domains() between the two barriers per epoch.
+  void lane_loop();
+
   Options options_;
   std::vector<std::unique_ptr<Simulator>> domains_;
   /// outboxes_[src]: messages emitted by domain src this epoch, in emission
   /// order. Written only by the lane running src (or the caller before the
   /// run); drained single-threaded at the barrier.
   std::vector<std::vector<Pending>> outboxes_;
-  WorkerPool pool_;
   SimTime now_ = 0;
   /// End of the epoch currently running (== now_ between epochs); the
-  /// lookahead floor for post(). Written at the barrier, read by lanes —
-  /// ordered by the pool's fan-out/join.
+  /// lookahead floor for post() and the target of every domain's run.
+  /// Written by the caller before the start barrier, read by lanes after
+  /// it. The barriers order every other cross-lane access too: next_domain_
+  /// and stop_ are written before the start barrier, domains and errors_
+  /// slots read by the caller after the done barrier.
   SimTime epoch_end_ = 0;
+  /// The next domain a lane takes this epoch.
+  std::atomic<std::size_t> next_domain_{0};
+  /// errors_[d]: what domain d threw this epoch (null if nothing).
+  std::vector<std::exception_ptr> errors_;
+  std::barrier<> start_;
+  std::barrier<> done_;
+  bool stop_ = false;  // set by the destructor: lanes leave at start_
+  std::vector<std::thread> lanes_;
   std::atomic<std::uint64_t> posts_sent_{0};
   std::uint64_t posts_delivered_ = 0;
   std::uint64_t epochs_ = 0;

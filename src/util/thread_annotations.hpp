@@ -13,12 +13,10 @@
 // The analysis only understands lock/unlock operations that are themselves
 // annotated. libstdc++'s std::mutex / std::lock_guard carry no annotations,
 // so this header also provides the thin annotated primitives the library
-// uses instead: Mutex (a capability wrapping std::mutex), MutexLock (a
-// scoped capability replacing std::lock_guard), and CondVar (a condition
-// variable whose wait() declares that the caller holds the mutex).
+// uses instead: Mutex (a capability wrapping std::mutex) and MutexLock (a
+// scoped capability replacing std::lock_guard).
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #if defined(__clang__)
@@ -61,11 +59,6 @@
 #define SHAREGRID_TRY_ACQUIRE(...) \
   SHAREGRID_THREAD_ATTRIBUTE(try_acquire_capability(__VA_ARGS__))
 
-/// Escape hatch: the function's locking is correct for reasons the analysis
-/// cannot follow. Every use needs a comment saying why.
-#define SHAREGRID_NO_THREAD_SAFETY_ANALYSIS \
-  SHAREGRID_THREAD_ATTRIBUTE(no_thread_safety_analysis)
-
 namespace sharegrid::util {
 
 /// Annotated mutex: std::mutex declared as a Clang capability so
@@ -100,32 +93,6 @@ class SHAREGRID_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mutex_;
-};
-
-/// Condition variable over Mutex. wait() declares the lock requirement, so
-/// waiting without the mutex held is a compile error under Clang. Callers
-/// re-check their predicate in a loop around wait(), which keeps the
-/// predicate reads inside the annotated critical section (a wait(pred)
-/// overload would hide them in a lambda the analysis cannot see into).
-class CondVar {
- public:
-  /// Atomically releases @p mutex, blocks, and re-acquires before returning.
-  /// Annotated REQUIRES: the caller holds the mutex across the call from the
-  /// analysis's point of view; the internal release/re-acquire is invisible
-  /// by design, hence the analysis opt-out on the body.
-  void wait(Mutex& mutex) SHAREGRID_REQUIRES(mutex)
-      SHAREGRID_NO_THREAD_SAFETY_ANALYSIS {
-    cv_.wait(mutex);
-  }
-
-  void notify_one() noexcept { cv_.notify_one(); }
-  void notify_all() noexcept { cv_.notify_all(); }
-
- private:
-  // condition_variable_any works with any BasicLockable, which lets the
-  // annotated Mutex be the thing waited on (std::condition_variable would
-  // force an unannotated std::unique_lock<std::mutex> into every wait site).
-  std::condition_variable_any cv_;
 };
 
 }  // namespace sharegrid::util

@@ -3,11 +3,12 @@
 // reporting, reset, and concurrent updates from worker threads.
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/metrics_registry.hpp"
-#include "util/worker_pool.hpp"
 
 namespace sharegrid {
 namespace {
@@ -80,13 +81,16 @@ TEST(MetricsRegistry, ConcurrentAddsAreLossless) {
   util::MetricsRegistry registry;
   constexpr std::size_t kThreads = 8;
   constexpr std::uint64_t kPerLane = 10000;
-  WorkerPool pool(kThreads);
   // Lanes both register (lookup path) and bump (atomic path) concurrently.
-  pool.run_indexed(kThreads, [&registry](std::size_t lane) {
-    util::MetricCounter& shared = registry.counter("shared", "all lanes");
-    for (std::uint64_t i = 0; i < kPerLane; ++i) shared.add();
-    registry.counter("lane." + std::to_string(lane)).add(lane);
-  });
+  std::vector<std::thread> lanes;
+  for (std::size_t lane = 0; lane < kThreads; ++lane) {
+    lanes.emplace_back([&registry, lane] {
+      util::MetricCounter& shared = registry.counter("shared", "all lanes");
+      for (std::uint64_t i = 0; i < kPerLane; ++i) shared.add();
+      registry.counter("lane." + std::to_string(lane)).add(lane);
+    });
+  }
+  for (std::thread& lane : lanes) lane.join();
   EXPECT_EQ(registry.counter("shared").value(), kThreads * kPerLane);
   EXPECT_EQ(registry.to_table().row_count(), 1u + kThreads);
 }

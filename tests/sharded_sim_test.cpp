@@ -1,9 +1,12 @@
 // Tests for the conservatively synchronized multi-domain engine
 // (sim/sharded_simulator.hpp): epoch stepping, deterministic barrier
 // delivery, shard-count invariance of the per-domain event streams, the
-// unconditional lookahead-violation check, and event conservation.
+// unconditional lookahead-violation check, event conservation, and the
+// engine's own lanes (every domain once per epoch, lowest-domain rethrow,
+// shutdown).
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -149,6 +152,86 @@ TEST(ShardedSimulator, RepeatedRunUntilContinues) {
   EXPECT_GT(count, after_first);
   EXPECT_EQ(sharded.now(), 200);
   tick.cancel();
+}
+
+TEST(ShardedSimulator, EveryDomainRunsOncePerEpochAtEveryLaneCount) {
+  constexpr std::size_t kDomains = 16;
+  constexpr std::size_t kEpochs = 25;
+  constexpr SimDuration kLookahead = 10;
+  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+    ShardedSimulator sharded(kDomains, options(kLookahead, shards));
+    // ran[d][e]: events domain d ran in epoch e, one scheduled per epoch.
+    // Each slot is written only by the lane running domain d.
+    std::vector<std::vector<int>> ran(kDomains, std::vector<int>(kEpochs, 0));
+    for (std::size_t d = 0; d < kDomains; ++d) {
+      for (std::size_t e = 0; e < kEpochs; ++e) {
+        const SimTime at =
+            static_cast<SimTime>(e) * kLookahead + 1 + static_cast<SimTime>(d % 9);
+        sharded.domain(d).schedule_at(at, [&ran, d, e] { ++ran[d][e]; });
+      }
+    }
+    sharded.run_until(static_cast<SimTime>(kEpochs) * kLookahead);
+    EXPECT_EQ(sharded.epochs(), kEpochs) << "shards=" << shards;
+    EXPECT_EQ(sharded.events_processed(), kDomains * kEpochs);
+    for (std::size_t d = 0; d < kDomains; ++d) {
+      EXPECT_EQ(sharded.domain(d).now(), sharded.now());
+      for (std::size_t e = 0; e < kEpochs; ++e)
+        EXPECT_EQ(ran[d][e], 1) << "domain " << d << " epoch " << e
+                                << " shards=" << shards;
+    }
+  }
+}
+
+TEST(ShardedSimulator, OneLaneRunsEveryDomainOnTheCallingThread) {
+  ShardedSimulator sharded(6, options(10, 1));
+  std::vector<std::thread::id> ran_on;
+  for (std::size_t d = 0; d < 6; ++d) {
+    sim::Simulator& local = sharded.domain(d);
+    for (SimTime at = 3; at < 50; at += 7)
+      local.schedule_at(at, [&ran_on] {
+        ran_on.push_back(std::this_thread::get_id());
+      });
+  }
+  sharded.run_until(50);
+  ASSERT_EQ(ran_on.size(), 6u * 7u);
+  for (const std::thread::id id : ran_on)
+    EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(ShardedSimulator, RethrowsLowestFailingDomainAfterEveryDomainRuns) {
+  // Domains 3 and 9 throw in the same epoch; every domain must still run
+  // it, and the error must be domain 3's whichever lane failed first.
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    ShardedSimulator sharded(16, options(10, 4));
+    std::vector<int> ran(16, 0);
+    for (std::size_t d = 0; d < 16; ++d) {
+      sharded.domain(d).schedule_at(5, [&ran, d] {
+        ++ran[d];
+        if (d == 3 || d == 9)
+          throw ContractViolation("boom " + std::to_string(d));
+      });
+    }
+    try {
+      sharded.run_until(100);
+      FAIL() << "expected an exception";
+    } catch (const ContractViolation& e) {
+      EXPECT_STREQ(e.what(), "boom 3");
+    }
+    for (int r : ran) EXPECT_EQ(r, 1);
+    EXPECT_EQ(sharded.epochs(), 0u);  // the failing epoch is not crossed
+  }
+}
+
+TEST(ShardedSimulator, DestroysWithoutHangingAfterAThrowOrWithoutARun) {
+  {
+    ShardedSimulator threw(8, options(10, 4));
+    threw.domain(5).schedule_at(1, [] { throw ContractViolation("boom"); });
+    EXPECT_THROW(threw.run_until(100), ContractViolation);
+  }
+  {
+    const ShardedSimulator never_ran(8, options(10, 4));
+    EXPECT_EQ(never_ran.epochs(), 0u);
+  }
 }
 
 }  // namespace

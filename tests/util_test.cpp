@@ -1,5 +1,4 @@
-// Unit tests for the util substrate: rng, matrix, stats, time series, table,
-// worker pool.
+// Unit tests for the util substrate: rng, matrix, stats, time series, table.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,7 +13,6 @@
 #include "util/table.hpp"
 #include "util/time.hpp"
 #include "util/time_series.hpp"
-#include "util/worker_pool.hpp"
 
 namespace sharegrid {
 namespace {
@@ -219,46 +217,6 @@ TEST(TextTable, CsvEscaping) {
 TEST(TextTable, NumFormatsPrecision) {
   EXPECT_EQ(TextTable::num(3.14159, 2), "3.14");
   EXPECT_EQ(TextTable::num(42.0, 0), "42");
-}
-
-TEST(WorkerPool, RunsEveryIndexExactlyOnce) {
-  WorkerPool pool(4);
-  std::vector<int> counts(257, 0);
-  pool.run_indexed(counts.size(),
-                   [&](std::size_t i) { ++counts[i]; });  // disjoint slots
-  for (std::size_t i = 0; i < counts.size(); ++i) EXPECT_EQ(counts[i], 1);
-  // Reuse across runs, including an empty one.
-  pool.run_indexed(0, [&](std::size_t) { ADD_FAILURE(); });
-  pool.run_indexed(counts.size(), [&](std::size_t i) { ++counts[i]; });
-  for (std::size_t i = 0; i < counts.size(); ++i) EXPECT_EQ(counts[i], 2);
-}
-
-TEST(WorkerPool, ZeroThreadsRunsInline) {
-  WorkerPool pool(0);
-  EXPECT_EQ(pool.thread_count(), 0u);
-  std::vector<int> counts(16, 0);
-  pool.run_indexed(counts.size(), [&](std::size_t i) { ++counts[i]; });
-  for (int c : counts) EXPECT_EQ(c, 1);
-}
-
-TEST(WorkerPool, RethrowsLowestIndexException) {
-  WorkerPool pool(4);
-  // Indexes 3 and 9 throw; every index must still run, and the reported
-  // error must be index 3's regardless of which thread hit which first.
-  for (int attempt = 0; attempt < 20; ++attempt) {
-    std::vector<int> ran(16, 0);
-    try {
-      pool.run_indexed(ran.size(), [&](std::size_t i) {
-        ++ran[i];
-        if (i == 3 || i == 9)
-          throw ContractViolation("boom " + std::to_string(i));
-      });
-      FAIL() << "expected an exception";
-    } catch (const ContractViolation& e) {
-      EXPECT_STREQ(e.what(), "boom 3");
-    }
-    for (int r : ran) EXPECT_EQ(r, 1);
-  }
 }
 
 }  // namespace

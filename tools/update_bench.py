@@ -13,6 +13,13 @@ two sections side by side: a frozen 'baseline' from before an engine change
 (the explicit-bound-row LP engine, the priority-queue event engine) and
 'current', refreshed by SHAREGRID_CI_QUICK_BENCH=1 tools/ci.sh.
 
+Timings on a shared host swing from run to run, so each run must repeat its
+benchmarks (--benchmark_repetitions=N, with
+--benchmark_report_aggregates_only=true keeping the output to the
+aggregates): every benchmark is recorded as its median aggregate under its
+run_name, and the context records N as 'repetitions'. A run without median
+aggregates is refused.
+
 Every fresh run must name the build it timed: the micro_* programs add
 build_type (CMAKE_BUILD_TYPE) and cpu_model to their context
 (bench/micro_main.cpp), and a run that lacks build_type or names a build
@@ -64,13 +71,18 @@ COMMENTS = {
 
 KEEP_CONTEXT = ("date", "host_name", "cpu_model", "num_cpus", "mhz_per_cpu",
                 "cpu_scaling_enabled", "build_type", "library_build_type")
+# The aggregate each benchmark is recorded as.
+RECORDED_AGGREGATE = "median"
 # Builds whose timings may be recorded.
 TIMED_BUILDS = ("RelWithDebInfo", "Release")
 # micro_lp's "label" carries the warm-hit counters ("3528/3584 warm solves")
-# and the row counts; dropping it would blind the warm-hit gate. The
-# simulator benches report items_per_second instead.
-KEEP_BENCH = ("name", "iterations", "real_time", "cpu_time", "time_unit",
-              "items_per_second", "label")
+# and the row counts; dropping it would blind the warm-hit gate (google-
+# benchmark keeps a label on the aggregates when every repetition printed
+# the same one). The simulator benches report items_per_second instead. The
+# recorded name is the aggregate's run_name, without its "_median" suffix;
+# an aggregate's "iterations" counts repetitions, which the context records.
+KEEP_BENCH = ("real_time", "cpu_time", "time_unit", "items_per_second",
+              "label")
 
 # A fresh warm-hit rate may fall this far below a recorded one before the
 # gate trips (the counters are deterministic, but refresh cadence can shift
@@ -110,17 +122,25 @@ def condense(raw, path):
         fail(f"{path}: the run {named}; only "
              f"{' or '.join(TIMED_BUILDS)} builds are recorded (rebuild the "
              "bench/micro_* programs, which report their own build type)")
-    nameless = sum(1 for b in raw["benchmarks"] if "name" not in b)
+    medians = [b for b in raw["benchmarks"]
+               if b.get("aggregate_name") == RECORDED_AGGREGATE]
+    if not medians:
+        fail(f"{path}: the run has no {RECORDED_AGGREGATE} aggregates; run "
+             "it with --benchmark_repetitions=N (N > 1) so that one noisy "
+             "repetition cannot become the recorded figure")
+    nameless = sum(1 for b in medians if "run_name" not in b)
     if nameless:
         fail(f"{path}: {nameless} benchmark entr"
-             f"{'y' if nameless == 1 else 'ies'} carry no 'name' field; "
+             f"{'y' if nameless == 1 else 'ies'} carry no 'run_name' field; "
              "refusing to fold an unattributable run")
+    context = {k: raw["context"][k]
+               for k in KEEP_CONTEXT if k in raw["context"]}
+    context["repetitions"] = medians[0]["repetitions"]
     return {
-        "context": {k: raw["context"][k]
-                    for k in KEEP_CONTEXT if k in raw["context"]},
-        "benchmarks": [{k: b[k] for k in KEEP_BENCH if k in b}
-                       for b in raw["benchmarks"]
-                       if b.get("run_type", "iteration") == "iteration"],
+        "context": context,
+        "benchmarks": [{"name": b["run_name"],
+                        **{k: b[k] for k in KEEP_BENCH if k in b}}
+                       for b in medians],
     }
 
 
