@@ -20,8 +20,8 @@
 #include <iostream>
 #include <limits>
 
+#include "coord/combining_tree.hpp"
 #include "coord/control_plane.hpp"
-#include "coord/snapshot_transport.hpp"
 #include "coord/window_driver.hpp"
 #include "core/flow.hpp"
 #include "nodes/client.hpp"
@@ -69,9 +69,8 @@ Outcome run_with(const sched::Scheduler* scheduler) {
   // A lone redirector still needs its aggregation feedback: without a
   // snapshot it stays conservative forever. Rounds fall halfway between
   // windows.
-  coord::SimTreeTransport::Options tree;
-  tree.first_round = 50 * kMillisecond;
-  coord::SimTreeTransport transport(&sim, 1, scheduler->size(), tree);
+  coord::CombiningTree transport(&sim, 1, scheduler->size(),
+                                 {.first_round = 50 * kMillisecond});
   plane.connect(&transport);
   transport.start();
 

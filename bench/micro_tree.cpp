@@ -3,7 +3,8 @@
 // The paper's §3.2 scalability argument: a combining tree needs 2(n-1)
 // messages per aggregation round against O(n^2) for pairwise exchange. This
 // bench measures both the message counts (reported as counters) and the
-// simulation cost of a round at increasing redirector counts.
+// simulation cost of a round at increasing redirector counts. The tree's n
+// nodes are its virtual root and n - 1 members in a 4-ary tree.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -24,18 +25,18 @@ void BM_CombiningTreeRound(benchmark::State& state) {
   std::uint64_t rounds = 0;
   for (auto _ : state) {
     sim::Simulator sim;
-    TreeConfig cfg{.period = 100, .link_delay = 1, .vector_size = kVectorSize};
-    CombiningTree tree(&sim, TreeTopology::balanced(n, 4), cfg);
+    CombiningTree tree(&sim, n - 1, kVectorSize,
+                       {.period = 100, .link_delay = 1, .fanout = 4});
     std::vector<double> local(kVectorSize, 1.0);
     std::size_t delivered = 0;
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = 0; i + 1 < n; ++i) {
       tree.attach(
           i, [&local] { return local; },
           [&delivered](std::uint64_t, const std::vector<double>&) {
             ++delivered;
           });
     }
-    tree.start(0);
+    tree.start();
     sim.run_until(99);  // exactly one full round per fresh tree
     benchmark::DoNotOptimize(delivered);
     messages = tree.messages_sent();
@@ -54,8 +55,8 @@ void BM_PairwiseExchangeRound(benchmark::State& state) {
   std::uint64_t rounds = 0;
   for (auto _ : state) {
     sim::Simulator sim;
-    TreeConfig cfg{.period = 100, .link_delay = 1, .vector_size = kVectorSize};
-    PairwiseExchange exchange(&sim, n, cfg);
+    PairwiseExchange exchange(&sim, n, kVectorSize,
+                              {.period = 100, .link_delay = 1});
     std::vector<double> local(kVectorSize, 1.0);
     std::size_t delivered = 0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -65,7 +66,7 @@ void BM_PairwiseExchangeRound(benchmark::State& state) {
             ++delivered;
           });
     }
-    exchange.start(0);
+    exchange.start();
     sim.run_until(99);  // exactly one round per fresh exchange
     benchmark::DoNotOptimize(delivered);
     messages = exchange.messages_sent();

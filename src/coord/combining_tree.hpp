@@ -3,71 +3,66 @@
 // Redirectors periodically contribute their local per-principal queue-length
 // vectors; reports travel leaf-to-root, are summed element-wise at each hop,
 // and the root's aggregate is broadcast back down — 2(n-1) messages per round
-// versus O(n^2) for pairwise exchange. Links have a configurable one-way
-// delay, so receivers observe aggregates that lag true state by up to
-// 2 * depth * delay; the Figure 8 experiment sets this lag to 10 seconds.
-// Rounds may overlap in flight when the lag exceeds the round period.
+// versus O(n^2) for pairwise exchange. The paper leaves the tree's
+// construction open; here it is a flat star or a complete k-ary tree under a
+// virtual root. Links have a configurable one-way delay, so receivers observe
+// aggregates that lag true state by up to 2 * depth * delay; the Figure 8
+// experiment sets this lag to 10 seconds. Rounds may overlap in flight when
+// the lag exceeds the round period.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
-#include "coord/topology.hpp"
+#include "coord/snapshot_transport.hpp"
 #include "sim/simulator.hpp"
-#include "util/time.hpp"
 
 namespace sharegrid::coord {
 
-/// Combining-tree configuration.
-struct TreeConfig {
-  /// How often an aggregation round starts.
-  SimDuration period = 100 * kMillisecond;
-  /// One-way delay of every tree link (same up and down).
-  SimDuration link_delay = 0;
-  /// Length of the aggregated vector (one slot per principal).
-  std::size_t vector_size = 0;
-};
-
-/// Event-driven combining tree running on a Simulator.
-class CombiningTree {
+/// The simulated snapshot transport: an event-driven combining tree on a
+/// Simulator. Members 0..R-1 are nodes 1..R under a virtual root, node 0,
+/// which samples nothing. Node i's parent is (i - 1) / k, with k the fanout,
+/// or k = R for a flat star (fanout 0), so every member of a star sees the
+/// same aggregate lag of 2 * link_delay. Uniform link delays mean rounds
+/// complete in start order, so receivers observe strictly increasing round
+/// numbers (with gaps where rounds were abandoned) — the monotonicity the
+/// control-plane audit pins.
+class CombiningTree final : public SnapshotTransport {
  public:
-  /// Samples a participant's local contribution at round start.
-  using Provider = std::function<std::vector<double>()>;
-  /// Delivers the completed global aggregate to a participant, tagged with
-  /// the originating round. Uniform link delays mean rounds complete in
-  /// start order, so receivers observe strictly increasing round numbers
-  /// (with gaps where rounds were abandoned) — the monotonicity the
-  /// control-plane audit pins.
-  using Receiver =
-      std::function<void(std::uint64_t round, const std::vector<double>&)>;
+  /// @pre options.fanout is 0 or at least 2.
+  CombiningTree(sim::Simulator* sim, std::size_t member_count,
+                std::size_t vector_size, SimExchangeOptions options);
+  // Scheduled events hold `this`.
+  CombiningTree(const CombiningTree&) = delete;
+  CombiningTree& operator=(const CombiningTree&) = delete;
 
-  CombiningTree(sim::Simulator* sim, TreeTopology topology, TreeConfig config);
+  /// Members without a provider contribute zeros (an interior member still
+  /// combines its children's reports); members without a receiver simply
+  /// forward.
+  void attach(std::size_t member, Provider provider,
+              Receiver receiver) override;
 
-  /// Attaches a participant to tree node @p node. Nodes without a provider
-  /// contribute zeros (pure interior nodes); nodes without a receiver simply
-  /// forward. Call before start().
-  void attach(std::size_t node, Provider provider, Receiver receiver);
-
-  /// Starts periodic aggregation rounds at @p first_round.
-  void start(SimTime first_round);
+  /// Starts periodic aggregation rounds at options.first_round.
+  void start() override;
 
   /// Stops future rounds (in-flight messages still drain).
-  void stop();
+  void stop() override;
 
-  /// Failure injection: while any node is marked failed, no *new* round can
-  /// complete (the root transitively waits on every node), so rounds are
+  std::uint64_t messages_sent() const override { return messages_sent_; }
+
+  /// Failure injection: while any member is marked failed, no *new* round
+  /// can complete (the root transitively waits on every node), so rounds are
   /// abandoned at start and downstream receivers keep acting on their last
   /// snapshot — the same graceful-staleness path as network delay (§3.2).
   /// Rounds already in flight when the failure is injected still complete;
-  /// recovery rejoins from the next round on.
-  void set_node_failed(std::size_t node, bool failed);
-  bool node_failed(std::size_t node) const;
+  /// recovery rejoins from the next round on. The virtual root cannot fail.
+  void set_member_failed(std::size_t member, bool failed);
 
-  std::uint64_t messages_sent() const { return messages_sent_; }
   std::uint64_t rounds_completed() const { return rounds_completed_; }
-  /// Rounds that began but can no longer complete due to failed nodes.
+  /// Rounds that began but can no longer complete due to failed members.
   std::uint64_t rounds_abandoned() const { return rounds_abandoned_; }
 
  private:
@@ -100,6 +95,11 @@ class CombiningTree {
     std::vector<RoundSlot> slots;  // indexed by node
   };
 
+  std::size_t parent(std::size_t node) const { return (node - 1) / arity_; }
+  /// The children of @p node, [first, last) in index order: nodes
+  /// k * node + 1 .. k * node + k that exist.
+  std::pair<std::size_t, std::size_t> children(std::size_t node) const;
+
   void begin_round(std::uint64_t round);
   /// The frame of a live @p round.
   RoundFrame& frame_of(std::uint64_t round);
@@ -112,15 +112,16 @@ class CombiningTree {
   void broadcast_down(std::uint64_t round, std::size_t node);
 
   sim::Simulator* sim_;
-  TreeTopology topology_;
-  std::vector<std::vector<std::size_t>> children_;
-  std::size_t root_ = 0;
-  TreeConfig config_;
+  std::size_t vector_size_;
+  SimExchangeOptions options_;
+  /// k: the fanout, or R for a flat star.
+  std::size_t arity_;
+  /// Indexed by node; the virtual root's entry stays empty.
   std::vector<NodeState> nodes_;
+  std::vector<bool> failed_;  // indexed by member
   // Ring of in-flight rounds; see RoundFrame.
   std::vector<RoundFrame> rounds_;
   std::unique_ptr<sim::PeriodicTask> task_;
-  std::vector<bool> failed_;
   std::uint64_t next_round_ = 0;
   std::uint64_t messages_sent_ = 0;
   std::uint64_t rounds_completed_ = 0;
@@ -128,18 +129,21 @@ class CombiningTree {
 };
 
 /// Pairwise full exchange: the O(n^2)-message alternative the paper compares
-/// against. Same Provider/Receiver interface so benches can swap strategies.
-class PairwiseExchange {
+/// against, behind the same seam so benches can swap strategies.
+class PairwiseExchange final : public SnapshotTransport {
  public:
-  PairwiseExchange(sim::Simulator* sim, std::size_t node_count,
-                   TreeConfig config);
+  /// @pre options.fanout is 0: every member sends to every other.
+  PairwiseExchange(sim::Simulator* sim, std::size_t member_count,
+                   std::size_t vector_size, SimExchangeOptions options);
+  PairwiseExchange(const PairwiseExchange&) = delete;
+  PairwiseExchange& operator=(const PairwiseExchange&) = delete;
 
-  void attach(std::size_t node, CombiningTree::Provider provider,
-              CombiningTree::Receiver receiver);
-  void start(SimTime first_round);
-  void stop();
+  void attach(std::size_t member, Provider provider,
+              Receiver receiver) override;
+  void start() override;
+  void stop() override;
 
-  std::uint64_t messages_sent() const { return messages_sent_; }
+  std::uint64_t messages_sent() const override { return messages_sent_; }
 
  private:
   /// One round's total while its messages are in flight. Every message
@@ -156,9 +160,10 @@ class PairwiseExchange {
   void deliver(std::uint64_t round, std::size_t dst);
 
   sim::Simulator* sim_;
-  TreeConfig config_;
-  std::vector<CombiningTree::Provider> providers_;
-  std::vector<CombiningTree::Receiver> receivers_;
+  std::size_t vector_size_;
+  SimExchangeOptions options_;
+  std::vector<Provider> providers_;
+  std::vector<Receiver> receivers_;
   std::deque<InFlight> in_flight_;  // oldest round first
   std::unique_ptr<sim::PeriodicTask> task_;
   std::uint64_t next_round_ = 0;

@@ -8,12 +8,13 @@ namespace sharegrid::coord {
 
 ShardedStarTransport::ShardedStarTransport(sim::ShardedSimulator* sharded,
                                            std::size_t vector_size,
-                                           Options options)
+                                           SimExchangeOptions options)
     : sharded_(sharded), vector_size_(vector_size), options_(options) {
   SHAREGRID_EXPECTS(sharded != nullptr);
   SHAREGRID_EXPECTS(vector_size > 0);
   SHAREGRID_EXPECTS(options_.period > 0);
   SHAREGRID_EXPECTS(options_.link_delay > 0);
+  SHAREGRID_EXPECTS(options_.fanout == 0);
   const std::size_t clusters = sharded_->domain_count();
   providers_.resize(clusters);
   receivers_.resize(clusters);

@@ -5,7 +5,7 @@
 // tree's snapshot exchange: each cluster's control-plane member contributes
 // its local demand vector, a virtual root (hosted in domain 0) sums the
 // contributions, and the aggregate is broadcast back — the flat star of
-// SimTreeTransport, with each link crossing a domain boundary through
+// CombiningTree, with each link crossing a domain boundary through
 // ShardedSimulator::post(). The link delay is therefore exactly the
 // conservative lookahead bound the engine steps by.
 //
@@ -23,7 +23,6 @@
 #include "coord/snapshot_transport.hpp"
 #include "sim/sharded_simulator.hpp"
 #include "sim/simulator.hpp"
-#include "util/time.hpp"
 
 namespace sharegrid::coord {
 
@@ -34,18 +33,11 @@ class ShardedStarTransport {
   using Provider = SnapshotTransport::Provider;
   using Receiver = SnapshotTransport::Receiver;
 
-  struct Options {
-    /// How often an aggregation round starts.
-    SimDuration period = 100 * kMillisecond;
-    /// One-way delay of every cluster->root and root->cluster link. Must be
-    /// >= the engine's lookahead (it IS the natural lookahead bound).
-    SimDuration link_delay = 0;
-    /// When the first round fires.
-    SimTime first_round = 0;
-  };
-
+  /// options.link_delay is the one-way delay of every cluster->root and
+  /// root->cluster link; it must be >= the engine's lookahead (it IS the
+  /// natural lookahead bound). @pre options.fanout is 0: a star.
   ShardedStarTransport(sim::ShardedSimulator* sharded, std::size_t vector_size,
-                       Options options);
+                       SimExchangeOptions options);
 
   /// Registers cluster @p cluster's hooks; call for every cluster before
   /// start(). The provider samples inside domain `cluster`; the receiver is
@@ -75,7 +67,7 @@ class ShardedStarTransport {
 
   sim::ShardedSimulator* sharded_;
   std::size_t vector_size_;
-  Options options_;
+  SimExchangeOptions options_;
   std::vector<Provider> providers_;
   std::vector<Receiver> receivers_;
   /// Per-cluster next round number; advanced only by the cluster's own task.

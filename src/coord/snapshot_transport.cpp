@@ -5,49 +5,6 @@
 #include "util/assert.hpp"
 
 namespace sharegrid::coord {
-namespace {
-
-TreeConfig tree_config_for(std::size_t vector_size,
-                           const SimTreeTransport::Options& options) {
-  TreeConfig config;
-  config.period = options.period;
-  config.link_delay = options.link_delay;
-  config.vector_size = vector_size;
-  return config;
-}
-
-TreeTopology topology_for(std::size_t member_count,
-                          const SimTreeTransport::Options& options) {
-  // Members hang off a virtual root (node 0) so every one of them sees the
-  // same aggregate lag; fanout >= 2 folds them into a balanced tree whose
-  // interior members both contribute and combine (§3.2).
-  SHAREGRID_EXPECTS(options.fanout == 0 || options.fanout >= 2);
-  return options.fanout == 0
-             ? TreeTopology::star(member_count + 1)
-             : TreeTopology::balanced(member_count + 1, options.fanout);
-}
-
-}  // namespace
-
-SimTreeTransport::SimTreeTransport(sim::Simulator* sim,
-                                   std::size_t member_count,
-                                   std::size_t vector_size, Options options)
-    : member_count_(member_count),
-      options_(options),
-      tree_(sim, topology_for(member_count, options),
-            tree_config_for(vector_size, options)) {
-  SHAREGRID_EXPECTS(member_count >= 1);
-}
-
-void SimTreeTransport::attach(std::size_t member, Provider provider,
-                              Receiver receiver) {
-  SHAREGRID_EXPECTS(member < member_count_);
-  tree_.attach(member + 1, std::move(provider), std::move(receiver));
-}
-
-void SimTreeTransport::start() { tree_.start(options_.first_round); }
-
-void SimTreeTransport::stop() { tree_.stop(); }
 
 InProcessTransport::InProcessTransport(std::size_t member_count,
                                        std::size_t vector_size)

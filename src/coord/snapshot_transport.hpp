@@ -6,8 +6,9 @@
 // increasing round number. SnapshotTransport abstracts that exchange so the
 // same coord::ControlPlane runs over
 //
-//  * SimTreeTransport  — the event-driven CombiningTree on a Simulator
-//    (the DES experiments; link delay and tree shape are modeled);
+//  * CombiningTree     — the event-driven tree on a Simulator
+//    (coord/combining_tree.hpp; the DES experiments, where link delay and
+//    tree shape are modeled);
 //  * InProcessTransport — a synchronous in-memory combining tree: the live
 //    facade's one-member exchange (mutex-serialized by the wall-clock
 //    driver above it), and the R-member oracle that the socket parity
@@ -22,9 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "coord/combining_tree.hpp"
-#include "coord/topology.hpp"
-#include "sim/simulator.hpp"
 #include "util/time.hpp"
 
 namespace sharegrid::coord {
@@ -63,37 +61,18 @@ class SnapshotTransport {
   virtual std::uint64_t messages_sent() const = 0;
 };
 
-/// DES transport: wraps CombiningTree with members attached as tree nodes
-/// 1..R under a virtual root, so every member sees the same aggregate lag of
-/// 2 * link_delay (star) or 2 * depth * link_delay (balanced).
-class SimTreeTransport final : public SnapshotTransport {
- public:
-  struct Options {
-    /// How often an aggregation round starts (0 = use first_round's period
-    /// caller default; must be set > 0).
-    SimDuration period = 100 * kMillisecond;
-    SimDuration link_delay = 0;
-    /// 0 = flat star under the virtual root; k >= 2 = balanced k-ary tree.
-    std::size_t fanout = 0;
-    /// When the first aggregation round fires.
-    SimTime first_round = 0;
-  };
-
-  SimTreeTransport(sim::Simulator* sim, std::size_t member_count,
-                   std::size_t vector_size, Options options);
-
-  void attach(std::size_t member, Provider provider,
-              Receiver receiver) override;
-  void start() override;
-  void stop() override;
-  std::uint64_t messages_sent() const override {
-    return tree_.messages_sent();
-  }
-
- private:
-  std::size_t member_count_;
-  Options options_;
-  CombiningTree tree_;
+/// Schedule and shape of a simulated exchange: CombiningTree,
+/// PairwiseExchange and ShardedStarTransport all take it.
+struct SimExchangeOptions {
+  /// How often an aggregation round starts.
+  SimDuration period = 100 * kMillisecond;
+  /// One-way delay of every link (same up and down).
+  SimDuration link_delay = 0;
+  /// When the first aggregation round fires.
+  SimTime first_round = 0;
+  /// CombiningTree's shape: 0 = flat star under the virtual root, k >= 2 =
+  /// complete k-ary tree. The star and pairwise exchanges take only 0.
+  std::size_t fanout = 0;
 };
 
 /// Synchronous in-process combining tree for live deployments: exchange()

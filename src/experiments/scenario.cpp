@@ -5,7 +5,7 @@
 #include <optional>
 #include <utility>
 
-#include "coord/snapshot_transport.hpp"
+#include "coord/combining_tree.hpp"
 #include "experiments/scenario_assembly.hpp"
 #include "sched/swappable_scheduler.hpp"
 #include "sim/simulator.hpp"
@@ -89,18 +89,11 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   Domain domain(config, graph, &sim, std::move(swappable), std::nullopt);
 
   // --- Snapshot transport + window driver ----------------------------------
-  // Redirectors hang as leaves off a virtual root so every one of them sees
-  // the same aggregate lag of 2 * link_delay.
-  coord::SimTreeTransport::Options tree_options;
-  tree_options.period =
-      config.tree_period > 0 ? config.tree_period : config.window;
-  tree_options.link_delay = config.tree_link_delay;
-  tree_options.fanout = config.tree_fanout;
-  // Aggregation rounds interleave halfway between scheduling windows so a
-  // zero-delay tree still feeds each window the freshest possible snapshot.
-  tree_options.first_round = config.window / 2;
-  coord::SimTreeTransport transport(&sim, config.redirector_count,
-                                    graph.size(), tree_options);
+  // Redirectors are the members of one combining tree under a virtual root;
+  // in a star every one of them sees the same aggregate lag of
+  // 2 * link_delay.
+  coord::CombiningTree transport(&sim, config.redirector_count, graph.size(),
+                                 exchange_options(config));
   domain.plane->connect(&transport);
   // Task creation order is load-bearing (D4): the tree's periodic task must
   // exist before the member window tasks so equal-time events fire in the

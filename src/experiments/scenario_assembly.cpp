@@ -31,6 +31,15 @@ core::AgreementGraph planning_graph(const ScenarioConfig& config,
   return graph;
 }
 
+coord::SimExchangeOptions exchange_options(const ScenarioConfig& config) {
+  coord::SimExchangeOptions options;
+  options.period = config.tree_period > 0 ? config.tree_period : config.window;
+  options.link_delay = config.tree_link_delay;
+  options.first_round = config.window / 2;
+  options.fanout = config.tree_fanout;
+  return options;
+}
+
 SchedulerFactory scheduler_factory(const ScenarioConfig& config) {
   return [&config](const core::AgreementGraph& graph)
              -> std::unique_ptr<sched::Scheduler> {

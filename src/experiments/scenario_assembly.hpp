@@ -5,11 +5,11 @@
 // control plane with a member per redirector, the redirectors, clients, and
 // the domain's own Metrics hub, window trace and backlog probe. run_scenario
 // (scenario.cpp) wires one Domain of R redirectors to a plain
-// sim::Simulator and a SimTreeTransport; run_clustered_scenario
+// sim::Simulator and a CombiningTree; run_clustered_scenario
 // (sharded_scenario.cpp) wires one single-redirector Domain per cluster to
-// the ShardedSimulator and a ShardedStarTransport. The domain builder and
-// the result step below, with planning_graph and scheduler_factory
-// (scenario.hpp), exist once, for both.
+// the ShardedSimulator and a ShardedStarTransport. The domain builder, the
+// exchange options and the result step below, with planning_graph and
+// scheduler_factory (scenario.hpp), exist once, for both.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "coord/control_plane.hpp"
+#include "coord/snapshot_transport.hpp"
 #include "coord/window_driver.hpp"
 #include "core/agreement_graph.hpp"
 #include "experiments/scenario.hpp"
@@ -39,6 +40,13 @@ namespace sharegrid::experiments {
 /// Resolves a principal name, failing loudly on typos in scenario specs.
 core::PrincipalId resolve(const core::AgreementGraph& graph,
                           const std::string& name);
+
+/// The snapshot exchange's schedule and shape: a round every `tree_period`
+/// (the window when unset), each link adding `tree_link_delay`, with the
+/// first round half a window in. Rounds interleave halfway between
+/// scheduling windows, so a zero-delay exchange still feeds each window the
+/// freshest possible snapshot.
+coord::SimExchangeOptions exchange_options(const ScenarioConfig& config);
 
 /// One simulation domain. Everything here is touched only by events of the
 /// domain's own simulator, so the lanes of a sharded engine never share

@@ -78,12 +78,8 @@ ScenarioResult run_clustered_scenario(const ScenarioConfig& config) {
 
   // Phase 2: the star exchange across clusters — one sampling task per
   // domain, created in cluster order.
-  coord::ShardedStarTransport::Options star_options;
-  star_options.period =
-      config.tree_period > 0 ? config.tree_period : config.window;
-  star_options.link_delay = config.tree_link_delay;
-  star_options.first_round = config.window / 2;
-  coord::ShardedStarTransport star(&sharded, graph.size(), star_options);
+  coord::ShardedStarTransport star(&sharded, graph.size(),
+                                   exchange_options(config));
   for (std::size_t c = 0; c < config.clusters; ++c) {
     coord::ControlPlane::Member* member = clusters[c]->plane->member(0);
     star.attach(

@@ -68,15 +68,6 @@ std::optional<double> IniSection::get_double(const std::string& key) const {
   return parse_double(*raw, key);
 }
 
-std::optional<bool> IniSection::get_bool(const std::string& key) const {
-  const auto raw = get_string(key);
-  if (!raw) return std::nullopt;
-  if (*raw == "true" || *raw == "1") return true;
-  if (*raw == "false" || *raw == "0") return false;
-  throw ContractViolation("ini: key '" + key + "' is not a bool: '" + *raw +
-                          "'");
-}
-
 std::string IniSection::require_string(const std::string& key) const {
   const auto v = get_string(key);
   if (!v)

@@ -5,7 +5,7 @@
 //   - `[section]` headers; repeated section names are allowed and create
 //     separate section instances, in file order (used for [client] blocks)
 //   - `key = value` pairs; whitespace around keys/values is trimmed
-//   - values can be read as string, double or bool (true/false/1/0)
+//   - values can be read as string or double
 //
 // Parse errors carry line numbers so scenario-file typos are diagnosable.
 #pragma once
@@ -40,7 +40,6 @@ struct IniSection {
   /// ContractViolation when present but malformed.
   std::optional<std::string> get_string(const std::string& key) const;
   std::optional<double> get_double(const std::string& key) const;
-  std::optional<bool> get_bool(const std::string& key) const;
 
   /// Required-field variants: throw with a helpful message when absent.
   std::string require_string(const std::string& key) const;

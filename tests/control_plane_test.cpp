@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "audit/invariant_auditor.hpp"
+#include "coord/combining_tree.hpp"
 #include "coord/control_plane.hpp"
 #include "coord/snapshot_transport.hpp"
 #include "coord/socket_transport.hpp"
@@ -104,11 +105,8 @@ TEST(ControlPlane, SimAndWallClockDriversRunTheSamePath) {
     bind_recorder(sim_members[m], &sim_records[m]);
   coord::SimWindowDriver sim_driver(&sim, &sim_plane);
   sim_driver.start(kWindow);
-  coord::SimTreeTransport::Options tree_options;
-  tree_options.period = kWindow;
-  tree_options.link_delay = 0;
-  tree_options.first_round = kWindow;
-  coord::SimTreeTransport sim_transport(&sim, 2, 2, tree_options);
+  coord::CombiningTree sim_transport(
+      &sim, 2, 2, {.period = kWindow, .link_delay = 0, .first_round = kWindow});
   sim_plane.connect(&sim_transport);
   sim_transport.start();
 

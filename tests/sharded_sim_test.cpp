@@ -3,7 +3,8 @@
 // delivery, shard-count invariance of the per-domain event streams, the
 // unconditional lookahead-violation check, event conservation, and the
 // engine's own lanes (every domain once per epoch, lowest-domain rethrow,
-// shutdown).
+// shutdown); and for the star snapshot exchange that runs across its
+// domains (coord/sharded_transport.hpp).
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "coord/sharded_transport.hpp"
 #include "sim/sharded_simulator.hpp"
 #include "util/assert.hpp"
 
@@ -232,6 +234,88 @@ TEST(ShardedSimulator, DestroysWithoutHangingAfterAThrowOrWithoutARun) {
     const ShardedSimulator never_ran(8, options(10, 4));
     EXPECT_EQ(never_ran.epochs(), 0u);
   }
+}
+
+// --- ShardedStarTransport ---------------------------------------------------
+
+struct StarDelivery {
+  SimTime at;  // on the receiving cluster's clock
+  std::uint64_t round;
+  std::vector<double> aggregate;
+  bool operator==(const StarDelivery&) const = default;
+};
+
+struct StarRun {
+  std::vector<std::vector<StarDelivery>> deliveries;  // per cluster
+  std::uint64_t messages = 0;
+  std::uint64_t rounds = 0;
+};
+
+constexpr std::size_t kStarClusters = 4;
+constexpr SimDuration kStarLink = 50;
+constexpr SimDuration kStarPeriod = 200;
+constexpr SimTime kStarFirstRound = 100;
+
+/// Cluster c's fixed sample. The second slot's sum depends on the order of
+/// the additions: 1 in cluster order, 0 in reverse.
+std::vector<double> star_sample(std::size_t cluster) {
+  constexpr double kSecond[kStarClusters] = {1e16, 1.0, -1e16, 1.0};
+  return {static_cast<double>(cluster + 1), kSecond[cluster]};
+}
+
+/// Three rounds of the star exchange over four clusters, the engine's
+/// lookahead equal to the link delay.
+StarRun run_star_exchange(std::size_t shards) {
+  ShardedSimulator sharded(kStarClusters, options(kStarLink, shards));
+  coord::ShardedStarTransport star(&sharded, 2,
+                                   {.period = kStarPeriod,
+                                    .link_delay = kStarLink,
+                                    .first_round = kStarFirstRound});
+  StarRun run;
+  run.deliveries.resize(kStarClusters);
+  for (std::size_t c = 0; c < kStarClusters; ++c) {
+    sim::Simulator* local = &sharded.domain(c);
+    std::vector<StarDelivery>* out = &run.deliveries[c];
+    star.attach(
+        c, [c] { return star_sample(c); },
+        [local, out](std::uint64_t round, const std::vector<double>& sum) {
+          out->push_back({local->now(), round, sum});
+        });
+  }
+  star.start();
+  sharded.run_until(kStarFirstRound + 3 * kStarPeriod - 1);
+  star.stop();
+  run.messages = star.messages_sent();
+  run.rounds = star.rounds_completed();
+  return run;
+}
+
+TEST(ShardedStarTransport, DeliversTheClusterOrderedSumToEveryCluster) {
+  std::vector<double> sum(2, 0.0);
+  for (std::size_t c = 0; c < kStarClusters; ++c) {
+    const std::vector<double> sample = star_sample(c);
+    for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += sample[i];
+  }
+  ASSERT_EQ(sum, (std::vector<double>{10.0, 1.0}));
+
+  const StarRun serial = run_star_exchange(1);
+  EXPECT_EQ(serial.rounds, 3u);
+  EXPECT_EQ(serial.messages, 2 * kStarClusters * serial.rounds);
+  for (std::size_t c = 0; c < kStarClusters; ++c) {
+    SCOPED_TRACE(testing::Message() << "cluster " << c);
+    ASSERT_EQ(serial.deliveries[c].size(), 3u);
+    for (std::uint64_t round = 0; round < 3; ++round) {
+      const SimTime start =
+          kStarFirstRound + static_cast<SimTime>(round) * kStarPeriod;
+      EXPECT_EQ(serial.deliveries[c][round],
+                (StarDelivery{start + 2 * kStarLink, round, sum}));
+    }
+  }
+
+  const StarRun parallel = run_star_exchange(4);
+  EXPECT_EQ(parallel.deliveries, serial.deliveries);
+  EXPECT_EQ(parallel.messages, serial.messages);
+  EXPECT_EQ(parallel.rounds, serial.rounds);
 }
 
 }  // namespace
