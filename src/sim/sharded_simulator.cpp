@@ -26,9 +26,8 @@ ShardedSimulator::ShardedSimulator(std::size_t domains, Options options)
       outboxes_(domains),
       errors_(domains),
       // `shards` counts lanes including the caller, which meets the
-      // shards - 1 lane threads at both barriers.
-      start_(static_cast<std::ptrdiff_t>(options.shards)),
-      done_(static_cast<std::ptrdiff_t>(options.shards)) {
+      // shards - 1 lane threads at the start barrier.
+      start_(static_cast<std::ptrdiff_t>(options.shards), OpenEpoch{this}) {
   SHAREGRID_EXPECTS(domains >= 1);
   SHAREGRID_EXPECTS(options.lookahead > 0);
   SHAREGRID_EXPECTS(options.shards >= 1);
@@ -45,7 +44,7 @@ ShardedSimulator::ShardedSimulator(std::size_t domains, Options options)
 
 ShardedSimulator::~ShardedSimulator() {
   if (lanes_.empty()) return;
-  stop_ = true;
+  stopping_ = true;
   start_.arrive_and_wait();
   for (std::thread& lane : lanes_) lane.join();
 }
@@ -99,13 +98,19 @@ void ShardedSimulator::run_until(SimTime deadline) {
 }
 
 void ShardedSimulator::run_epoch() {
-  next_domain_.store(0, std::memory_order_relaxed);
   if (lanes_.empty()) {
+    OpenEpoch{this}();
     run_domains();
   } else {
     start_.arrive_and_wait();
     run_domains();
-    done_.arrive_and_wait();
+    // Wait for the domains, not the lanes: a lane that found none left is
+    // already on its way back to start_.
+    const std::size_t all = domains_.size();
+    for (std::size_t done = completed_.load(std::memory_order_acquire);
+         done != all; done = completed_.load(std::memory_order_acquire)) {
+      completed_.wait(done, std::memory_order_acquire);
+    }
   }
   // Domains share no mutable state, so each lane runs its domains
   // independently; a contract violation inside any domain surfaces here.
@@ -121,14 +126,17 @@ void ShardedSimulator::run_epoch() {
 }
 
 void ShardedSimulator::run_domains() {
+  const std::size_t all = domains_.size();
   for (;;) {
     const std::size_t d = next_domain_.fetch_add(1, std::memory_order_relaxed);
-    if (d >= domains_.size()) return;
+    if (d >= all) return;
     try {
       domains_[d]->run_until(epoch_end_);
     } catch (...) {
       errors_[d] = std::current_exception();
     }
+    if (completed_.fetch_add(1, std::memory_order_release) + 1 == all)
+      completed_.notify_one();
   }
 }
 
@@ -137,7 +145,6 @@ void ShardedSimulator::lane_loop() {
     start_.arrive_and_wait();
     if (stop_) return;
     run_domains();
-    done_.arrive_and_wait();
   }
 }
 

@@ -12,8 +12,10 @@
 //     wheel, freelist, and clock — sharing no mutable state with peers;
 //  2. steps all domains in lockstep epochs of length `lookahead`: the
 //     engine's own lanes (the caller plus `shards - 1` threads it starts)
-//     meet at a start barrier, take domains off one shared counter until
-//     none are left, and meet again at a done barrier;
+//     meet at a start barrier and take domains off one shared counter until
+//     none are left; the caller then waits until every domain is done, not
+//     for every lane, so a lane that wakes after the others took every
+//     domain holds nobody up;
 //  3. defers every cross-domain message into a per-source outbox and
 //     delivers all of them at the epoch barrier, iterating source domains
 //     in index order with per-source emission order preserved.
@@ -114,12 +116,25 @@ class ShardedSimulator {
     std::function<void()> fn;
   };
 
+  /// The start barrier's completion step: opens an epoch's domains and
+  /// passes on a stop. It runs once every lane has arrived, so no lane is
+  /// still taking domains of the epoch before or reading stop_.
+  struct OpenEpoch {
+    ShardedSimulator* engine;
+    void operator()() const noexcept {
+      engine->next_domain_.store(0, std::memory_order_relaxed);
+      engine->completed_.store(0, std::memory_order_relaxed);
+      engine->stop_ = engine->stopping_;
+    }
+  };
+
   /// Runs one epoch on every lane; rethrows the lowest domain's exception.
   void run_epoch();
   /// Takes domains off next_domain_ and runs each to epoch_end_ until none
-  /// are left, filing a throwing domain's exception in its errors_ slot.
+  /// are left, filing a throwing domain's exception in its errors_ slot and
+  /// counting each finished domain in completed_.
   void run_domains();
-  /// A lane thread: one run_domains() between the two barriers per epoch.
+  /// A lane thread: one run_domains() after the start barrier per epoch.
   void lane_loop();
 
   Options options_;
@@ -132,17 +147,24 @@ class ShardedSimulator {
   /// End of the epoch currently running (== now_ between epochs); the
   /// lookahead floor for post() and the target of every domain's run.
   /// Written by the caller before the start barrier, read by lanes after
-  /// it. The barriers order every other cross-lane access too: next_domain_
-  /// and stop_ are written before the start barrier, domains and errors_
-  /// slots read by the caller after the done barrier.
+  /// it. The start barrier orders the caller's other writes (outbox
+  /// deliveries, stopping_) before the lanes' reads; completed_ orders what
+  /// the lanes wrote (domains, outboxes, errors_ slots) before the caller's
+  /// reads once it counts every domain.
   SimTime epoch_end_ = 0;
-  /// The next domain a lane takes this epoch.
+  /// The next domain a lane takes this epoch; reset only by OpenEpoch, so a
+  /// late lane finds none left until every lane has met at start_.
   std::atomic<std::size_t> next_domain_{0};
+  /// Domains run to epoch_end_ this epoch; the caller waits for all.
+  std::atomic<std::size_t> completed_{0};
   /// errors_[d]: what domain d threw this epoch (null if nothing).
   std::vector<std::exception_ptr> errors_;
-  std::barrier<> start_;
-  std::barrier<> done_;
-  bool stop_ = false;  // set by the destructor: lanes leave at start_
+  std::barrier<OpenEpoch> start_;
+  /// Set by the destructor before it meets the lanes at start_. Lanes read
+  /// stop_, which only OpenEpoch writes: a lane that passed the last start
+  /// barrier after the caller went on must not see the destructor's write.
+  bool stopping_ = false;
+  bool stop_ = false;
   std::vector<std::thread> lanes_;
   std::atomic<std::uint64_t> posts_sent_{0};
   std::uint64_t posts_delivered_ = 0;

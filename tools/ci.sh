@@ -104,16 +104,18 @@ else
   ./build-tsan/tests/sharegrid_tests \
     --gtest_filter='ControlPlane.*:ControlPlaneAudit.*:WallClockAdmission.*:L7Service.*:Tcp.*:SocketTransport.*:SocketTransportWire.*:SocketTransportAudit.*'
   # The sharded simulation engine runs cluster domains on its own lane
-  # threads, which meet at a start and a done std::barrier each epoch and
-  # take domains off one shared atomic counter — exactly the code TSan
+  # threads, which meet at one start std::barrier each epoch, take domains
+  # off one shared atomic counter and count each domain they finish; the
+  # caller waits on that count, not on the lanes — exactly the code TSan
   # exists for. Rerun the engine's tests (lane counts 1-8, lowest-domain
-  # rethrow, shutdown after a throw) and the cluster-partitioned scenario
-  # tests standalone; the scenario tests also exercise the serial-as-oracle
-  # audit rerun (SHAREGRID_AUDIT is ON in this build), so a racy lane would
-  # show up both as a TSan report and as a bitwise divergence.
+  # rethrow, shutdown after a throw), the star transport's 1- and 4-lane
+  # delivery test and the cluster-partitioned scenario tests standalone;
+  # the scenario tests also exercise the serial-as-oracle audit rerun
+  # (SHAREGRID_AUDIT is ON in this build), so a racy lane would show up
+  # both as a TSan report and as a bitwise divergence.
   echo "=== [debug-tsan] sharded simulation lanes ==="
   ./build-tsan/tests/sharegrid_tests \
-    --gtest_filter='ShardedSimulator.*:ClusteredScenario.*'
+    --gtest_filter='ShardedSimulator.*:ShardedStarTransport.*:ClusteredScenario.*'
   # Chaos stage: the forked fleet with a leaf kill + restart and a root
   # kill + election, under TSan. Session teardown is where the receive
   # threads, the inbox mutex, and poll() meet — abrupt process death
