@@ -12,10 +12,37 @@ constexpr double kRetryDelaySec = 0.2;
 
 }  // namespace
 
-// Per-machine memory is what scales to a million clients: the 32-byte Rng,
-// two 32-bit counters and the armed flag.
-static_assert(sizeof(ClientFleet::Machine) <= 48,
-              "a client machine's closed-loop state must fit in 48 bytes");
+// Per-machine memory is what scales to a million clients: the 32-byte
+// arrival timer, the 32-byte Rng and two 32-bit counters.
+static_assert(sizeof(ClientFleet::Machine) <= 72,
+              "a client machine's timer and closed-loop state must fit in "
+              "72 bytes");
+
+/// The machines' timers point here, and the simulator keeps this block once
+/// the fleet is destroyed: a timer still filed then fires into the cleared
+/// liveness flag, a counted no-op, as a pooled event's closure would.
+struct ClientFleet::Arrivals final : sim::TimerOwner {
+  Arrivals(ClientFleet* owner, bool* flag) : fleet(owner), alive(flag) {}
+
+  /// A machine's arrival: emit unless its loop is full, and re-arm; or
+  /// stop the loop while the fleet is inactive.
+  void fire(sim::Timer* timer) override {
+    if (!*alive) return;
+    auto& machine = static_cast<Machine&>(*timer);
+    if (!fleet->active_) {
+      // Generation stops; reactivation re-arms.
+      machine.time = -1;
+      return;
+    }
+    if (machine.outstanding < fleet->config_.max_outstanding)
+      fleet->emit(machine);
+    fleet->arm_next_arrival(machine);
+  }
+
+  ClientFleet* fleet;
+  bool* alive;
+  std::vector<Machine> machines;
+};
 
 ClientFleet::ClientFleet(sim::Simulator* sim, RequestSlab* requests,
                          Metrics* metrics, RedirectorBase* redirector,
@@ -38,9 +65,19 @@ ClientFleet::ClientFleet(sim::Simulator* sim, RequestSlab* requests,
   SHAREGRID_EXPECTS(config_.principal != core::kNoPrincipal);
   SHAREGRID_EXPECTS(config_.max_outstanding >= 1);
   SHAREGRID_EXPECTS(!streams.empty());
-  machines_.reserve(streams.size());
-  for (const Rng& stream : streams) machines_.push_back({stream});
+  arrivals_ = std::make_shared<Arrivals>(this, alive_);
+  Machine machine;
+  machine.time = -1;  // not armed
+  machine.owner = arrivals_.get();
+  arrivals_->machines.reserve(streams.size());
+  for (const Rng& stream : streams) {
+    machine.rng = stream;
+    arrivals_->machines.push_back(machine);
+  }
+  machines_ = arrivals_->machines;
 }
+
+ClientFleet::~ClientFleet() { sim_->retain(std::move(arrivals_)); }
 
 const ClientFleet::Machine& ClientFleet::machine(std::size_t m) const {
   SHAREGRID_EXPECTS(m < machines_.size());
@@ -59,34 +96,24 @@ void ClientFleet::set_active(bool active) {
   if (!active_) return;
   // Machines re-arm in index order: the same scheduling order the per-
   // machine toggles of one timestamp produced, so runs stay bit-identical.
-  for (std::size_t m = 0; m < machines_.size(); ++m) {
-    if (machines_[m].loop_armed) continue;
-    machines_[m].loop_armed = true;
-    schedule_next_arrival(m);
+  for (Machine& machine : machines_) {
+    if (!machine.armed()) arm_next_arrival(machine);
   }
 }
 
-void ClientFleet::schedule_next_arrival(std::size_t m) {
+void ClientFleet::arm_next_arrival(Machine& machine) {
   const double mean_gap = 1.0 / config_.rate;
   const double gap_sec = config_.exponential_arrivals
-                             ? machines_[m].rng.exponential(mean_gap)
+                             ? machine.rng.exponential(mean_gap)
                              : mean_gap;
   const auto gap = std::max<SimDuration>(1, seconds(gap_sec));
-  sim_->schedule_after(gap, [this, alive = alive_, m] {
-    if (!*alive) return;
-    if (!active_) {
-      // Generation stops; reactivation re-arms.
-      machines_[m].loop_armed = false;
-      return;
-    }
-    if (machines_[m].outstanding < config_.max_outstanding) emit(m);
-    schedule_next_arrival(m);
-  });
+  sim_->arm(&machine, sim_->now() + gap);
 }
 
-void ClientFleet::emit(std::size_t m) {
-  Machine& machine = machines_[m];
-  const std::size_t index = config_.first_index + m;
+void ClientFleet::emit(Machine& machine) {
+  const std::size_t index =
+      config_.first_index +
+      static_cast<std::size_t>(&machine - machines_.data());
   Request req;
   req.id = (static_cast<std::uint64_t>(index) << 32) |
            machine.next_request_id++;

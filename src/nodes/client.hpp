@@ -11,9 +11,16 @@
 // (implicit queuing) makes it retry after a jittered 0.2 s. Layer-4
 // behaviour: the client just sends to the virtual service address and
 // waits.
+//
+// Each machine is its own arrival timer: its record starts with an
+// intrusive sim::Timer that the simulator files in the timing wheel beside
+// the pooled event nodes, so an armed machine costs its 72-byte record and
+// no node, and a firing reads one record (docs/sim-performance.md).
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "nodes/metrics.hpp"
@@ -65,9 +72,9 @@ class RedirectorBase {
 /// identical WebBench machines tied to one organization and one redirector,
 /// simulated as an array. The spec's configuration, node pointers, liveness
 /// flag and active flag are held once per fleet; each machine keeps only its
-/// closed-loop state. Machine m carries client index `first_index + m` in
-/// its requests, and the RequestSource callbacks find their machine from
-/// Request::client. A fleet of one is a single machine.
+/// arrival timer and closed-loop state. Machine m carries client index
+/// `first_index + m` in its requests, and the RequestSource callbacks find
+/// their machine from Request::client. A fleet of one is a single machine.
 ///
 /// A machine whose max_outstanding no run can reach is open loop: it issues
 /// at its rate whatever the redirector admits. On L4 it then draws only
@@ -87,16 +94,19 @@ class ClientFleet final : public RequestSource, public ServiceSink {
     bool exponential_arrivals = true;  ///< Poisson vs evenly spaced issue
   };
 
-  /// One machine's closed-loop state: the only per-machine memory, 48
-  /// bytes. A request's id packs the machine's client index above its
-  /// 32-bit counter, which counts the machine's connections: the L4
-  /// redirector derives the source port from it, and opens the flows of
-  /// the first 4,096 without an index probe (L4Redirector::kClientPorts).
-  struct Machine {
+  /// One machine: its arrival timer and closed-loop state, the only
+  /// per-machine memory, 72 bytes. The timer is filed while the machine's
+  /// arrival loop runs (time >= 0) and its time is -1 once the loop stops.
+  /// A request's id packs the machine's client index above its 32-bit
+  /// counter, which counts the machine's connections: the L4 redirector
+  /// derives the source port from it, and opens the flows of the first
+  /// 4,096 without an index probe (L4Redirector::kClientPorts).
+  struct Machine : sim::Timer {
     Rng rng;
     std::uint32_t next_request_id = 0;  ///< requests issued (not retries)
     std::uint32_t outstanding = 0;
-    bool loop_armed = false;
+
+    bool armed() const { return time >= 0; }
   };
 
   /// @param sim      owns the node's liveness flag; it must outlive the node.
@@ -107,6 +117,9 @@ class ClientFleet final : public RequestSource, public ServiceSink {
               RedirectorBase* redirector, Config config,
               const std::vector<Rng>& streams,
               const workload::ReplySizeDistribution* sizes = nullptr);
+
+  /// Hands the machines to the simulator, so armed timers stay valid.
+  ~ClientFleet() override;
 
   ClientFleet(const ClientFleet&) = delete;
   ClientFleet& operator=(const ClientFleet&) = delete;
@@ -127,9 +140,13 @@ class ClientFleet final : public RequestSource, public ServiceSink {
   const Machine& machine(std::size_t m) const;
 
  private:
+  /// The machines and the owner of their timers, one block that outlives
+  /// the fleet inside the simulator (see ~ClientFleet).
+  struct Arrivals;
+
   Machine& machine_of(const Request& request);
-  void schedule_next_arrival(std::size_t m);
-  void emit(std::size_t m);
+  void arm_next_arrival(Machine& machine);
+  void emit(Machine& machine);
   void send_to_redirector(RequestHandle request);
 
   sim::Simulator* sim_;
@@ -140,7 +157,8 @@ class ClientFleet final : public RequestSource, public ServiceSink {
   const workload::ReplySizeDistribution* sizes_;
   /// The redirector discards reply sizes: draw them, compute none.
   bool skip_sizes_;
-  std::vector<Machine> machines_;
+  std::shared_ptr<Arrivals> arrivals_;
+  std::span<Machine> machines_;  ///< arrivals_'s, which never move
 
   bool active_ = false;
 };

@@ -13,6 +13,8 @@
 // a move is a memcpy and a reset does nothing.
 // An admitted L4 request costs about 0.01 operator new calls
 // (tests/alloc_count_test.cpp, docs/sim-performance.md, DESIGN.md D8).
+// Client arrivals need no callback at all: each client machine is its own
+// intrusive sim::Timer (timing_wheel.hpp), which names an owner instead.
 #pragma once
 
 #include <cstddef>

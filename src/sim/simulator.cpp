@@ -28,11 +28,18 @@ EventNode* Simulator::grow() {
   return free_;
 }
 
-void Simulator::dispatch(EventNode* node) {
+void Simulator::dispatch(EventLink* event) {
+  ++events_processed_;
+  if (event->seq & kTimerBit) {
+    // The owner may re-arm the timer, so it is not touched after the call.
+    auto* timer = static_cast<Timer*>(event);
+    timer->owner->fire(timer);
+    return;
+  }
   // Invoke in place: the closure never moves after schedule_at constructed
   // it. The node stays off the freelist during the call, so a follow-up
   // schedule cannot alias the storage still executing.
-  ++events_processed_;
+  auto* node = static_cast<EventNode*>(event);
   node->fn();
   node->fn.reset();
   release(node);
@@ -41,10 +48,10 @@ void Simulator::dispatch(EventNode* node) {
 void Simulator::run_until(SimTime deadline) {
   SHAREGRID_EXPECTS(deadline >= now_);
   const std::uint64_t before = events_processed_;
-  while (EventNode* node = wheel_.pop_next(deadline)) {
-    SHAREGRID_AUDIT_HOOK(audit::audit_sim_clock_monotone(now_, node->time));
-    now_ = node->time;
-    dispatch(node);
+  while (EventLink* event = wheel_.pop_next(deadline)) {
+    SHAREGRID_AUDIT_HOOK(audit::audit_sim_clock_monotone(now_, event->time));
+    now_ = event->time;
+    dispatch(event);
   }
   events_counter().add(events_processed_ - before);
   now_ = deadline;
@@ -56,10 +63,10 @@ void Simulator::run_until(SimTime deadline) {
 
 void Simulator::run_all() {
   const std::uint64_t before = events_processed_;
-  while (EventNode* node = wheel_.pop_next(TimingWheel::kNoEvent)) {
-    SHAREGRID_AUDIT_HOOK(audit::audit_sim_clock_monotone(now_, node->time));
-    now_ = node->time;
-    dispatch(node);
+  while (EventLink* event = wheel_.pop_next(TimingWheel::kNoEvent)) {
+    SHAREGRID_AUDIT_HOOK(audit::audit_sim_clock_monotone(now_, event->time));
+    now_ = event->time;
+    dispatch(event);
   }
   events_counter().add(events_processed_ - before);
   SHAREGRID_AUDIT_HOOK(wheel_.audit_consistency(next_seq_, events_processed_));

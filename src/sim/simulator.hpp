@@ -10,14 +10,16 @@
 // binary heap: O(1) schedule and pop instead of O(log n). Its level 0 spans
 // 2,048 one-microsecond slots, so the request path's hops, replies and
 // service completions are filed in the slot where they fire, and only far
-// events (client arrivals, window ticks) cascade. Event nodes are one
-// 64-byte cache line each and come from a freelist, and the small-buffer
-// Callback (callback.hpp) stores closures of up to 32 bytes inline, so only
-// larger closures allocate. The request path keeps its
-// closures inside that budget by carrying slab handles (nodes/request.hpp)
-// and a plain pointer to a liveness flag the simulator owns
-// (new_liveness_flag). Design notes and measurements:
-// docs/sim-performance.md, DESIGN.md D8.
+// events (client arrivals, window ticks) cascade. It files two kinds of
+// event in one order. schedule_at() takes a pooled event node, one 64-byte
+// cache line from a freelist, and the small-buffer Callback (callback.hpp)
+// stores closures of up to 32 bytes inline, so only larger closures
+// allocate; the request path keeps its closures inside that budget by
+// carrying slab handles (nodes/request.hpp) and a plain pointer to a
+// liveness flag the simulator owns (new_liveness_flag). arm() files an
+// intrusive Timer that lives in the record it wakes, with no node at all:
+// each client machine is its own arrival timer (nodes/client.hpp). Design
+// notes and measurements: docs/sim-performance.md, DESIGN.md D8.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +57,7 @@ class Simulator {
     SHAREGRID_EXPECTS(t >= now_);
     EventNode* node = free_;
     if (node == nullptr) [[unlikely]] node = grow();
-    free_ = node->next;
+    free_ = static_cast<EventNode*>(node->next);
     node->next = nullptr;
     node->time = t;
     node->seq = next_seq_++;
@@ -69,6 +71,18 @@ class Simulator {
   void schedule_after(SimDuration delay, F&& fn) {
     SHAREGRID_EXPECTS(delay >= 0);
     schedule_at(now_ + delay, std::forward<F>(fn));
+  }
+
+  /// Files @p timer to fire at @p t (>= now()), in the same order as
+  /// schedule_at: it takes the next sequence number. The timer must not be
+  /// filed already. At @p t the simulator calls `timer->owner->fire(timer)`
+  /// and counts the firing as an event.
+  void arm(Timer* timer, SimTime t) {
+    SHAREGRID_EXPECTS(t >= now_);
+    SHAREGRID_EXPECTS(timer->owner != nullptr);
+    timer->time = t;
+    timer->seq = next_seq_++ | kTimerBit;
+    wheel_.insert(timer);
   }
 
   /// Runs events until the store empties or simulated time would pass
@@ -93,6 +107,14 @@ class Simulator {
   /// simulator.
   bool* new_liveness_flag() { return &flags_.emplace_back(true); }
 
+  /// Keeps @p block alive as long as this simulator. A node destroyed with
+  /// timers still filed hands over the block they live in, so they fire as
+  /// no-ops (their owner checks the node's liveness flag) instead of
+  /// dangling.
+  void retain(std::shared_ptr<const void> block) {
+    retained_.push_back(std::move(block));
+  }
+
  private:
   /// Nodes are pool-allocated in chunks and recycled through a freelist, so
   /// the steady-state loop never touches the heap.
@@ -104,17 +126,18 @@ class Simulator {
     node->next = free_;
     free_ = node;
   }
-  /// Runs the node's callback in place (a follow-up schedule draws a
-  /// different node from the freelist), then recycles it.
-  void dispatch(EventNode* node);
+  /// Fires a timer, or runs a node's callback in place (a follow-up
+  /// schedule draws a different node from the freelist) and recycles it.
+  void dispatch(EventLink* event);
 
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 0;
+  std::uint64_t next_seq_ = 0;  ///< counts every insert, timers included
   std::uint64_t events_processed_ = 0;
   TimingWheel wheel_;
   EventNode* free_ = nullptr;
   std::vector<std::unique_ptr<EventNode[]>> arena_;
   std::deque<bool> flags_;  // see new_liveness_flag(); elements never move
+  std::vector<std::shared_ptr<const void>> retained_;  // see retain()
 };
 
 /// Helper that reruns a callback at a fixed period until cancelled; the

@@ -7,7 +7,7 @@
 
 namespace sharegrid::sim {
 
-void TimingWheel::insert_overflow(EventNode* node) {
+void TimingWheel::insert_overflow(EventLink* node) {
   append(overflow_, node);
   if (node->time < overflow_min_) overflow_min_ = node->time;
 }
@@ -36,26 +36,26 @@ void TimingWheel::cascade(int level, std::size_t index) {
   // shares this bucket's high bits with each deadline. A node's next link
   // is read before any node of its round is re-filed (place() overwrites
   // it), so each round issues four independent loads.
-  EventNode* chain[kChains] = {};
+  EventLink* chain[kChains] = {};
   std::copy_n(slot.head, std::min<std::size_t>(count, kChains), chain);
   std::uint32_t i = 0;
   for (; i + kChains <= count; i += kChains) {
-    EventNode* round[kChains];
+    EventLink* round[kChains];
     for (std::size_t c = 0; c < kChains; ++c) {
       round[c] = chain[c];
       chain[c] = round[c]->next;
     }
-    for (EventNode* node : round) place(node);
+    for (EventLink* node : round) place(node);
   }
   for (std::size_t c = 0; i < count; ++i, ++c) place(chain[c]);
 }
 
 void TimingWheel::rescan_overflow() {
-  EventNode* node = overflow_.head;
+  EventLink* node = overflow_.head;
   overflow_ = List{};
   overflow_min_ = kNoEvent;
   while (node != nullptr) {
-    EventNode* next = node->next;
+    EventLink* next = node->next;
     if ((node->time >> kHorizonBits) == (cursor_ >> kHorizonBits)) {
       place(node);
     } else {
@@ -92,13 +92,15 @@ void TimingWheel::advance_to(SimTime t) {
 void TimingWheel::audit_consistency(std::uint64_t inserted,
                                     std::uint64_t popped) const {
   std::uint64_t pending = 0;
+  // Scheduling order: pooled nodes and timers share one seq count.
+  auto order = [](const EventLink* node) { return node->seq & ~kTimerBit; };
   // Checks one pending node found at @p level / @p index, after @p prev in
   // its slot's filing order.
-  auto check_node = [&](const EventNode* node, const EventNode* prev,
+  auto check_node = [&](const EventLink* node, const EventLink* prev,
                         int level, std::size_t index) {
     ++pending;
     audit::require(node->time >= cursor_, "sim.wheel-past-event", [&] {
-      return "event seq " + std::to_string(node->seq) + " at t=" +
+      return "event seq " + std::to_string(order(node)) + " at t=" +
              std::to_string(node->time) + " is behind the cursor " +
              std::to_string(cursor_) + "; it was skipped, not executed";
     });
@@ -108,17 +110,18 @@ void TimingWheel::audit_consistency(std::uint64_t inserted,
     audit::require(
         level_for(node->time, cursor_) == level && filed == index,
         "sim.wheel-misfiled-event", [&] {
-          return "event seq " + std::to_string(node->seq) + " at t=" +
+          return "event seq " + std::to_string(order(node)) + " at t=" +
                  std::to_string(node->time) + " sits at level " +
                  std::to_string(level) + " slot " + std::to_string(index) +
                  " but belongs elsewhere for cursor " +
                  std::to_string(cursor_) + "; a cascade was skipped";
         });
     audit::require(
-        prev == nullptr || prev->time != node->time || prev->seq < node->seq,
+        prev == nullptr || prev->time != node->time ||
+            order(prev) < order(node),
         "sim.wheel-fifo-order", [&] {
-          return "equal-time events seq " + std::to_string(prev->seq) +
-                 " and " + std::to_string(node->seq) +
+          return "equal-time events seq " + std::to_string(order(prev)) +
+                 " and " + std::to_string(order(node)) +
                  " are out of scheduling order at t=" +
                  std::to_string(node->time) +
                  "; a cascade reordered a slot";
@@ -145,10 +148,10 @@ void TimingWheel::audit_consistency(std::uint64_t inserted,
         });
   }
   for (std::size_t index = 0; index < kLevel0Slots; ++index) {
-    const EventNode* node = level0_[index].head;
+    const EventLink* node = level0_[index].head;
     require_bit((occupied0_[index / 64] >> (index % 64)) & 1u,
                 node != nullptr, 0, index);
-    for (const EventNode* prev = nullptr; node != nullptr;
+    for (const EventLink* prev = nullptr; node != nullptr;
          prev = node, node = node->next) {
       check_node(node, prev, 0, index);
     }
@@ -160,12 +163,12 @@ void TimingWheel::audit_consistency(std::uint64_t inserted,
       require_bit((u.occupied >> index) & 1u, count != 0, level, index);
       // Round-robin over the chains, as a cascade reads them; a chain that
       // ends early stops the walk, and conservation reports the shortfall.
-      const EventNode* chain[kChains] = {};
+      const EventLink* chain[kChains] = {};
       std::copy_n(u.slots[index].head, std::min<std::size_t>(count, kChains),
                   chain);
-      const EventNode* prev = nullptr;
+      const EventLink* prev = nullptr;
       for (std::uint32_t i = 0; i < count; ++i) {
-        const EventNode*& node = chain[i % kChains];
+        const EventLink*& node = chain[i % kChains];
         if (node == nullptr) break;
         check_node(node, prev, level, index);
         prev = node;
@@ -173,12 +176,12 @@ void TimingWheel::audit_consistency(std::uint64_t inserted,
       }
     }
   }
-  for (const EventNode* node = overflow_.head; node != nullptr;
+  for (const EventLink* node = overflow_.head; node != nullptr;
        node = node->next) {
     ++pending;
     audit::require((node->time >> kHorizonBits) != (cursor_ >> kHorizonBits),
                    "sim.wheel-overflow-stale", [&] {
-                     return "overflow event seq " + std::to_string(node->seq) +
+                     return "overflow event seq " + std::to_string(order(node)) +
                             " at t=" + std::to_string(node->time) +
                             " is inside the wheel horizon for cursor " +
                             std::to_string(cursor_) +

@@ -31,10 +31,13 @@
 // FIFO order is structural, not enforced by comparisons. The audit build
 // re-verifies this plus event conservation after every run.
 //
-// The wheel stores raw EventNode pointers and never allocates; nodes are
-// owned, pooled, and recycled by the Simulator. A node is one 64-byte cache
-// line (time, seq, next and a 40-byte Callback), so a cascade that walks a
-// slot touches one line per event.
+// The wheel files raw EventLink pointers (time, seq, next: 24 bytes) and
+// never allocates. Two kinds of event embed a link: the Simulator's pooled
+// EventNode, one 64-byte cache line with a 40-byte Callback, so a cascade
+// that walks a slot touches one line per event; and an intrusive Timer that
+// lives inside the record it wakes (a client machine) and names a
+// TimerOwner, as Linux's timer_list does. The top bit of seq marks a timer;
+// the order checks mask it.
 #pragma once
 
 #include <bit>
@@ -48,21 +51,51 @@
 
 namespace sharegrid::sim {
 
-/// One scheduled event. Pool-allocated by the Simulator, threaded through
+/// What the wheel files: a deadline, the scheduling order and the next
+/// link of a slot list (or of the Simulator's freelist).
+struct EventLink {
+  SimTime time = 0;
+  /// Scheduling order, read by the FIFO audit; kTimerBit marks a Timer.
+  std::uint64_t seq = 0;
+  EventLink* next = nullptr;
+};
+
+/// Set in a Timer's seq; the scheduling order is seq & ~kTimerBit.
+inline constexpr std::uint64_t kTimerBit = std::uint64_t{1} << 63;
+
+/// One pooled event. Pool-allocated by the Simulator, threaded through
 /// wheel slot lists (or the freelist) via `next`. Exactly one cache line:
 /// filing, cascading and dispatching an event touch a single line, and a
 /// 64-node chunk is 4 KiB.
-struct alignas(64) EventNode {
-  SimTime time = 0;
-  std::uint64_t seq = 0;  ///< scheduling order; audits equal-time FIFO
-  EventNode* next = nullptr;
+struct alignas(64) EventNode : EventLink {
   Callback fn;
 };
 
 static_assert(sizeof(EventNode) == 64,
               "an event node is one cache line: time, seq, next, callback");
 
-/// Hierarchical timing wheel over EventNodes (see file comment).
+struct Timer;
+
+/// Whoever a Timer wakes. Simulator::arm files the timer; when it fires the
+/// simulator calls fire() and never touches the timer again, so fire() may
+/// re-arm it.
+class TimerOwner {
+ public:
+  virtual void fire(Timer* timer) = 0;
+
+ protected:
+  ~TimerOwner() = default;
+};
+
+/// An intrusive event: a link embedded in the record it wakes, so arming it
+/// takes no pooled node. It is filed at most once at a time.
+struct Timer : EventLink {
+  TimerOwner* owner = nullptr;
+};
+
+static_assert(sizeof(Timer) == 32, "a timer is a link and an owner pointer");
+
+/// Hierarchical timing wheel over EventLinks (see file comment).
 class TimingWheel {
  public:
   static constexpr int kLevel0Bits = 11;
@@ -86,7 +119,7 @@ class TimingWheel {
   /// Files @p node (time >= cursor(); unchecked — the Simulator validates
   /// against its clock, which never trails the cursor) into its level/slot.
   /// O(1).
-  void insert(EventNode* node) {
+  void insert(EventLink* node) {
     place(node);
     ++size_;
   }
@@ -96,7 +129,7 @@ class TimingWheel {
   /// never passes min(limit, earliest event time)). The hot path: when
   /// level 0 is occupied its earliest slot is provably ahead of every
   /// deeper bucket and the overflow list, so no scan or cascade runs.
-  EventNode* pop_next(SimTime limit) {
+  EventLink* pop_next(SimTime limit) {
     for (;;) {
       if (summary_ != 0) [[likely]] {
         const int word = std::countr_zero(summary_);
@@ -107,7 +140,7 @@ class TimingWheel {
         if (t > limit) return nullptr;
         cursor_ = t;
         List& s = level0_[slot];
-        EventNode* node = s.head;
+        EventLink* node = s.head;
         s.head = node->next;
         if (s.head == nullptr) {
           bits &= bits - 1;  // clear the lowest set bit
@@ -131,8 +164,8 @@ class TimingWheel {
   /// (inserted == popped + pending), the occupancy bitmaps and level 0's
   /// summary word, and that each node sits exactly where insert() would
   /// place it for the current cursor, with slots in seq (FIFO) order per
-  /// timestamp; upper slots are walked in their round-robin filing order.
-  /// O(size); audit builds only.
+  /// timestamp, the timer bit masked; upper slots are walked in their
+  /// round-robin filing order. O(size); audit builds only.
   void audit_consistency(std::uint64_t inserted, std::uint64_t popped) const;
 
  private:
@@ -141,8 +174,8 @@ class TimingWheel {
 
   /// A FIFO list; a level-0 slot is empty exactly when head is null.
   struct List {
-    EventNode* head = nullptr;
-    EventNode* tail = nullptr;
+    EventLink* head = nullptr;
+    EventLink* tail = nullptr;
   };
 
   /// An upper-level slot's chains, one cache line: with n nodes filed,
@@ -150,8 +183,8 @@ class TimingWheel {
   /// and only the first min(n, kChains) heads and tails are meaningful.
   /// They are never zeroed: a cascade empties the slot by zeroing n.
   struct alignas(64) Chains {
-    EventNode* head[kChains];
-    EventNode* tail[kChains];
+    EventLink* head[kChains];
+    EventLink* tail[kChains];
   };
 
   struct UpperLevel {
@@ -179,7 +212,7 @@ class TimingWheel {
   UpperLevel& upper(int level) { return upper_[level - 1]; }
   const UpperLevel& upper(int level) const { return upper_[level - 1]; }
 
-  static void append(List& list, EventNode* node) {
+  static void append(List& list, EventLink* node) {
     node->next = nullptr;
     if (list.head == nullptr) {
       list.head = node;
@@ -190,7 +223,7 @@ class TimingWheel {
   }
 
   /// Files a node without touching size_ (shared by insert and cascades).
-  void place(EventNode* node) {
+  void place(EventLink* node) {
     const int level = level_for(node->time, cursor_);
     if (level == 0) [[likely]] {
       const auto slot = static_cast<std::size_t>(node->time & kLevel0Mask);
@@ -205,7 +238,7 @@ class TimingWheel {
   }
 
   /// Deals @p node to the next chain of its slot at @p level (>= 1).
-  void place_upper(EventNode* node, int level) {
+  void place_upper(EventLink* node, int level) {
     const std::size_t index = slot_index(node->time, level);
     UpperLevel& u = upper(level);
     Chains& s = u.slots[index];
@@ -222,7 +255,7 @@ class TimingWheel {
   }
 
   /// Appends to the overflow list, maintaining overflow_min_.
-  void insert_overflow(EventNode* node);
+  void insert_overflow(EventLink* node);
 
   /// Earliest bucket start among levels 1..6 (or the overflow minimum when
   /// the wheel proper is empty). The lowest occupied level always holds the

@@ -9,7 +9,8 @@
 // One clustered configuration, L4 or L7, runs twice, the second time with
 // every client machine issuing twice as fast. Setup and per-window work are
 // the same in both runs, so the extra operator new calls divided by the
-// extra admitted requests is what one admitted request costs.
+// extra admitted requests is what one admitted request costs. Switching a
+// client fleet on arms each machine's own timer and allocates nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,10 +19,15 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "experiments/scenario.hpp"
+#include "nodes/client.hpp"
+#include "nodes/metrics.hpp"
+#include "nodes/request.hpp"
 #include "sim/simulator.hpp"
 #include "util/metrics_registry.hpp"
+#include "util/rng.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_news{0};
@@ -174,6 +180,33 @@ TEST(AllocCount, ThirtyTwoByteCapturesScheduleWithoutAllocating) {
 
   sim.run_all();
   EXPECT_EQ(fired, 3u);
+}
+
+/// A redirector that takes requests and does nothing with them.
+class NullRedirector final : public nodes::RedirectorBase {
+ public:
+  void on_client_request(nodes::RequestHandle) override {}
+};
+
+TEST(AllocCount, ArmingAFleetAllocatesNothing) {
+  // Each client machine is its own arrival timer, so switching a fleet on
+  // files one timer per machine and takes no pooled event node; with a
+  // node per machine it drew a 64-node chunk per 64 machines.
+  sim::Simulator sim;
+  nodes::RequestSlab requests;
+  nodes::Metrics metrics(1);
+  NullRedirector redirector;
+  nodes::ClientFleet::Config config;
+  config.principal = 0;
+  std::vector<Rng> streams;
+  for (std::uint64_t m = 0; m < 10000; ++m) streams.emplace_back(m);
+  nodes::ClientFleet fleet(&sim, &requests, &metrics, &redirector, config,
+                           streams);
+  const std::uint64_t before = g_news.load();
+  fleet.set_active(true);
+  EXPECT_EQ(g_news.load() - before, 0u);
+  for (std::size_t m = 0; m < fleet.size(); ++m)
+    EXPECT_TRUE(fleet.machine(m).armed()) << "machine " << m;
 }
 
 }  // namespace

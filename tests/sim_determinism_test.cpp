@@ -176,7 +176,7 @@ TEST(TimingWheel, AuditConsistencyAcceptsCascadedState) {
 
   std::uint64_t popped = 0;
   SimTime last = -1;
-  while (EventNode* node = wheel.pop_next(TimingWheel::kNoEvent)) {
+  while (EventLink* node = wheel.pop_next(TimingWheel::kNoEvent)) {
     EXPECT_GE(node->time, last);
     EXPECT_EQ(wheel.cursor(), node->time);
     last = node->time;
@@ -213,6 +213,135 @@ TEST(TimingWheel, UpperSlotChainsKeepSchedulingOrder) {
     EXPECT_EQ(fired[k].first, k < 11 ? kT : kT + 1) << "at position " << k;
     EXPECT_EQ(fired[k].second, expected[k]) << "at position " << k;
   }
+}
+
+/// Records the id of each timer it owns as it fires; ids[i] is timers[i]'s.
+struct RecordingOwner final : TimerOwner {
+  void fire(Timer* timer) override {
+    fired->push_back(ids[static_cast<std::size_t>(timer - timers.data())]);
+  }
+  std::vector<Timer> timers;
+  std::vector<int> ids;
+  std::vector<int>* fired = nullptr;
+};
+
+/// A time at level 0, at an upper level, past the horizon, or in a coarse
+/// group of equal times, chosen by @p i; @p rng is the next xorshift word.
+SimTime mixed_time(int i, std::uint64_t rng) {
+  switch (i % 4) {
+    case 0: return static_cast<SimTime>(rng & 0x7f8);       // level 0
+    case 1: return static_cast<SimTime>(rng & 0xffffffc00);  // levels 1-5
+    case 2: return (SimTime{1} << 48) + static_cast<SimTime>(rng & 0xff);
+    default: return static_cast<SimTime>(rng & 0x3) << 20;  // equal groups
+  }
+}
+
+std::uint64_t xorshift(std::uint64_t& rng) {
+  rng ^= rng << 13;
+  rng ^= rng >> 7;
+  rng ^= rng << 17;
+  return rng;
+}
+
+TEST(TimingWheel, TimersAndPooledEventsShareOneOrder) {
+  // Intrusive timers (Simulator::arm) and pooled callbacks (schedule_at)
+  // take one sequence count, so together they fire as a stable sort by time
+  // of the scheduling order, at level 0, the upper levels and past the
+  // horizon, with equal-time groups mixing both kinds.
+  constexpr int kEvents = 2048;
+  Simulator sim;
+  std::vector<int> fired;
+  RecordingOwner owner;
+  owner.fired = &fired;
+  owner.timers.reserve(kEvents);  // armed timers must not move
+  std::vector<std::pair<SimTime, int>> reference;
+  std::uint64_t rng = 0x13198a2e03707344ull;
+  for (int i = 0; i < kEvents; ++i) {
+    const SimTime t = mixed_time(i, xorshift(rng));
+    reference.emplace_back(t, i);
+    if ((xorshift(rng) >> 62) & 1u) {
+      owner.timers.push_back(Timer{{}, &owner});
+      owner.ids.push_back(i);
+      sim.arm(&owner.timers.back(), t);
+    } else {
+      sim.schedule_at(t, [&fired, i] { fired.push_back(i); });
+    }
+  }
+  ASSERT_GT(owner.timers.size(), kEvents / 4u);
+  ASSERT_LT(owner.timers.size(), 3 * kEvents / 4u);
+  std::stable_sort(reference.begin(), reference.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  sim.run_all();
+  ASSERT_EQ(fired.size(), reference.size());
+  for (std::size_t k = 0; k < reference.size(); ++k)
+    EXPECT_EQ(fired[k], reference[k].second) << "at position " << k;
+  EXPECT_EQ(sim.events_processed(), std::uint64_t{kEvents});
+
+  // A timer re-armed from its own firing fires again at its new time: at
+  // the same instant, one microsecond on, across a level-0 bucket, two
+  // levels up and past the horizon. A callback scheduled for each new time
+  // before the run was scheduled first, so it fires first.
+  struct Rearming final : TimerOwner {
+    void fire(Timer* timer) override {
+      log->emplace_back(sim->now(), 'T');
+      if (next < gaps.size()) sim->arm(timer, sim->now() + gaps[next++]);
+    }
+    Simulator* sim = nullptr;
+    std::vector<SimDuration> gaps;
+    std::size_t next = 0;
+    std::vector<std::pair<SimTime, char>>* log = nullptr;
+  };
+  std::vector<std::pair<SimTime, char>> log;
+  Rearming rearming;
+  rearming.sim = &sim;
+  rearming.gaps = {0, 1, 2047, 5000, SimDuration{1} << 30,
+                   SimDuration{1} << 48};
+  rearming.log = &log;
+  Timer timer{{}, &rearming};
+  SimTime t = sim.now() + 10;
+  sim.arm(&timer, t);
+  std::vector<std::pair<SimTime, char>> expected = {{t, 'T'}};
+  for (const SimDuration gap : rearming.gaps) {
+    t += gap;
+    sim.schedule_at(t, [&log, &sim] { log.emplace_back(sim.now(), 'P'); });
+    expected.emplace_back(t, 'P');
+    expected.emplace_back(t, 'T');
+  }
+  sim.run_all();
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(sim.events_processed(), std::uint64_t{kEvents} + expected.size());
+
+  // The audit walks slots holding both kinds and checks equal-time order on
+  // seq with the timer bit masked, after the inserts, the cascades they
+  // need and every pop (driven on a bare wheel, so in every build).
+  constexpr std::size_t kAudited = 256;
+  TimingWheel wheel;
+  std::vector<EventNode> nodes(kAudited);
+  std::vector<Timer> timers(kAudited);
+  std::vector<std::pair<SimTime, std::size_t>> audited;
+  for (std::size_t i = 0; i < kAudited; ++i) {
+    const bool is_timer = (xorshift(rng) >> 63) & 1u;
+    EventLink& event = is_timer ? static_cast<EventLink&>(timers[i])
+                                : static_cast<EventLink&>(nodes[i]);
+    event.time = mixed_time(static_cast<int>(i), xorshift(rng));
+    event.seq = i | (is_timer ? kTimerBit : 0);
+    audited.emplace_back(event.time, i);
+    wheel.insert(&event);
+  }
+  wheel.audit_consistency(kAudited, 0);
+  std::stable_sort(audited.begin(), audited.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::uint64_t popped = 0;
+  while (EventLink* event = wheel.pop_next(TimingWheel::kNoEvent)) {
+    const std::size_t i = event->seq & ~kTimerBit;
+    const bool is_timer = (event->seq & kTimerBit) != 0;
+    EXPECT_EQ(event, is_timer ? static_cast<EventLink*>(&timers[i])
+                              : static_cast<EventLink*>(&nodes[i]));
+    EXPECT_EQ(i, audited[popped].second) << "at position " << popped;
+    ++popped;
+    wheel.audit_consistency(kAudited, popped);
+  }
+  EXPECT_EQ(popped, kAudited);
 }
 
 TEST(TimingWheel, AuditDetectsLostEvent) {
